@@ -13,7 +13,7 @@
  *
  *  2. Throughput gate — NVSA (seed-sensitive, CPU-bound) driven with
  *     a Zipf-skewed 16-seed universe at the default skew (s = 1.1)
- *     and batch-equal settings must sustain >= 3x the cache-off
+ *     and otherwise equal settings must sustain >= 3x the cache-off
  *     throughput with a hit rate >= 50%.
  *
  *  3. Sweep — Zipf skew {0.7, 1.1, 1.4} x cache size {tiny, ample},
@@ -73,8 +73,6 @@ measure(bool cache_on, uint64_t cache_bytes, size_t cache_shards,
     serve::ServerOptions server_options;
     server_options.workloads = {"NVSA"};
     server_options.workers = 2;
-    server_options.maxBatch = 4;
-    server_options.maxWaitUs = 2000;
     server_options.factory = serve::serveFactory;
     server_options.resultCache = cache_on;
     server_options.cacheBytes = cache_bytes;
@@ -136,7 +134,6 @@ main(int argc, char **argv)
         serve::ServerOptions off;
         off.workloads = bench::paperOrder();
         off.workers = 1;
-        off.maxBatch = 4;
         off.factory = serve::serveFactory;
         off.resultCache = false;
         serve::Server server(std::move(off));
@@ -157,7 +154,6 @@ main(int argc, char **argv)
         serve::ServerOptions on;
         on.workloads = bench::paperOrder();
         on.workers = 2;
-        on.maxBatch = 4;
         on.factory = serve::serveFactory;
         on.resultCache = true;
         serve::Server server(std::move(on));
@@ -188,7 +184,7 @@ main(int argc, char **argv)
     json << ",\"identity_pass\":" << identical
          << ",\"identity_total\":" << total;
 
-    // Part 2: the throughput gate at batch-equal settings and the
+    // Part 2: the throughput gate at otherwise equal settings and the
     // default skew. Cache off first so the on pass cannot borrow its
     // precompute state.
     cache::setEnabled(false);
@@ -210,7 +206,7 @@ main(int argc, char **argv)
                        std::to_string(on.completed),
                        std::to_string(on.executions)});
     std::cout << "Throughput gate (NVSA, universe 16, zipf 1.1, "
-                 "max_batch 4, 2 workers):\n";
+                 "2 workers):\n";
     gate_table.print(std::cout);
     std::cout << "\nspeedup " << util::fixedStr(speedup, 2)
               << "x (gate >= 3x with hit rate >= 50%): "

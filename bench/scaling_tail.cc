@@ -138,8 +138,6 @@ backendOptions(bool slow)
     serve::ServerOptions options;
     options.workloads = {kWorkload};
     options.workers = 2;
-    options.maxBatch = 1;
-    options.maxWaitUs = 500;
     // No result cache: a cached answer skips run() and with it the
     // injected delay, which would hide the very tail under test.
     options.resultCache = false;

@@ -2,13 +2,12 @@
  * @file
  * Single-flight request coalescing.
  *
- * When several requests miss the result cache on the same key at the
- * same time, only the first (the leader) should execute; the rest
- * (followers) park their completion callbacks here and are fanned the
- * leader's result when it lands. This is the cross-request analogue of
- * the batcher's same-seed coalescing: the batcher dedupes within one
- * batch window, single-flight dedupes across the whole in-flight
- * lifetime of a key.
+ * Concurrent requests for the same key share one execution: the first
+ * to join a key leads its flight, later joiners follow, and every
+ * joiner — leader included — is parked here as a waiter until the
+ * flight ends. This is the serving runtime's only coalescing
+ * mechanism; the result cache, when enabled, sits in front of it and
+ * answers keys whose flight already landed.
  */
 
 #ifndef NSBENCH_CACHE_SINGLE_FLIGHT_HH
@@ -25,10 +24,11 @@ namespace nsbench::cache
 {
 
 /**
- * Tracks in-flight cache keys and parks waiters behind the leader.
+ * Tracks in-flight keys and parks their waiters.
  *
- * @tparam Waiter per-request state fanned back on completion (the
- *         serve layer stores the request's callback plus timestamps).
+ * @tparam Waiter per-request state fanned back when the flight ends
+ *         (the serve layer stores the request's callback, deadline
+ *         and cancel token).
  */
 template <typename Waiter> class SingleFlight
 {
@@ -36,26 +36,53 @@ template <typename Waiter> class SingleFlight
     enum class Role { Leader, Follower };
 
     /**
-     * Joins the flight for @p key. The first caller becomes the
-     * leader and must eventually call finish(); its @p waiter is NOT
-     * stored (the leader delivers its own result). Later callers are
-     * followers: their waiters are parked until finish().
+     * Parks @p waiter on the flight for @p key. The first caller
+     * starts the flight and leads it: it must make sure the flight is
+     * eventually ended by prune() or finish(). Later callers follow.
      */
     Role
     join(const std::string &key, Waiter waiter)
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto [it, inserted] = flights_.try_emplace(key);
-        if (inserted)
-            return Role::Leader;
         it->second.push_back(std::move(waiter));
-        return Role::Follower;
+        return inserted ? Role::Leader : Role::Follower;
     }
 
     /**
-     * Ends the flight for @p key, returning every parked follower.
-     * The leader calls this exactly once, whether it completed or
-     * failed; the caller decides what to deliver to the waiters.
+     * Moves every waiter of @p key that @p dead selects into
+     * @p removed, keeping the rest in join order, and returns how many
+     * are left. At zero the flight ends here, under the same lock, so
+     * no later join() can attach to a flight whose execution the
+     * caller is about to skip.
+     */
+    template <typename Dead>
+    size_t
+    prune(const std::string &key, Dead dead,
+          std::vector<Waiter> *removed)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = flights_.find(key);
+        if (it == flights_.end())
+            return 0;
+        std::vector<Waiter> live;
+        for (Waiter &waiter : it->second) {
+            if (dead(waiter))
+                removed->push_back(std::move(waiter));
+            else
+                live.push_back(std::move(waiter));
+        }
+        if (live.empty()) {
+            flights_.erase(it);
+            return 0;
+        }
+        it->second = std::move(live);
+        return it->second.size();
+    }
+
+    /**
+     * Ends the flight for @p key and returns its waiters in join
+     * order; the caller decides what to deliver to each.
      */
     std::vector<Waiter>
     finish(const std::string &key)

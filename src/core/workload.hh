@@ -89,11 +89,11 @@ class Workload
      * RNGs) without rebuilding the model. After reseedEpisodes(s),
      * run() must return a score that is a pure function of
      * (model, s) — independent of how many runs the instance served
-     * before. The serving runtime calls this once per request so
+     * before. The serving runtime calls this once per execution so
      * long-lived replicas amortize setUp() across requests while
      * keeping the determinism contract: a request with a fixed seed
-     * scores identically on every replica, at every batch size, in
-     * every arrival order.
+     * scores identically on every replica, whether it ran alone or
+     * shared its run, in every arrival order.
      *
      * The default rebuilds everything via setUp(seed) — always
      * correct, never cheap; workloads override it to reset only
@@ -105,9 +105,9 @@ class Workload
      * True when run()'s score depends on the episode seed. Workloads
      * that evaluate a fixed benchmark built at setUp() time (so
      * every run is the identical computation) return false, which
-     * lets the serving batcher coalesce *all* their concurrent
-     * requests into shared executions rather than only same-seed
-     * ones.
+     * lets the server's single flight coalesce *all* their
+     * concurrent requests into shared executions rather than only
+     * same-seed ones.
      */
     virtual bool seedSensitive() const { return true; }
 

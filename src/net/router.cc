@@ -253,12 +253,14 @@ Router::complete(const RelayPtr &relay,
                          .count();
 
     // Feed the breaker. Failed means the connection died under the
-    // request; Canceled is our own doing and says nothing about
-    // health; everything else is the backend answering — a health
-    // signal whatever the verdict.
+    // request; everything else is the backend answering — a health
+    // signal whatever the verdict. That includes Canceled: a server
+    // answers a cancel only when it next reaches the request (at
+    // dispatch, or after the run it was waiting on), so a hedged
+    // primary stuck behind a slow run still reports that slowness.
     if (response.status == serve::RequestStatus::Failed)
         backend.breaker.onFailure(nowUs());
-    else if (response.status != serve::RequestStatus::Canceled)
+    else
         backend.breaker.onSuccess(
             latency, referenceLatency(attempt->backend), nowUs());
 

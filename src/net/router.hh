@@ -31,8 +31,8 @@
  *    workload's tracked p95 latency, the router re-issues it to the
  *    next distinct ring backend. First response wins and is relayed
  *    (safe: the determinism contract makes both answers
- *    byte-identical); the loser is pruned from its backend's queue
- *    with a wire Cancel frame. Hedges are budgeted: at most
+ *    byte-identical); the loser is canceled on its backend with a
+ *    wire Cancel frame. Hedges are budgeted: at most
  *    `hedgeBudget` (default 5%) extra load on top of primary
  *    forwards, and hedging stays off for a workload until
  *    `hedgeMinSamples` completions have made its p95 trustworthy.

@@ -521,9 +521,10 @@ TcpServer::handleCancel(const FrameServer::SessionPtr &session,
         if (it != live_->tokens.end())
             token = it->second;
     }
-    // Set outside the lock; the worker observes it at its next prune
-    // and answers Canceled. Already-completed requests were erased by
-    // their callback, making this the advertised no-op.
+    // Set outside the lock; the server observes it at its next check
+    // of the request (dispatch, retry backoff or fan-out) and answers
+    // Canceled. Already-completed requests were erased by their
+    // callback, making this the advertised no-op.
     if (token)
         token->store(true, std::memory_order_relaxed);
 }

@@ -35,15 +35,11 @@ toFrame(const serve::Response &response, uint64_t id)
     frame.serviceSeconds = response.serviceSeconds;
     frame.neuralSeconds = response.neuralSeconds;
     frame.symbolicSeconds = response.symbolicSeconds;
-    frame.batchSize = static_cast<uint32_t>(
-        response.batchSize < 0 ? 0 : response.batchSize);
     frame.shared = static_cast<uint32_t>(
         response.shared < 0 ? 0 : response.shared);
     frame.retries = static_cast<uint32_t>(
         response.retries < 0 ? 0 : response.retries);
-    frame.flags = (response.cached ? wire::kFlagCached : 0u) |
-                  (response.stale ? wire::kFlagStale : 0u) |
-                  (response.pipelined ? wire::kFlagPipelined : 0u);
+    frame.flags = response.cached ? wire::kFlagCached : 0u;
     return frame;
 }
 
@@ -67,12 +63,9 @@ toResponse(const wire::ResponseFrame &frame)
     response.serviceSeconds = frame.serviceSeconds;
     response.neuralSeconds = frame.neuralSeconds;
     response.symbolicSeconds = frame.symbolicSeconds;
-    response.batchSize = static_cast<int>(frame.batchSize);
     response.shared = static_cast<int>(frame.shared);
     response.retries = static_cast<int>(frame.retries);
     response.cached = (frame.flags & wire::kFlagCached) != 0;
-    response.stale = (frame.flags & wire::kFlagStale) != 0;
-    response.pipelined = (frame.flags & wire::kFlagPipelined) != 0;
     return response;
 }
 

@@ -79,8 +79,8 @@ struct HelloFrame
 enum ResponseFlags : uint32_t
 {
     kFlagCached = 1u << 0,    ///< Served from the result cache.
-    kFlagStale = 1u << 1,     ///< Stale-cache fallback after failure.
-    kFlagPipelined = 1u << 2, ///< Ran in a stage-pipelined batch.
+    kFlagStale = 1u << 1,     ///< Reserved; servers never set it.
+    kFlagPipelined = 1u << 2, ///< Reserved; servers never set it.
 };
 
 /**
@@ -114,7 +114,7 @@ struct ResponseFrame
     double serviceSeconds = 0.0;
     double neuralSeconds = 0.0;
     double symbolicSeconds = 0.0;
-    uint32_t batchSize = 0;
+    uint32_t batchSize = 0;   ///< Reserved; servers always send 0.
     uint32_t shared = 0;
     uint32_t retries = 0;
     uint32_t flags = 0;       ///< ResponseFlags bits.

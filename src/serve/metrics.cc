@@ -78,13 +78,13 @@ ServerMetrics::recordRejected(const std::string &workload,
 }
 
 void
-ServerMetrics::recordBatch(const std::string &workload,
-                           size_t occupancy)
+ServerMetrics::recordFlight(const std::string &workload,
+                            size_t requests)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto add = [occupancy](WorkloadMetrics &m) {
+    auto add = [requests](WorkloadMetrics &m) {
         m.batches++;
-        m.batchOccupancy.add(static_cast<double>(occupancy));
+        m.batchOccupancy.add(static_cast<double>(requests));
     };
     add(perWorkload_[workload]);
     add(total_);
@@ -129,8 +129,6 @@ ServerMetrics::recordOutcome(const std::string &workload,
         // note that this completion needed at least one.
         if (response.retries > 0)
             m.retriedOk++;
-        if (response.stale)
-            m.staleServed++;
         m.latency.add(response.latencySeconds);
         m.queueWait.add(response.queueSeconds);
         // Shared executions attribute their phase split once per
@@ -363,7 +361,7 @@ ServerMetrics::table() const
     WorkloadMetrics totals = total();
 
     util::Table table({"workload", "done", "rej", "exp", "runs",
-                       "share", "batch", "hit%", "sf", "p50 ms",
+                       "share", "flight", "hit%", "sf", "p50 ms",
                        "p95 ms", "p99 ms", "mean ms", "wait ms",
                        "neural"});
     auto ms = [](double seconds) {
@@ -395,8 +393,7 @@ bool
 ServerMetrics::hasResilienceEvents() const
 {
     WorkloadMetrics totals = total();
-    return totals.workerFaults || totals.retries ||
-           totals.staleServed || totals.failed ||
+    return totals.workerFaults || totals.retries || totals.failed ||
            totals.rejectedOverload || totals.replicasReplaced ||
            totals.callbackFailures || totals.canceled ||
            totals.sojournSheds;
@@ -409,14 +406,13 @@ ServerMetrics::resilienceTable() const
     WorkloadMetrics totals = total();
 
     util::Table table({"workload", "faults", "retries", "retried_ok",
-                       "stale", "failed", "shed", "soj_shed",
+                       "failed", "shed", "soj_shed",
                        "canceled", "replaced", "cb_err", "success%"});
     auto row = [&](const std::string &name,
                    const WorkloadMetrics &m) {
         table.addRow({name, std::to_string(m.workerFaults),
                       std::to_string(m.retries),
                       std::to_string(m.retriedOk),
-                      std::to_string(m.staleServed),
                       std::to_string(m.failed),
                       std::to_string(m.rejectedOverload),
                       std::to_string(m.sojournSheds),

@@ -54,7 +54,7 @@ struct WorkloadMetrics
                                      ///< and pruned before execution.
     uint64_t failed = 0;             ///< Failed after every retry.
     uint64_t executions = 0;         ///< Actual run() invocations.
-    uint64_t batches = 0;            ///< Batches dispatched.
+    uint64_t batches = 0;            ///< Flights dispatched to workers.
     uint64_t cacheHits = 0;          ///< Result-cache hits at admission.
     uint64_t cacheMisses = 0;        ///< Result-cache misses.
     uint64_t cacheEvictions = 0;     ///< Result-cache entries evicted.
@@ -62,7 +62,6 @@ struct WorkloadMetrics
     uint64_t workerFaults = 0;       ///< run() attempts that threw.
     uint64_t retries = 0;            ///< Re-attempts after a fault.
     uint64_t retriedOk = 0;          ///< Completions that needed a retry.
-    uint64_t staleServed = 0;        ///< Cache fallbacks after failure.
     uint64_t replicasReplaced = 0;   ///< Supervisor replica rebuilds.
     uint64_t callbackFailures = 0;   ///< Client callbacks that threw.
     uint64_t sojournSheds = 0;       ///< Overload sheds triggered by
@@ -72,7 +71,8 @@ struct WorkloadMetrics
     util::TailStats latency;         ///< End-to-end seconds (Ok only).
     util::RunningStat queueWait;     ///< Submit -> execution start.
     util::RunningStat service;       ///< run() wall seconds/execution.
-    util::RunningStat batchOccupancy;///< Requests per dispatched batch.
+    util::RunningStat batchOccupancy;///< Requests answered per
+                                     ///< dispatched flight.
     double neuralSeconds = 0.0;      ///< Summed neural-phase op time.
     double symbolicSeconds = 0.0;    ///< Summed symbolic-phase op time.
 
@@ -87,8 +87,8 @@ struct WorkloadMetrics
 
     /**
      * Fraction of requests that reached execution and eventually
-     * completed (Ok, including stale fallbacks): 1.0 means the
-     * resilience layer absorbed every injected fault.
+     * completed Ok: 1.0 means the resilience layer absorbed every
+     * injected fault.
      */
     double
     successRate() const
@@ -97,16 +97,6 @@ struct WorkloadMetrics
         return finished ? static_cast<double>(completed) /
                               static_cast<double>(finished)
                         : 1.0;
-    }
-
-    /**
-     * Completions served without their own run(): requests the
-     * batcher coalesced onto a shared execution.
-     */
-    uint64_t
-    coalesced() const
-    {
-        return completed > executions ? completed - executions : 0;
     }
 
     /** Completions per execution; 1.0 when nothing coalesced. */
@@ -159,8 +149,8 @@ struct NetStats
 };
 
 /**
- * Thread-safe metrics sink shared by the admission path, the batcher
- * and the workers.
+ * Thread-safe metrics sink shared by the admission path and the
+ * workers.
  */
 class ServerMetrics
 {
@@ -172,8 +162,8 @@ class ServerMetrics
     void recordRejected(const std::string &workload,
                         RequestStatus status);
 
-    /** Notes a dispatched batch of @p occupancy requests. */
-    void recordBatch(const std::string &workload, size_t occupancy);
+    /** Notes a dispatched flight that answered @p requests requests. */
+    void recordFlight(const std::string &workload, size_t requests);
 
     /** Notes one run() execution taking @p serviceSeconds. */
     void recordExecution(const std::string &workload,
@@ -255,9 +245,9 @@ class ServerMetrics
     util::Table table() const;
 
     /**
-     * Renders the resilience report: faults absorbed, retries, stale
-     * fallbacks, terminal failures, overload sheds, replica
-     * replacements and contained callback exceptions per workload.
+     * Renders the resilience report: faults absorbed, retries,
+     * terminal failures, overload sheds, replica replacements and
+     * contained callback exceptions per workload.
      */
     util::Table resilienceTable() const;
 

@@ -4,10 +4,10 @@
  *
  * A mutex-and-condvar ring with a hard capacity. Admission control
  * builds on tryPush (full queue -> reject, never block the client);
- * the batcher and workers build on the blocking pop family. close()
- * starts a graceful drain: pushes fail immediately, pops keep
- * returning queued items until the queue is empty and only then
- * report exhaustion, so nothing admitted is ever dropped.
+ * the workers build on the blocking pop. close() starts a graceful
+ * drain: pushes fail immediately, pops keep returning queued items
+ * until the queue is empty and only then report exhaustion, so
+ * nothing admitted is ever dropped.
  */
 
 #ifndef NSBENCH_SERVE_QUEUE_HH
@@ -22,7 +22,6 @@
 #include <thread>
 #include <utility>
 
-#include "serve/request.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
 
@@ -70,8 +69,7 @@ class BoundedQueue
 
     /**
      * Enqueues, blocking while the queue is full. Returns false when
-     * the queue is (or becomes) closed — internal backpressure
-     * between the batcher and the workers.
+     * the queue is (or becomes) closed.
      */
     bool
     push(T item)
@@ -100,24 +98,6 @@ class BoundedQueue
         std::unique_lock<std::mutex> lock(mu_);
         canPop_.wait(lock,
                      [&] { return closed_ || !items_.empty(); });
-        return takeLocked(lock);
-    }
-
-    /**
-     * Dequeues, blocking until an item arrives or @p deadline passes.
-     * Returns nullopt on timeout and when closed-and-drained; use
-     * drained() to tell the two apart.
-     */
-    std::optional<T>
-    popUntil(TimePoint deadline)
-    {
-        injectStall();
-        std::unique_lock<std::mutex> lock(mu_);
-        canPop_.wait_until(lock, deadline, [&] {
-            return closed_ || !items_.empty();
-        });
-        if (items_.empty())
-            return std::nullopt;
         return takeLocked(lock);
     }
 
@@ -176,8 +156,8 @@ class BoundedQueue
   private:
     /**
      * Chaos site: a consumer stall. The blocked time models a worker
-     * or batcher hiccup — items are delayed, never dropped, so the
-     * close/drain protocol's guarantees are what's under test.
+     * hiccup — items are delayed, never dropped, so the close/drain
+     * protocol's guarantees are what's under test.
      */
     static void
     injectStall()

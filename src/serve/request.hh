@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace nsbench::serve
 {
@@ -82,12 +81,13 @@ isRejection(RequestStatus status)
 
 /**
  * Completion record delivered to the request's callback. For Ok
- * responses every field is set; Expired responses carry timing but
- * no score. Requests rejected at submit() never reach a callback
- * (submit reports the rejection synchronously) — with one exception:
- * a request admitted as a single-flight follower (submit returned
- * Ok) receives a rejection-status response through its callback if
- * its leader subsequently failed admission.
+ * responses every field is set; Expired, Canceled and Failed
+ * responses carry timing but no score. Requests rejected at submit()
+ * never reach a callback (submit reports the rejection
+ * synchronously) — with one exception: a request admitted as a
+ * single-flight follower (submit returned Ok) receives a
+ * rejection-status response through its callback if its leader
+ * subsequently failed admission.
  */
 struct Response
 {
@@ -98,11 +98,8 @@ struct Response
     double serviceSeconds = 0.0; ///< run() wall time of the execution.
     double neuralSeconds = 0.0;  ///< Profiler neural-phase op time.
     double symbolicSeconds = 0.0;///< Profiler symbolic-phase op time.
-    int batchSize = 0;           ///< Requests in the executed batch.
     int shared = 0;              ///< Requests sharing this execution.
     bool cached = false;         ///< Served from the result cache.
-    bool stale = false;          ///< Cache fallback after a failed run.
-    bool pipelined = false;      ///< Ran in a stage-pipelined batch.
     int retries = 0;             ///< Failed attempts before this outcome.
 };
 
@@ -111,31 +108,15 @@ using Callback = std::function<void(const Response &)>;
 
 /**
  * Shared cancellation flag. The submitter creates it, passes it to
- * submit(), and may set it at any time afterwards; workers check it
- * when they pick the request up and answer Canceled instead of
- * running it. Advisory: a request already executing (or served from
- * cache, or parked as a single-flight follower) completes normally.
+ * submit(), and may set it at any time afterwards. The server checks
+ * it when a worker picks the request's flight up, after each retry
+ * backoff, and again when the result fans out; a set token answers
+ * this request Canceled, whatever the other requests on its key asked
+ * for. A run() already under way is never interrupted — it completes
+ * for the requests still waiting on it — and a cache hit is answered
+ * at submit, before any check.
  */
 using CancelToken = std::shared_ptr<std::atomic<bool>>;
-
-/** One admitted in-flight request. */
-struct Request
-{
-    uint64_t id = 0;
-    std::string workload;
-    uint64_t seed = 0;
-    TimePoint enqueue{};
-    TimePoint deadline = TimePoint::max();
-    Callback done;
-    CancelToken cancel; ///< Null when the request is not cancelable.
-};
-
-/** A batcher-coalesced group of same-workload requests. */
-struct Batch
-{
-    std::string workload;
-    std::vector<Request> requests;
-};
 
 /** Seconds between two serve-clock points. */
 inline double

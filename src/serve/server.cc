@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/profiler.hh"
-#include "exec/pipeline.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
@@ -54,13 +53,7 @@ backoffFor(int64_t base_us, int attempt)
 } // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      admission_(options_.queueCapacity),
-      batches_(options_.batchQueueCapacity
-                   ? options_.batchQueueCapacity
-                   : 2 * static_cast<size_t>(
-                             options_.workers > 0 ? options_.workers
-                                                  : 1))
+    : options_(std::move(options)), admission_(options_.queueCapacity)
 {
     util::panicIf(options_.workloads.empty(),
                   "Server: no workloads to serve");
@@ -69,28 +62,24 @@ Server::Server(ServerOptions options)
     if (!options_.factory)
         options_.factory = registryFactory;
 
+    // Probe each workload's seed sensitivity once: insensitive
+    // workloads fold every episode seed onto one flight key (and one
+    // cache entry). Construction is cheap; setUp is where the cost
+    // lives.
+    for (const auto &name : options_.workloads) {
+        auto probe = options_.factory(name);
+        util::panicIf(!probe,
+                      "Server: factory returned null for " + name);
+        seedSensitive_[name] = probe->seedSensitive();
+    }
+
     if (options_.resultCache) {
         cache::ResultCacheOptions cacheOptions;
         cacheOptions.maxBytes = options_.cacheBytes;
         cacheOptions.shards = options_.cacheShards;
         cache_ =
             std::make_unique<cache::ResultCache>(cacheOptions);
-        // Probe each workload's seed sensitivity once: insensitive
-        // workloads fold every episode seed onto one cache entry.
-        // Construction is cheap (setUp is where the cost lives).
-        for (const auto &name : options_.workloads) {
-            auto probe = options_.factory(name);
-            util::panicIf(!probe,
-                          "Server: factory returned null for " +
-                              name);
-            seedSensitive_[name] = probe->seedSensitive();
-        }
     }
-
-    batcher_ = std::make_unique<Batcher>(
-        admission_, batches_, options_.maxBatch,
-        std::chrono::microseconds(options_.maxWaitUs), metrics_);
-    batcherThread_ = std::thread([this] { batcher_->run(); });
 
     workers_.reserve(static_cast<size_t>(options_.workers));
     for (int i = 0; i < options_.workers; ++i)
@@ -110,13 +99,8 @@ RequestStatus
 Server::submit(const std::string &workload, uint64_t seed,
                Callback done, TimePoint deadline, CancelToken cancel)
 {
-    bool known = false;
-    for (const auto &name : options_.workloads)
-        if (name == workload) {
-            known = true;
-            break;
-        }
-    if (!known) {
+    auto sensitive = seedSensitive_.find(workload);
+    if (sensitive == seedSensitive_.end()) {
         metrics_.recordRejected(workload,
                                 RequestStatus::RejectedUnknownWorkload);
         return RequestStatus::RejectedUnknownWorkload;
@@ -127,32 +111,27 @@ Server::submit(const std::string &workload, uint64_t seed,
         return RequestStatus::RejectedShutdown;
     }
 
-    Request request;
-    request.id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    request.workload = workload;
-    request.seed = seed;
-    request.enqueue = ServeClock::now();
-    request.deadline = deadline;
-    request.done = std::move(done);
-    request.cancel = std::move(cancel);
-
-    if (deadline <= request.enqueue) {
+    Waiter waiter{nextId_.fetch_add(1, std::memory_order_relaxed),
+                  ServeClock::now(), deadline, std::move(done),
+                  std::move(cancel)};
+    if (deadline <= waiter.enqueue) {
         metrics_.recordRejected(workload,
                                 RequestStatus::RejectedDeadline);
         return RequestStatus::RejectedDeadline;
     }
 
-    std::string key;
+    // Seed-insensitive workloads score identically for every episode
+    // seed; canonicalise onto seed 0 so all of them share one flight
+    // and one cache entry.
+    Flight flight{workload, seed,
+                  cache::ResultCache::keyString(
+                      workload, options_.modelSeed,
+                      sensitive->second ? seed : 0),
+                  waiter.id, waiter.enqueue};
+
     if (cache_) {
-        // Seed-insensitive workloads score identically for every
-        // episode seed; canonicalise onto seed 0 so all of them share
-        // one entry.
-        key = cache::ResultCache::keyString(
-            workload, options_.modelSeed,
-            seedSensitive_.at(workload) ? seed : 0);
         double score = 0.0;
-        if (options_.cacheAdmissionLookup &&
-            cache_->lookup(key, &score)) {
+        if (cache_->lookup(flight.key, &score)) {
             metrics_.recordCacheHit(workload);
             metrics_.recordAdmitted(workload);
             Response response;
@@ -161,56 +140,33 @@ Server::submit(const std::string &workload, uint64_t seed,
             response.cached = true;
             response.shared = 1;
             response.latencySeconds = secondsBetween(
-                request.enqueue, ServeClock::now());
+                waiter.enqueue, ServeClock::now());
             metrics_.recordOutcome(workload, response);
-            deliver(workload, request.done, response);
+            deliver(workload, waiter.done, response);
             return RequestStatus::Ok;
         }
-        if (options_.cacheAdmissionLookup)
-            metrics_.recordCacheMiss(workload);
-
-        // Single-flight: park this request behind an in-flight miss
-        // on the same key; the leader's completion fans out to it.
-        Flight flight;
-        flight.id = request.id;
-        flight.enqueue = request.enqueue;
-        flight.deadline = request.deadline;
-        flight.done = request.done;
-        if (flights_.join(key, std::move(flight)) ==
-            cache::SingleFlight<Flight>::Role::Follower)
-            return RequestStatus::Ok;
-
-        // Leader: wrap the callback so completion (or queue expiry)
-        // caches the score and releases the followers.
-        Callback inner = std::move(request.done);
-        request.done = [this, workload, key,
-                        inner](const Response &response) {
-            finishFlight(workload, key, inner, response);
-        };
+        metrics_.recordCacheMiss(workload);
     }
 
-    // Overload gate: shed before the queue is hard-full so waits stay
-    // bounded and the rejection is distinguishable from backpressure.
-    // The failpoint forces a shed regardless of occupancy.
-    bool shed = false;
-    if (options_.shedAtOccupancy > 0.0) {
-        auto limit = static_cast<size_t>(
-            options_.shedAtOccupancy *
-            static_cast<double>(admission_.capacity()));
-        if (admission_.size() >= std::max<size_t>(limit, 1))
-            shed = true;
-    }
+    // A flight already in progress answers this request too; only a
+    // new flight needs a queue slot.
+    if (flights_.join(flight.key, std::move(waiter)) ==
+        cache::SingleFlight<Waiter>::Role::Follower)
+        return RequestStatus::Ok;
+
     // Adaptive gate: shed when queue *delay* (not depth) has stayed
-    // over the target — the short-but-slow-queue overload mode.
-    if (!shed && options_.targetSojournUs > 0 &&
-        sojournOverloaded(request.enqueue)) {
+    // over the target — the short-but-slow-queue overload mode. The
+    // failpoint forces a shed regardless.
+    bool shed = false;
+    if (options_.targetSojournUs > 0 &&
+        sojournOverloaded(flight.enqueue)) {
         shed = true;
         metrics_.recordSojournShed(workload);
     }
     if (NSBENCH_FAILPOINT(fp::sites::kAdmissionShed))
         shed = true;
 
-    if (shed || !admission_.tryPush(std::move(request))) {
+    if (shed || !admission_.tryPush(flight)) {
         // tryPush fails both on a full queue and on a closed one;
         // closure means a shutdown raced this submit.
         RequestStatus status =
@@ -219,8 +175,19 @@ Server::submit(const std::string &workload, uint64_t seed,
                        ? RequestStatus::RejectedShutdown
                        : RequestStatus::RejectedQueueFull;
         metrics_.recordRejected(workload, status);
-        if (cache_)
-            abortFlight(workload, key, status);
+        // The leader learns the rejection from the return value;
+        // requests that joined its flight meanwhile were told Ok, so
+        // they learn it through their callbacks.
+        TimePoint now = ServeClock::now();
+        for (const Waiter &follower : flights_.finish(flight.key)) {
+            if (follower.id == flight.leaderId)
+                continue;
+            Response rejected;
+            rejected.status = status;
+            rejected.latencySeconds =
+                secondsBetween(follower.enqueue, now);
+            answer(flight, follower, rejected);
+        }
         return status;
     }
     metrics_.recordAdmitted(workload);
@@ -247,59 +214,17 @@ Server::deliver(const std::string &workload, const Callback &done,
 }
 
 void
-Server::finishFlight(const std::string &workload,
-                     const std::string &key, const Callback &inner,
-                     const Response &response)
+Server::answer(const Flight &flight, const Waiter &waiter,
+               const Response &response)
 {
-    if (response.status == RequestStatus::Ok) {
-        uint64_t evicted = cache_->insert(key, response.score);
-        metrics_.recordCacheEvictions(workload, evicted);
+    if (waiter.id != flight.leaderId) {
+        if (isRejection(response.status))
+            metrics_.recordRejected(flight.workload, response.status);
+        else
+            metrics_.recordAdmitted(flight.workload);
     }
-    // Insert-then-finish: a request arriving in between hits the
-    // fresh cache entry directly, so nobody can join a dead flight.
-    std::vector<Flight> waiters = flights_.finish(key);
-    deliver(workload, inner, response);
-    if (waiters.empty())
-        return;
-    metrics_.recordSingleFlight(workload, waiters.size());
-
-    TimePoint now = ServeClock::now();
-    for (Flight &waiter : waiters) {
-        Response fanned = response;
-        // The follower shares the leader's execution but not its
-        // timeline; phase seconds are zeroed so the leader's
-        // share-divided attribution stays one-pass exact.
-        fanned.shared = 1;
-        fanned.neuralSeconds = 0.0;
-        fanned.symbolicSeconds = 0.0;
-        fanned.latencySeconds = secondsBetween(waiter.enqueue, now);
-        fanned.queueSeconds =
-            std::max(0.0, fanned.latencySeconds -
-                              fanned.serviceSeconds);
-        if (fanned.status == RequestStatus::Ok &&
-            waiter.deadline <= now) {
-            fanned.status = RequestStatus::Expired;
-            fanned.queueSeconds = fanned.latencySeconds;
-        }
-        metrics_.recordAdmitted(workload);
-        metrics_.recordOutcome(workload, fanned);
-        deliver(workload, waiter.done, fanned);
-    }
-}
-
-void
-Server::abortFlight(const std::string &workload,
-                    const std::string &key, RequestStatus status)
-{
-    std::vector<Flight> waiters = flights_.finish(key);
-    TimePoint now = ServeClock::now();
-    for (Flight &waiter : waiters) {
-        metrics_.recordRejected(workload, status);
-        Response rejected;
-        rejected.status = status;
-        rejected.latencySeconds = secondsBetween(waiter.enqueue, now);
-        deliver(workload, waiter.done, rejected);
-    }
+    metrics_.recordOutcome(flight.workload, response);
+    deliver(flight.workload, waiter.done, response);
 }
 
 Response
@@ -327,11 +252,10 @@ Server::shutdown()
     admission_.close();
     if (joined_.exchange(true))
         return;
-    // The batcher drains the admission queue, flushes its pending
-    // batches and closes the batch queue; the workers then drain the
-    // batch queue and exit. Every admitted request completes.
-    if (batcherThread_.joinable())
-        batcherThread_.join();
+    // The workers drain the admission queue and exit. Every queued
+    // flight answers all of its waiters, and a flight whose leader
+    // lost the race with close() answers its followers in submit(),
+    // so every admitted request completes.
     for (auto &worker : workers_)
         if (worker.joinable())
             worker.join();
@@ -348,7 +272,7 @@ Server::noteSojourn(int64_t sojournUs)
     do {
         next = prev - prev / 8 + sojournUs / 8;
         // First sample seeds the estimate so a cold server does not
-        // take eight batches to notice a stuck queue.
+        // take eight flights to notice a stuck queue.
         if (prev == 0)
             next = sojournUs;
     } while (!sojournEwmaUs_.compare_exchange_weak(
@@ -409,322 +333,189 @@ Server::workerMain(int workerIndex)
     }
     readyCv_.notify_all();
 
-    while (auto batch = batches_.pop())
-        runBatchOn(replicas, *batch);
+    while (auto flight = admission_.pop())
+        runFlight(replicas, *flight);
+}
+
+bool
+Server::pruneFlight(const Flight &flight, TimePoint now,
+                    size_t *answered)
+{
+    std::vector<Waiter> dead;
+    size_t live = flights_.prune(
+        flight.key,
+        [now](const Waiter &waiter) {
+            return waiter.canceled() || waiter.deadline <= now;
+        },
+        &dead);
+    for (const Waiter &waiter : dead) {
+        Response pruned;
+        pruned.status = waiter.canceled() ? RequestStatus::Canceled
+                                          : RequestStatus::Expired;
+        pruned.latencySeconds = secondsBetween(waiter.enqueue, now);
+        pruned.queueSeconds = pruned.latencySeconds;
+        answer(flight, waiter, pruned);
+    }
+    *answered += dead.size();
+    return live > 0;
 }
 
 void
-Server::runBatchOn(std::map<std::string, Replica> &replicas,
-                   const Batch &batch)
+Server::runFlight(std::map<std::string, Replica> &replicas,
+                  const Flight &flight)
 {
-    auto it = replicas.find(batch.workload);
+    auto it = replicas.find(flight.workload);
     util::panicIf(it == replicas.end(),
-                  "Server: batch for unserved workload " +
-                      batch.workload);
+                  "Server: flight for unserved workload " +
+                      flight.workload);
     Replica &replica = it->second;
-    const int batchSize = static_cast<int>(batch.requests.size());
+    const bool seedMatters = seedSensitive_.at(flight.workload);
 
-    // Feed the adaptive shed gate: the batch's mean queue sojourn is
-    // one EWMA sample (per-request folding would just weight bursts).
-    if (options_.targetSojournUs > 0 && batchSize > 0) {
-        TimePoint dispatch = ServeClock::now();
-        int64_t total_us = 0;
-        for (const Request &request : batch.requests)
-            total_us +=
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    dispatch - request.enqueue)
-                    .count();
-        noteSojourn(total_us / batchSize);
+    TimePoint start = ServeClock::now();
+    if (options_.targetSojournUs > 0)
+        noteSojourn(std::chrono::duration_cast<std::chrono::microseconds>(
+                        start - flight.enqueue)
+                        .count());
+
+    // Answer expired and canceled waiters without running; when none
+    // is left the flight has ended and run() is skipped. The retry
+    // loop re-prunes after each backoff, so a long outage never runs
+    // work nobody waits for any more (a passed deadline, or a losing
+    // hedge's cancel).
+    size_t answered = 0;
+    if (!pruneFlight(flight, start, &answered)) {
+        metrics_.recordFlight(flight.workload, answered);
+        return;
     }
 
-    // Group the batch into executions. Coalescing folds requests with
-    // the same effective seed onto one shared run(); seed-insensitive
-    // workloads ignore the seed entirely, so their whole batch is one
-    // group. With coalescing off every request runs alone, in arrival
-    // order. (No reference to *replica.workload is cached across
-    // attempts — the supervisor may swap the replica mid-group.)
-    const bool seedMatters = replica.workload->seedSensitive();
-    std::vector<std::pair<uint64_t, std::vector<const Request *>>>
-        groups;
-    if (options_.coalesce) {
-        std::map<uint64_t, size_t> index;
-        for (const Request &request : batch.requests) {
-            uint64_t key = seedMatters ? request.seed : 0;
-            auto found = index.find(key);
-            if (found == index.end()) {
-                index.emplace(key, groups.size());
-                groups.push_back({request.seed, {&request}});
-            } else {
-                groups[found->second].second.push_back(&request);
-            }
+    double score = 0.0;
+    double service = 0.0;
+    double neural = 0.0;
+    double symbolic = 0.0;
+    // One run() attempt on the current replica. Must be re-entered
+    // through replica.workload (not a cached reference): a poisoned
+    // attempt may have swapped in a fresh replica.
+    auto executeOnce = [&] {
+        core::Profiler::ThreadTargetScope target(replica.profiler);
+        if (options_.profilePhases) {
+            // reset() also makes this worker the profiler's
+            // owner, so every inline-executed op applies directly.
+            replica.profiler.reset();
+        } else {
+            replica.profiler.setEnabled(false);
         }
-    } else {
-        for (const Request &request : batch.requests)
-            groups.push_back({request.seed, {&request}});
-    }
-
-    // Intra-replica stage pipelining: with pipelineDepth set, a
-    // staged workload, and at least two executions to overlap, run
-    // every group through the stage pipeline up front — one pipeline
-    // episode per group, seeded with that group's seed — and deliver
-    // the scores from the per-group loop below. Byte-identity with
-    // the serial path is the staged-interface contract (enforced by
-    // the pipeline test tier). Skipped while fault injection is
-    // armed: the serial loop owns the retry / replica-replacement /
-    // stale-fallback semantics, and routing executions through extra
-    // threads would perturb the deterministic fault schedule.
-    const int stageCount = replica.workload->stageCount();
-    std::vector<double> pipeScore, pipeService;
-    std::vector<double> pipeNeural, pipeSymbolic;
-    bool pipelined = false;
-    TimePoint pipeStart{};
-    if (options_.pipelineDepth > 0 && groups.size() >= 2 &&
-        stageCount > 1 && !fp::armed()) {
-        std::vector<uint64_t> seeds;
-        seeds.reserve(groups.size());
-        for (const auto &group : groups)
-            seeds.push_back(group.first);
-        exec::PipelineOptions pipeOptions;
-        pipeOptions.depth = options_.pipelineDepth;
-        // Stage timers are enough here: the neural/symbolic split is
-        // attributed stage-granularly from StageSpec below, without
-        // paying per-op profiling on the serving path.
-        pipeOptions.collectProfiles = false;
-        pipeStart = ServeClock::now();
+        if (seedMatters)
+            replica.workload->reseedEpisodes(flight.seed);
+        util::WallTimer timer;
         try {
-            exec::PipelineResult piped = exec::runPipelined(
-                *replica.workload, seeds, pipeOptions);
-            pipeScore = piped.scores;
-            pipeService.assign(groups.size(), 0.0);
-            pipeNeural.assign(groups.size(), 0.0);
-            pipeSymbolic.assign(groups.size(), 0.0);
-            for (size_t g = 0; g < groups.size(); g++) {
-                const auto &stageDt = piped.episodeStageSeconds[g];
-                for (int s = 0; s < stageCount; s++) {
-                    double dt = stageDt[static_cast<size_t>(s)];
-                    pipeService[g] += dt;
-                    switch (piped.stages[static_cast<size_t>(s)]
-                                .phase) {
-                    case core::Phase::Neural:
-                        pipeNeural[g] += dt;
-                        break;
-                    case core::Phase::Symbolic:
-                        pipeSymbolic[g] += dt;
-                        break;
-                    default:
-                        break;
-                    }
-                }
-            }
-            pipelined = true;
+            // A firing delay site sleeps in evaluate() and returns
+            // false: the stall lands inside the measured service
+            // time — the slow-not-dead shard the tail layer
+            // (breaker + hedging) exists to route around.
+            NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
+            if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
+                throw ReplicaPoisoned();
+            if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
+                throw FaultInjected();
+            score = replica.workload->run();
         } catch (...) {
-            // No faults are armed, so a stage failure is a real
-            // workload error; the serial loop below re-runs every
-            // group and applies the normal failure handling to it.
-        }
-    }
-
-    for (size_t groupIndex = 0; groupIndex < groups.size();
-         groupIndex++) {
-        auto &[seed, members] = groups[groupIndex];
-        // Complete queue-expired and canceled members without running
-        // them; the retry loop re-prunes after each backoff so a long
-        // outage never runs work whose deadline already passed or
-        // whose submitter already gave up (a losing hedge).
-        TimePoint start = ServeClock::now();
-        std::vector<const Request *> live(members.begin(),
-                                          members.end());
-        auto pruneExpired = [&](TimePoint now) {
-            std::vector<const Request *> keep;
-            keep.reserve(live.size());
-            for (const Request *request : live) {
-                bool canceled =
-                    request->cancel &&
-                    request->cancel->load(std::memory_order_relaxed);
-                if (!canceled && request->deadline > now) {
-                    keep.push_back(request);
-                    continue;
-                }
-                Response pruned;
-                pruned.status = canceled ? RequestStatus::Canceled
-                                         : RequestStatus::Expired;
-                pruned.latencySeconds =
-                    secondsBetween(request->enqueue, now);
-                pruned.queueSeconds = pruned.latencySeconds;
-                pruned.batchSize = batchSize;
-                metrics_.recordOutcome(batch.workload, pruned);
-                deliver(batch.workload, request->done, pruned);
-            }
-            live.swap(keep);
-        };
-        pruneExpired(start);
-        if (live.empty())
-            continue;
-
-        if (pipelined) {
-            // The group already executed in the pipeline pre-pass;
-            // deliver its score with the same accounting as the
-            // serial success path. Queue time ends when the pipeline
-            // started, since that is when execution began.
-            metrics_.recordExecution(batch.workload,
-                                     pipeService[groupIndex]);
-            TimePoint end = ServeClock::now();
-            for (const Request *request : live) {
-                Response response;
-                response.status = RequestStatus::Ok;
-                response.score = pipeScore[groupIndex];
-                response.latencySeconds =
-                    secondsBetween(request->enqueue, end);
-                response.queueSeconds =
-                    secondsBetween(request->enqueue, pipeStart);
-                response.serviceSeconds = pipeService[groupIndex];
-                response.neuralSeconds = pipeNeural[groupIndex];
-                response.symbolicSeconds = pipeSymbolic[groupIndex];
-                response.batchSize = batchSize;
-                response.shared = static_cast<int>(live.size());
-                response.pipelined = true;
-                metrics_.recordOutcome(batch.workload, response);
-                deliver(batch.workload, request->done, response);
-            }
-            continue;
-        }
-
-        double score = 0.0;
-        double service = 0.0;
-        double neural = 0.0;
-        double symbolic = 0.0;
-        // One run() attempt on the current replica. Must be re-entered
-        // through replica.workload (not a cached reference): a
-        // poisoned attempt may have swapped in a fresh replica.
-        auto executeOnce = [&] {
-            core::Profiler::ThreadTargetScope target(replica.profiler);
-            if (options_.profilePhases) {
-                // reset() also makes this worker the profiler's
-                // owner, so every inline-executed op applies directly.
-                replica.profiler.reset();
-            } else {
-                replica.profiler.setEnabled(false);
-            }
-            if (seedMatters)
-                replica.workload->reseedEpisodes(seed);
-            util::WallTimer timer;
-            try {
-                // A firing delay site sleeps in evaluate() and
-                // returns false: the stall lands inside the measured
-                // service time — the slow-not-dead shard the tail
-                // layer (breaker + hedging) exists to route around.
-                NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
-                if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
-                    throw ReplicaPoisoned();
-                if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
-                    throw FaultInjected();
-                score = replica.workload->run();
-            } catch (...) {
-                // Drain the aborted attempt's op buffer while this
-                // scope still targets the replica profiler, so the
-                // next attempt's phase split starts clean.
-                core::Profiler::flushThisThread();
-                throw;
-            }
-            service = timer.elapsed();
+            // Drain the aborted attempt's op buffer while this scope
+            // still targets the replica profiler, so the next
+            // attempt's phase split starts clean.
             core::Profiler::flushThisThread();
-            if (options_.profilePhases) {
-                neural = replica.profiler
-                             .phaseTotals(core::Phase::Neural)
-                             .seconds;
-                symbolic = replica.profiler
-                               .phaseTotals(core::Phase::Symbolic)
-                               .seconds;
-            }
-        };
-
-        // Bounded retry with exponential backoff. A poisoned replica
-        // is rebuilt by the supervisor before the next attempt; a
-        // transient fault retries on the replica as-is.
-        int attempts = 0;
-        bool succeeded = false;
-        while (true) {
-            try {
-                executeOnce();
-                succeeded = true;
-                break;
-            } catch (const ReplicaPoisoned &) {
-                metrics_.recordWorkerFault(batch.workload);
-                rebuildReplica(batch.workload, replica);
-            } catch (...) {
-                metrics_.recordWorkerFault(batch.workload);
-            }
-            if (attempts >= options_.maxRetries)
-                break;
-            attempts++;
-            metrics_.recordRetry(batch.workload);
-            std::this_thread::sleep_for(
-                backoffFor(options_.retryBackoffUs, attempts));
-            pruneExpired(ServeClock::now());
-            if (live.empty())
-                break;
+            throw;
         }
-        if (live.empty())
-            continue;
-
-        if (succeeded) {
-            metrics_.recordExecution(batch.workload, service);
-            TimePoint end = ServeClock::now();
-            for (const Request *request : live) {
-                Response response;
-                response.status = RequestStatus::Ok;
-                response.score = score;
-                response.latencySeconds =
-                    secondsBetween(request->enqueue, end);
-                response.queueSeconds =
-                    secondsBetween(request->enqueue, start);
-                response.serviceSeconds = service;
-                response.neuralSeconds = neural;
-                response.symbolicSeconds = symbolic;
-                response.batchSize = batchSize;
-                response.shared = static_cast<int>(live.size());
-                response.retries = attempts;
-                metrics_.recordOutcome(batch.workload, response);
-                deliver(batch.workload, request->done, response);
-            }
-            continue;
+        service = timer.elapsed();
+        core::Profiler::flushThisThread();
+        if (options_.profilePhases) {
+            neural =
+                replica.profiler.phaseTotals(core::Phase::Neural)
+                    .seconds;
+            symbolic =
+                replica.profiler.phaseTotals(core::Phase::Symbolic)
+                    .seconds;
         }
+    };
 
-        // Out of retries. Serve-stale fallback: answer from the last
-        // cached score for this key (byte-exact by the determinism
-        // contract, but marked stale — the mechanism is generic).
-        // Without a cached entry the requests fail terminally; either
-        // way every live member gets exactly one callback.
-        double staleScore = 0.0;
-        bool haveStale = false;
-        if (cache_ && options_.staleFallback) {
-            std::string key = cache::ResultCache::keyString(
-                batch.workload, options_.modelSeed,
-                seedMatters ? seed : 0);
-            haveStale = cache_->lookup(key, &staleScore);
+    // Bounded retry with exponential backoff. A poisoned replica is
+    // rebuilt by the supervisor before the next attempt; a transient
+    // fault retries on the replica as-is.
+    int attempts = 0;
+    bool succeeded = false;
+    while (true) {
+        try {
+            executeOnce();
+            succeeded = true;
+            break;
+        } catch (const ReplicaPoisoned &) {
+            metrics_.recordWorkerFault(flight.workload);
+            rebuildReplica(flight.workload, replica);
+        } catch (...) {
+            metrics_.recordWorkerFault(flight.workload);
         }
-        TimePoint end = ServeClock::now();
-        for (const Request *request : live) {
-            Response response;
-            response.latencySeconds =
-                secondsBetween(request->enqueue, end);
-            response.queueSeconds =
-                secondsBetween(request->enqueue, start);
-            response.batchSize = batchSize;
-            response.retries = attempts;
-            if (haveStale) {
-                response.status = RequestStatus::Ok;
-                response.score = staleScore;
-                response.cached = true;
-                response.stale = true;
-                response.shared = static_cast<int>(live.size());
-            } else {
-                response.status = RequestStatus::Failed;
-            }
-            metrics_.recordOutcome(batch.workload, response);
-            deliver(batch.workload, request->done, response);
+        if (attempts >= options_.maxRetries)
+            break;
+        attempts++;
+        metrics_.recordRetry(flight.workload);
+        std::this_thread::sleep_for(
+            backoffFor(options_.retryBackoffUs, attempts));
+        if (!pruneFlight(flight, ServeClock::now(), &answered)) {
+            metrics_.recordFlight(flight.workload, answered);
+            return;
         }
     }
+
+    if (succeeded) {
+        metrics_.recordExecution(flight.workload, service);
+        if (cache_) {
+            // Insert-then-finish: a request arriving in between is
+            // answered from the fresh entry instead of starting a
+            // second run.
+            uint64_t evicted = cache_->insert(flight.key, score);
+            metrics_.recordCacheEvictions(flight.workload, evicted);
+        }
+    }
+
+    // Fan-out rechecks every waiter: one that gave up or outlived its
+    // deadline during the run gets its own Canceled or Expired, never
+    // another waiter's. Statuses are fixed before any delivery so the
+    // share count divides the phase split exactly.
+    TimePoint end = ServeClock::now();
+    std::vector<Waiter> waiters = flights_.finish(flight.key);
+    std::vector<RequestStatus> statuses;
+    statuses.reserve(waiters.size());
+    int served = 0;
+    for (const Waiter &waiter : waiters) {
+        RequestStatus status = waiter.canceled()
+                                   ? RequestStatus::Canceled
+                               : waiter.deadline <= end
+                                   ? RequestStatus::Expired
+                               : succeeded ? RequestStatus::Ok
+                                           : RequestStatus::Failed;
+        served += status == RequestStatus::Ok;
+        statuses.push_back(status);
+    }
+    if (waiters.size() > 1)
+        metrics_.recordSingleFlight(flight.workload,
+                                    waiters.size() - 1);
+    for (size_t i = 0; i < waiters.size(); i++) {
+        const Waiter &waiter = waiters[i];
+        Response response;
+        response.status = statuses[i];
+        response.latencySeconds = secondsBetween(waiter.enqueue, end);
+        response.queueSeconds = secondsBetween(
+            waiter.enqueue, std::max(waiter.enqueue, start));
+        response.retries = attempts;
+        if (response.status == RequestStatus::Ok) {
+            response.score = score;
+            response.serviceSeconds = service;
+            response.neuralSeconds = neural;
+            response.symbolicSeconds = symbolic;
+            response.shared = served;
+        }
+        answer(flight, waiter, response);
+    }
+    metrics_.recordFlight(flight.workload, answered + waiters.size());
 }
 
 void
@@ -743,7 +534,7 @@ Server::rebuildReplica(const std::string &name, Replica &replica)
         } catch (...) {
             // Build-then-swap: a failed rebuild (setUp can itself hit
             // an injected fault) keeps the old replica in place; the
-            // retry loop decides what happens to the batch.
+            // retry loop decides what happens to the flight.
         }
         core::Profiler::flushThisThread();
     }

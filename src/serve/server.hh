@@ -1,23 +1,25 @@
 /**
  * @file
- * The batched neuro-symbolic inference server.
+ * The neuro-symbolic inference server.
  *
- * A Server owns the admission queue, the batching thread and a pool
- * of worker threads. Each worker pre-warms one replica of every
- * served workload — setUp runs once per replica and is reused across
- * requests — then executes batches popped from the batch queue.
+ * A Server owns the admission queue and a pool of worker threads.
+ * Each worker pre-warms one replica of every served workload — setUp
+ * runs once per replica and is reused across requests — then
+ * executes flights popped straight off the admission queue.
  *
  * Determinism contract: a workload's score is a pure function of
  * (model seed, episode seed). The server relies on this in both
  * directions. Replicas built from the same model seed are
  * interchangeable, so a request's score does not depend on which
- * worker runs it, how requests were batched, or their arrival order.
- * And equal requests are *coalescible*: when coalescing is enabled
- * the worker runs each distinct episode seed in a batch once and fans
- * the score out to every request that asked for it (for workloads
- * that declare seedSensitive() == false, the whole batch shares one
- * run). That sharing is where batching's throughput gain comes from
- * on CPU-bound workloads.
+ * worker runs it or on arrival order. And equal requests are
+ * *coalescible*: every request joins the single flight of its key
+ * (workload, model seed, episode seed — seed 0 for workloads that
+ * declare seedSensitive() == false), only the flight's first request
+ * enters the queue, and one run() answers every request still
+ * waiting on the key. That sharing is the serving runtime's whole
+ * throughput gain on CPU-bound workloads; no kernel ever sees more
+ * than one request. The optional result cache sits in front and
+ * answers keys whose flight already landed.
  *
  * Each worker pins itself into ThreadPool::SerialScope and installs a
  * thread-local profiler target, so requests execute single-threaded
@@ -43,7 +45,6 @@
 #include "cache/single_flight.hh"
 #include "core/profiler.hh"
 #include "core/workload.hh"
-#include "serve/batcher.hh"
 #include "serve/metrics.hh"
 #include "serve/queue.hh"
 #include "serve/request.hh"
@@ -57,83 +58,40 @@ struct ServerOptions
     /** Workloads this server hosts (replica of each per worker). */
     std::vector<std::string> workloads;
     int workers = 2;              ///< Worker threads (replica sets).
-    int maxBatch = 8;             ///< Batcher coalescing limit.
-    int64_t maxWaitUs = 2000;     ///< Batcher wait for a non-full batch.
-    size_t queueCapacity = 256;   ///< Admission queue bound.
-    size_t batchQueueCapacity = 0;///< Batch queue bound; 0 -> 2*workers.
+    size_t queueCapacity = 256;   ///< Admission queue bound (flights).
     uint64_t modelSeed = 42;      ///< setUp seed for every replica.
-    bool coalesce = true;         ///< Share executions across equal requests.
     bool profilePhases = true;    ///< Collect the neural/symbolic split.
     /**
      * Enables the request-result cache: repeats of a completed
      * (workload, episode seed) are answered at admission without a
-     * run(), and concurrent misses on one key execute once
-     * (single-flight). Valid because scores are pure in (model seed,
-     * episode seed) — the determinism contract above. Default off so
-     * every existing test and bench sees the historical execution
-     * counts; the CLI/bench layer opts in via NSBENCH_CACHE/--cache.
+     * run(). Valid because scores are pure in (model seed, episode
+     * seed) — the determinism contract above. Default off so every
+     * existing test and bench sees the historical execution counts;
+     * the CLI/bench layer opts in via NSBENCH_CACHE/--cache.
      */
     bool resultCache = false;
     uint64_t cacheBytes = 64ull << 20; ///< Result-cache byte budget.
     size_t cacheShards = 8;            ///< Result-cache shard count.
     /**
-     * Consult the result cache at admission (the hit-serving path).
-     * Off, the cache still records completions and still backs the
-     * serve-stale fallback, but every request reaches a worker —
-     * "fallback-only" mode, used by the chaos tests to exercise the
-     * failure path deterministically.
-     */
-    bool cacheAdmissionLookup = true;
-    /**
      * Resilience knobs. With no faults (empty failpoint spec, no
-     * exceptions out of run()) none of these change any behaviour:
-     * retries only trigger on a throwing run(), shedding is disabled
-     * at 0, and the stale fallback only runs after a failure.
+     * exceptions out of run()) neither changes any behaviour:
+     * retries only trigger on a throwing run().
      */
     int maxRetries = 2;           ///< Re-attempts for a failed run().
     int64_t retryBackoffUs = 200; ///< First backoff; doubles per retry.
     /**
-     * Overload load-shedding: reject with RejectedOverload when the
-     * admission queue is at least this full (fraction of capacity).
-     * 0 disables; 0.9 sheds at 90% occupancy, keeping headroom so
-     * queue waits stay bounded under sustained overload.
-     */
-    double shedAtOccupancy = 0.0;
-    /**
-     * Queue-delay-based adaptive shedding (CoDel-style), complementing
-     * the static occupancy gate above: workers maintain an EWMA of
-     * observed queue sojourn (submit -> dispatch), and when it has
-     * stayed above this target for longer than a short grace interval
-     * submit() sheds with RejectedOverload until the sojourn recovers.
-     * Catches the overload mode occupancy cannot see — a queue that is
-     * short but *draining slowly* (e.g. a degraded worker). 0 = off.
+     * Queue-delay-based adaptive shedding (CoDel-style): workers
+     * maintain an EWMA of observed queue sojourn (submit -> dispatch),
+     * and when it has stayed above this target for longer than a
+     * short grace interval submit() sheds new flights with
+     * RejectedOverload until the sojourn recovers. Catches the
+     * overload mode a full queue cannot show — a queue that is short
+     * but *draining slowly* (e.g. a degraded worker). 0 = off.
      */
     int64_t targetSojournUs = 0;
     /** How long the sojourn EWMA must exceed the target before the
      *  adaptive gate starts shedding (absorbs bursts). */
     int64_t sojournGraceUs = 100000;
-    /**
-     * On a run() that still fails after every retry, serve the last
-     * cached score for the key (marked stale) instead of failing the
-     * request. Needs the result cache; by the determinism contract
-     * the stale score equals the fresh one, so this fallback is
-     * byte-exact — the generic mechanism matters, not the bytes.
-     */
-    bool staleFallback = true;
-    /**
-     * Intra-replica stage pipelining (opt-in, 0 = off). When a batch
-     * coalesces into two or more executions of a staged workload
-     * (stageCount() > 1), the worker runs them through
-     * exec::runPipelined with this inter-stage queue depth instead of
-     * back-to-back run() calls, overlapping execution i's symbolic
-     * stage with execution i+1's neural stage. Scores stay
-     * byte-identical to the serial path (the staged-interface
-     * determinism contract). While fault injection is armed the
-     * worker falls back to the serial retry path, so the resilience
-     * semantics — bounded retries, replica replacement, stale
-     * fallback — are unchanged under chaos testing.
-     */
-    int pipelineDepth = 0;
     /**
      * Replica factory; defaults to the global workload registry.
      * Override to serve reduced-size configs (e.g. a serve-sized
@@ -144,13 +102,13 @@ struct ServerOptions
 };
 
 /**
- * Batched serving runtime over pre-warmed workload replicas.
+ * Serving runtime over pre-warmed workload replicas.
  */
 class Server
 {
   public:
     /**
-     * Builds the replicas and starts the batcher and worker threads.
+     * Builds the replicas and starts the worker threads.
      * Blocks until every worker has finished pre-warming, so the
      * first request never pays setUp cost.
      */
@@ -167,12 +125,14 @@ class Server
      * fire exactly once later — or a rejection status, in which case
      * the callback is never invoked.
      *
-     * A non-null @p cancel token makes the request abandonable: if
-     * the submitter sets the token while the request is still queued,
-     * the worker answers Canceled without running it. Best-effort —
-     * cache hits, single-flight followers and already-executing
-     * requests complete normally; the exactly-once callback contract
-     * holds either way.
+     * A request whose key already has a flight in progress joins it
+     * instead of queueing: it never takes a queue slot and is never
+     * shed, and it is answered by the flight's run().
+     *
+     * A non-null @p cancel token makes the request abandonable: once
+     * the submitter sets it, the server answers this request Canceled
+     * at its next check (see CancelToken). The exactly-once callback
+     * contract holds either way.
      */
     RequestStatus submit(const std::string &workload, uint64_t seed,
                          Callback done,
@@ -219,16 +179,34 @@ class Server
         core::Profiler profiler;
     };
 
-    /** A parked single-flight follower awaiting its leader's result. */
-    struct Flight
+    /** One request parked on its key's flight until it is answered. */
+    struct Waiter
     {
         uint64_t id = 0;
         TimePoint enqueue{};
         TimePoint deadline = TimePoint::max();
         Callback done;
+        CancelToken cancel; ///< Null when the request is not cancelable.
+
+        /** True once the submitter has given up on the request. */
+        bool
+        canceled() const
+        {
+            return cancel && cancel->load(std::memory_order_relaxed);
+        }
     };
 
-    /** Worker thread body: pre-warm, signal ready, serve batches. */
+    /** A queued flight: one execution for every waiter of @p key. */
+    struct Flight
+    {
+        std::string workload;
+        uint64_t seed = 0;
+        std::string key;
+        uint64_t leaderId = 0; ///< The waiter that queued the flight.
+        TimePoint enqueue{};
+    };
+
+    /** Worker thread body: pre-warm, signal ready, serve flights. */
     void workerMain(int workerIndex);
 
     /** Folds one observed queue sojourn into the EWMA (dispatch). */
@@ -237,14 +215,33 @@ class Server
     /** True when the adaptive sojourn gate says to shed right now. */
     bool sojournOverloaded(TimePoint now);
 
-    /** Executes one batch on this worker's replicas. */
-    void runBatchOn(std::map<std::string, Replica> &replicas,
-                    const Batch &batch);
+    /**
+     * Executes one flight on this worker's replicas: answers its dead
+     * waiters, runs the key once with bounded retries while any waiter
+     * is live, caches an Ok score, and fans the outcome out.
+     */
+    void runFlight(std::map<std::string, Replica> &replicas,
+                   const Flight &flight);
+
+    /**
+     * Answers every dead waiter of @p flight at @p now and returns
+     * true while a live one remains; at false the flight has ended.
+     */
+    bool pruneFlight(const Flight &flight, TimePoint now,
+                     size_t *answered);
+
+    /**
+     * Records and delivers one waiter's response. Followers are
+     * counted as offered here, when their fate is known, so a
+     * follower whose leader failed admission counts as rejected.
+     */
+    void answer(const Flight &flight, const Waiter &waiter,
+                const Response &response);
 
     /**
      * Invokes a completion callback, containing anything it throws:
      * one misbehaving client must never kill a worker thread or
-     * strand the rest of its batch.
+     * strand the rest of its flight.
      */
     void deliver(const std::string &workload, const Callback &done,
                  const Response &response);
@@ -252,38 +249,19 @@ class Server
     /**
      * Supervisor: replaces a poisoned replica with a freshly built
      * one (same factory, same model seed — interchangeable by the
-     * determinism contract). In-flight requests stay parked with the
-     * worker, so no callback is dropped. A failed rebuild keeps the
-     * old replica; the retry loop decides what happens next.
+     * determinism contract). The flight's waiters stay parked, so no
+     * callback is dropped. A failed rebuild keeps the old replica;
+     * the retry loop decides what happens next.
      */
     void rebuildReplica(const std::string &name, Replica &replica);
 
-    /**
-     * Leader-completion hook: caches an Ok score, then fans the
-     * leader's outcome to every parked follower of @p key.
-     */
-    void finishFlight(const std::string &workload,
-                      const std::string &key, const Callback &inner,
-                      const Response &response);
-
-    /**
-     * Leader-admission-failure hook: delivers @p status to every
-     * parked follower (they were told Ok at submit, so the rejection
-     * must reach them through their callbacks).
-     */
-    void abortFlight(const std::string &workload,
-                     const std::string &key, RequestStatus status);
-
     ServerOptions options_;
     ServerMetrics metrics_;
-    BoundedQueue<Request> admission_;
-    BoundedQueue<Batch> batches_;
-    std::unique_ptr<Batcher> batcher_;
+    BoundedQueue<Flight> admission_;
     std::unique_ptr<cache::ResultCache> cache_;
-    cache::SingleFlight<Flight> flights_;
+    cache::SingleFlight<Waiter> flights_;
     /** Per-workload seedSensitive(), probed once at construction. */
     std::map<std::string, bool> seedSensitive_;
-    std::thread batcherThread_;
     std::vector<std::thread> workers_;
     std::atomic<uint64_t> nextId_{1};
     /** EWMA of observed queue sojourn in microseconds (alpha 1/8),

@@ -131,12 +131,12 @@ knownSites()
 {
     static const std::vector<std::string> names = {
         sites::kQueueTryPush,    sites::kQueuePop,
-        sites::kAdmissionShed,   sites::kBatcherCoalesce,
-        sites::kWorkerRun,       sites::kWorkerCrash,
-        sites::kCallback,        sites::kResultInsert,
-        sites::kPrecomputeBuild, sites::kNetAccept,
-        sites::kNetRead,         sites::kNetWrite,
-        sites::kNetBackendConnect, sites::kWorkerDelay,
+        sites::kAdmissionShed,   sites::kWorkerRun,
+        sites::kWorkerCrash,     sites::kCallback,
+        sites::kResultInsert,    sites::kPrecomputeBuild,
+        sites::kNetAccept,       sites::kNetRead,
+        sites::kNetWrite,        sites::kNetBackendConnect,
+        sites::kWorkerDelay,
     };
     return names;
 }

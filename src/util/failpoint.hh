@@ -54,12 +54,10 @@ namespace sites
 {
 /** BoundedQueue::tryPush reports a transient full queue. */
 inline constexpr const char *kQueueTryPush = "serve.queue.trypush";
-/** BoundedQueue::pop/popUntil stalls briefly before dequeuing. */
+/** BoundedQueue::pop stalls briefly before dequeuing. */
 inline constexpr const char *kQueuePop = "serve.queue.pop";
-/** Server::submit sheds the request as overload (RejectedOverload). */
+/** Server::submit sheds a new flight as overload (RejectedOverload). */
 inline constexpr const char *kAdmissionShed = "serve.admission.shed";
-/** Batcher dispatches the pending batch early (degraded coalescing). */
-inline constexpr const char *kBatcherCoalesce = "serve.batcher.coalesce";
 /** Worker run() attempt fails transiently (retry path). */
 inline constexpr const char *kWorkerRun = "serve.worker.run";
 /** Worker replica is poisoned (supervisor replacement path). */

@@ -35,8 +35,6 @@ cachedFake(FakeCounters &counters, bool seed_sensitive,
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.maxBatch = 4;
-    options.maxWaitUs = 2000;
     options.profilePhases = false;
     options.resultCache = true;
     options.factory = [&counters, seed_sensitive,
@@ -99,12 +97,8 @@ TEST(CacheServer, SeedInsensitiveWorkloadsShareOneCanonicalEntry)
 TEST(CacheServer, ConcurrentMissesSingleFlightOntoOneExecution)
 {
     FakeCounters counters;
-    // Slow service, no batcher coalescing, serial batches: any
-    // sharing observed comes from single-flight alone.
-    auto options = cachedFake(counters, true, /*sleep_ms=*/25);
-    options.coalesce = false;
-    options.maxBatch = 1;
-    serve::Server server(std::move(options));
+    serve::Server server(
+        cachedFake(counters, true, /*sleep_ms=*/25));
 
     constexpr int n = 4;
     std::atomic<int> outstanding{n};

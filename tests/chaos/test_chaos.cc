@@ -10,9 +10,8 @@
  *  - exactly-once callbacks: every admitted request is answered once,
  *    no request is answered twice, nothing is lost on drain;
  *  - byte-identical scores: any Ok response carries the same score a
- *    fault-free server returns for that seed (retried and stale
- *    responses included — the determinism contract makes the stale
- *    fallback byte-exact);
+ *    fault-free server returns for that seed (retried responses
+ *    included);
  *  - the supervisor replaces poisoned replicas without dropping work;
  *  - a clean drain: shutdown() completes with faults still armed.
  *
@@ -25,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,8 +80,6 @@ class Chaos : public ::testing::Test
         serve::ServerOptions options;
         options.workloads = {"Fake"};
         options.workers = 2;
-        options.maxBatch = 4;
-        options.maxWaitUs = 500;
         options.factory = [&counters, seed_sensitive](
                               const std::string &) {
             return std::make_unique<tests::FakeWorkload>(
@@ -184,11 +180,14 @@ TEST_F(Chaos, DisarmedSitesNeverFireAndCostNothing)
 /**
  * Submits @p total requests against a fake fleet under the given
  * fault spec and asserts the exactly-once and byte-identity
- * invariants. Returns the server's total metrics snapshot.
+ * invariants. With @p one_at_a_time each request is submitted only
+ * after the previous one was answered, so every request leads its
+ * own flight. Returns the server's total metrics snapshot.
  */
 serve::WorkloadMetrics
 runExactlyOnce(const std::string &spec, bool seed_sensitive,
-               int total, serve::ServerOptions options)
+               int total, serve::ServerOptions options,
+               bool one_at_a_time = false)
 {
     std::string error = fp::configure(spec);
     EXPECT_EQ(error, "") << "spec: " << spec;
@@ -228,6 +227,10 @@ runExactlyOnce(const std::string &spec, bool seed_sensitive,
             } else {
                 std::lock_guard<std::mutex> lock(mu);
                 outstanding--;
+            }
+            if (one_at_a_time) {
+                std::unique_lock<std::mutex> lock(mu);
+                cv.wait(lock, [&] { return outstanding == 0; });
             }
         }
         {
@@ -270,8 +273,7 @@ TEST_F(Chaos, ExactlyOnceUnderMixedFaultSchedule)
     options.maxRetries = 4;
     auto metrics = runExactlyOnce(
         "serve.queue.trypush=0.05@7,serve.queue.pop=0.1@8,"
-        "serve.batcher.coalesce=0.2@9,serve.worker.run=0.2@10,"
-        "serve.callback=0.1@11",
+        "serve.worker.run=0.2@10,serve.callback=0.1@11",
         /*seed_sensitive=*/true, /*total=*/160, std::move(options));
     EXPECT_GT(metrics.workerFaults, 0u);
     EXPECT_GT(metrics.callbackFailures, 0u);
@@ -282,17 +284,22 @@ TEST_F(Chaos, ExactlyOnceUnderMixedFaultSchedule)
 
 TEST_F(Chaos, ExactlyOnceUnderASecondSeededSchedule)
 {
+    // A seed-insensitive fake puts every request on one key, and only
+    // a flight's leader evaluates the shed site and run(). One request
+    // at a time makes all 160 leaders, so both sites see 160 draws of
+    // their seeded schedules whatever the timing.
     tests::FakeCounters counters;
     serve::ServerOptions options = fakeOptions(counters, false);
     options.maxRetries = 6;
     auto metrics = runExactlyOnce(
         "serve.worker.run=0.4@2024,serve.admission.shed=0.05@5",
-        /*seed_sensitive=*/false, /*total=*/160, std::move(options));
+        /*seed_sensitive=*/false, /*total=*/160, std::move(options),
+        /*one_at_a_time=*/true);
     EXPECT_GT(metrics.workerFaults, 0u);
     EXPECT_GT(metrics.rejectedOverload, 0u);
 }
 
-// --- Supervisor, stale fallback, terminal failure -----------------
+// --- Supervisor, terminal failure ---------------------------------
 
 TEST_F(Chaos, SupervisorReplacesPoisonedReplicas)
 {
@@ -320,39 +327,21 @@ TEST_F(Chaos, SupervisorReplacesPoisonedReplicas)
     EXPECT_EQ(counters.setUps.load(), setUpsBefore + 3);
 }
 
-TEST_F(Chaos, StaleFallbackServesCachedScoreAfterRetriesExhaust)
+TEST_F(Chaos, FailedRequestsWithCacheAreTerminal)
 {
     tests::FakeCounters counters;
     serve::ServerOptions options = fakeOptions(counters, true);
     options.resultCache = true;
-    // Fallback-only cache mode: admission never answers from the
-    // cache, so the faulted request must reach a worker and take the
-    // serve-stale path deterministically.
-    options.cacheAdmissionLookup = false;
     options.maxRetries = 1;
 
     serve::Server server(std::move(options));
-    // Prime the cache for seed 5 fault-free.
-    serve::Response warm = server.call("Fake", 5);
-    ASSERT_EQ(warm.status, serve::RequestStatus::Ok);
-
-    // Every subsequent run() attempt fails.
+    // Every run() attempt fails, and the key was never cached.
     arm("serve.worker.run=1@17");
-    serve::Response stale = server.call("Fake", 5);
-    EXPECT_EQ(stale.status, serve::RequestStatus::Ok);
-    EXPECT_TRUE(stale.stale);
-    EXPECT_TRUE(stale.cached);
-    EXPECT_EQ(stale.retries, 1);
-    // Byte-exact by the determinism contract.
-    EXPECT_EQ(stale.score, warm.score);
-
-    // A key never completed has no stale copy: terminal failure.
     serve::Response failed = server.call("Fake", 6);
     EXPECT_EQ(failed.status, serve::RequestStatus::Failed);
     EXPECT_EQ(failed.retries, 1);
 
     serve::WorkloadMetrics metrics = server.metrics().total();
-    EXPECT_EQ(metrics.staleServed, 1u);
     EXPECT_EQ(metrics.failed, 1u);
 }
 
@@ -387,8 +376,6 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
         serve::ServerOptions options;
         options.workloads = {"LNN"};
         options.workers = 2;
-        options.maxBatch = 4;
-        options.maxWaitUs = 500;
         options.maxRetries = 8;
         options.factory = serve::serveFactory;
         serve::Server server(std::move(options));
@@ -403,77 +390,10 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
 
     std::map<uint64_t, double> clean = scoresUnder("");
     std::map<uint64_t, double> faulted = scoresUnder(
-        "serve.worker.run=0.3@23,serve.worker.crash=0.05@29,"
-        "serve.batcher.coalesce=0.3@31");
+        "serve.worker.run=0.3@23,serve.worker.crash=0.05@29");
     // Byte-identical: retried and replica-rebuilt executions return
     // exactly the score a fault-free server returns.
     EXPECT_EQ(clean, faulted);
-}
-
-TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
-{
-    // Intra-replica pipelining must not weaken any chaos invariant:
-    // with faults armed the worker falls back to the serial retry
-    // path, and either way every request is answered exactly once
-    // with the fault-free score. NVSA is staged and seed-sensitive,
-    // so a coalesced batch forms the multi-group executions the
-    // pipeline path takes when it engages.
-    auto scoresUnder = [&](const std::string &spec, int depth) {
-        fp::reset();
-        if (!spec.empty()) {
-            std::string error = fp::configure(spec);
-            EXPECT_EQ(error, "");
-        }
-        serve::ServerOptions options;
-        options.workloads = {"NVSA"};
-        options.workers = 1;
-        options.maxBatch = 8;
-        options.maxWaitUs = 20000;
-        options.maxRetries = 8;
-        options.pipelineDepth = depth;
-        options.factory = serve::serveFactory;
-        serve::Server server(std::move(options));
-        const int total = 12;
-        std::vector<std::promise<serve::Response>> promises(total);
-        std::vector<std::future<serve::Response>> futures;
-        for (int i = 0; i < total; i++) {
-            auto *promise = &promises[static_cast<size_t>(i)];
-            futures.push_back(promise->get_future());
-            EXPECT_EQ(
-                server.submit("NVSA", static_cast<uint64_t>(i % 6),
-                              [promise](const serve::Response &r) {
-                                  // A second delivery would throw
-                                  // promise_already_satisfied here.
-                                  promise->set_value(r);
-                              }),
-                serve::RequestStatus::Ok);
-        }
-        std::map<uint64_t, double> scores;
-        for (int i = 0; i < total; i++) {
-            serve::Response response =
-                futures[static_cast<size_t>(i)].get();
-            EXPECT_EQ(response.status, serve::RequestStatus::Ok);
-            if (!spec.empty()) {
-                // Armed faults disable the pipeline pre-pass.
-                EXPECT_FALSE(response.pipelined) << "request " << i;
-            }
-            uint64_t seed = static_cast<uint64_t>(i % 6);
-            auto [found, inserted] =
-                scores.emplace(seed, response.score);
-            if (!inserted)
-                EXPECT_EQ(found->second, response.score)
-                    << "seed " << seed;
-        }
-        server.shutdown();
-        return scores;
-    };
-
-    auto clean_serial = scoresUnder("", 0);
-    auto clean_piped = scoresUnder("", 2);
-    auto faulted_piped = scoresUnder(
-        "serve.worker.run=0.3@23,serve.worker.crash=0.1@29", 2);
-    EXPECT_EQ(clean_serial, clean_piped);
-    EXPECT_EQ(clean_serial, faulted_piped);
 }
 
 // --- Clean drain with faults still armed --------------------------

@@ -70,6 +70,24 @@ TEST(CliNegative, ZeroWorkersIsRejectedBeforeServing)
         << result.output;
 }
 
+TEST(CliNegative, ZeroQueueIsRejectedBeforeServing)
+{
+    // Both must fail before the banner: zero would reach the queue's
+    // capacity panic, and a negative count would wrap through size_t
+    // into an unbounded queue.
+    for (const char *queue : {"0", "-1"}) {
+        CliResult result = runCli(std::string("serve --workloads LNN "
+                                              "--queue ") +
+                                  queue + " --duration 0.1");
+        EXPECT_EQ(result.exitCode, 2) << "--queue " << queue;
+        EXPECT_NE(result.output.find("--queue must be positive"),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+            << result.output;
+    }
+}
+
 TEST(CliNegative, ZeroDurationIsRejected)
 {
     CliResult result = runCli("serve --duration 0");
@@ -113,16 +131,6 @@ TEST(CliNegative, NegativeRetriesIsRejected)
         runCli("serve --retries -1 --duration 0.1");
     EXPECT_EQ(result.exitCode, 2);
     EXPECT_NE(result.output.find("--retries must be >= 0"),
-              std::string::npos)
-        << result.output;
-}
-
-TEST(CliNegative, OutOfRangeShedFractionIsRejected)
-{
-    CliResult result =
-        runCli("serve --shed-at 1.5 --duration 0.1");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find("--shed-at must be in [0, 1]"),
               std::string::npos)
         << result.output;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Stage-pipelined execution: byte-identity, ordering, stage reports,
- * failure propagation, and the server's intra-replica pipeline mode.
+ * Stage-pipelined execution: byte-identity, ordering, stage reports
+ * and failure propagation.
  *
  * The load-bearing invariant is byte-identity: for every workload
  * and every queue depth, exec::runPipelined must produce exactly the
@@ -13,15 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "exec/pipeline.hh"
 #include "serve/presets.hh"
-#include "serve/server.hh"
 #include "workloads/register.hh"
 
 namespace
@@ -243,63 +240,6 @@ TEST(Pipeline, PredictedSpeedupModelsDedicatedUnits)
     EXPECT_LT(skewed, 1.15);
     // One stage cannot overlap with itself.
     EXPECT_DOUBLE_EQ(exec::predictedSpeedup({4.0}, 8), 1.0);
-}
-
-TEST(Pipeline, ServerPipelineModeIsByteIdentical)
-{
-    workloads::registerAllWorkloads();
-    // NVSA at the serve preset is seed-sensitive and staged, so a
-    // multi-seed batch coalesces into multiple groups the worker can
-    // pipeline. Run the same request set through a pipelined and a
-    // serial server; scores must agree request-for-request.
-    auto runServer = [](int pipelineDepth) {
-        serve::ServerOptions options;
-        options.workloads = {"NVSA"};
-        options.workers = 1;
-        options.maxBatch = 8;
-        options.maxWaitUs = 20000;
-        options.pipelineDepth = pipelineDepth;
-        options.factory = serve::serveFactory;
-        serve::Server server(std::move(options));
-        std::map<uint64_t, double> scores;
-        std::map<uint64_t, bool> pipelined;
-        std::vector<std::future<serve::Response>> futures;
-        std::vector<uint64_t> seeds = {5, 6, 7, 8, 5, 6};
-        std::vector<std::promise<serve::Response>> promises(
-            seeds.size());
-        for (size_t i = 0; i < seeds.size(); i++) {
-            auto *promise = &promises[i];
-            futures.push_back(promise->get_future());
-            EXPECT_EQ(server.submit("NVSA", seeds[i],
-                                    [promise](
-                                        const serve::Response &r) {
-                                        promise->set_value(r);
-                                    }),
-                      serve::RequestStatus::Ok);
-        }
-        for (size_t i = 0; i < seeds.size(); i++) {
-            serve::Response response = futures[i].get();
-            EXPECT_EQ(response.status, serve::RequestStatus::Ok);
-            auto found = scores.find(seeds[i]);
-            if (found != scores.end()) {
-                EXPECT_EQ(found->second, response.score);
-            }
-            scores[seeds[i]] = response.score;
-            pipelined[seeds[i]] = response.pipelined;
-        }
-        server.shutdown();
-        return std::make_pair(scores, pipelined);
-    };
-
-    auto [piped, pipedFlags] = runServer(2);
-    auto [serial, serialFlags] = runServer(0);
-    ASSERT_EQ(piped.size(), serial.size());
-    for (const auto &[seed, score] : serial) {
-        ASSERT_TRUE(piped.count(seed));
-        EXPECT_EQ(piped[seed], score) << "seed " << seed;
-    }
-    for (const auto &[seed, flag] : serialFlags)
-        EXPECT_FALSE(flag) << "seed " << seed;
 }
 
 } // namespace

@@ -64,8 +64,6 @@ lnnOptions()
     serve::ServerOptions options;
     options.workloads = {"LNN"};
     options.workers = 2;
-    options.maxBatch = 4;
-    options.maxWaitUs = 1000;
     options.factory = serve::serveFactory;
     return options;
 }

@@ -4,10 +4,11 @@
  *
  * The serving determinism contract: a request with a fixed seed
  * returns the same score no matter how it was served — one replica
- * or many, batch size 1 or 8, coalescing on or off, whatever the
- * arrival order. These tests drive real (serve-preset) workloads
- * through servers at those extremes and require byte-identical
- * scores, including against a direct un-served execution.
+ * or many, run on its own or shared with concurrent duplicates,
+ * whatever the arrival order. These tests drive real (serve-preset)
+ * workloads through servers at those extremes and require
+ * byte-identical scores, including against a direct un-served
+ * execution.
  */
 
 #include <gtest/gtest.h>
@@ -38,23 +39,24 @@ class ServeDeterminism : public ::testing::Test
     }
 
     static serve::ServerOptions
-    serverOptions(const std::string &workload, int workers,
-                  int max_batch, bool coalesce)
+    serverOptions(const std::string &workload, int workers)
     {
         serve::ServerOptions options;
         options.workloads = {workload};
         options.workers = workers;
-        options.maxBatch = max_batch;
-        options.coalesce = coalesce;
-        options.maxWaitUs = 1000;
         options.factory = serve::serveFactory;
         return options;
     }
 
-    /** Serves every seed once and returns seed -> score. */
+    /**
+     * Serves @p seeds as one burst of concurrent submits, so
+     * duplicates share flights, and returns seed -> score. Stores the
+     * server's run() count in @p executions when given.
+     */
     static std::map<uint64_t, double>
     scoresVia(serve::ServerOptions options,
-              const std::vector<uint64_t> &seeds)
+              const std::vector<uint64_t> &seeds,
+              uint64_t *executions = nullptr)
     {
         serve::Server server(std::move(options));
         const std::string workload = server.workloads().front();
@@ -81,6 +83,8 @@ class ServeDeterminism : public ::testing::Test
         }
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return outstanding == 0; });
+        if (executions)
+            *executions = server.metrics().total().executions;
         return scores;
     }
 };
@@ -88,26 +92,44 @@ class ServeDeterminism : public ::testing::Test
 TEST_F(ServeDeterminism, ReplicaCountDoesNotChangeScores)
 {
     const std::vector<uint64_t> seeds = {1, 2, 3, 4, 1, 2, 3, 4};
-    auto one = scoresVia(serverOptions("ZeroC", 1, 1, true), seeds);
-    auto many = scoresVia(serverOptions("ZeroC", 3, 1, true), seeds);
+    auto one = scoresVia(serverOptions("ZeroC", 1), seeds);
+    auto many = scoresVia(serverOptions("ZeroC", 3), seeds);
     EXPECT_EQ(one, many);
 }
 
-TEST_F(ServeDeterminism, BatchSizeAndCoalescingDoNotChangeScores)
+TEST_F(ServeDeterminism, CoalescingDoesNotChangeScores)
 {
     const std::vector<uint64_t> seeds = {5, 6, 5, 6, 5, 6, 5, 6};
-    auto unbatched =
-        scoresVia(serverOptions("ZeroC", 1, 1, false), seeds);
-    auto batched =
-        scoresVia(serverOptions("ZeroC", 2, 8, true), seeds);
-    EXPECT_EQ(unbatched, batched);
+    // Sequential calls: every request runs on its own.
+    std::map<uint64_t, double> alone;
+    uint64_t aloneRuns = 0;
+    {
+        serve::Server server(serverOptions("ZeroC", 1));
+        for (uint64_t seed : seeds) {
+            serve::Response response = server.call("ZeroC", seed);
+            ASSERT_EQ(response.status, serve::RequestStatus::Ok);
+            auto [it, inserted] = alone.emplace(seed, response.score);
+            if (!inserted) {
+                EXPECT_EQ(it->second, response.score);
+            }
+        }
+        aloneRuns = server.metrics().total().executions;
+    }
+    EXPECT_EQ(aloneRuns, seeds.size());
+
+    // Concurrent duplicates: requests share their key's flight.
+    uint64_t sharedRuns = 0;
+    auto shared =
+        scoresVia(serverOptions("ZeroC", 2), seeds, &sharedRuns);
+    EXPECT_LT(sharedRuns, seeds.size());
+    EXPECT_EQ(alone, shared);
 }
 
 TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 {
     std::vector<uint64_t> forward = {1, 2, 3, 4, 5, 6};
     std::vector<uint64_t> reverse(forward.rbegin(), forward.rend());
-    auto options = serverOptions("ZeroC", 2, 4, true);
+    auto options = serverOptions("ZeroC", 2);
     auto a = scoresVia(options, forward);
     auto b = scoresVia(options, reverse);
     EXPECT_EQ(a, b);
@@ -115,8 +137,7 @@ TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 
 TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 {
-    auto served =
-        scoresVia(serverOptions("ZeroC", 2, 4, true), {7, 8, 9});
+    auto served = scoresVia(serverOptions("ZeroC", 2), {7, 8, 9});
 
     // The same replica build, run without the server: one setUp at
     // the server's model seed, then reseed-and-run per request seed.
@@ -133,8 +154,7 @@ TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 
 TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 {
-    auto scores =
-        scoresVia(serverOptions("LNN", 2, 8, true), {1, 2, 3, 4});
+    auto scores = scoresVia(serverOptions("LNN", 2), {1, 2, 3, 4});
     for (const auto &[seed, score] : scores)
         EXPECT_EQ(score, scores.begin()->second);
 
@@ -147,7 +167,7 @@ TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 
 TEST_F(ServeDeterminism, PhaseSplitIsReportedPerRequest)
 {
-    serve::Server server(serverOptions("LNN", 1, 1, true));
+    serve::Server server(serverOptions("LNN", 1));
     serve::Response response = server.call("LNN", 1);
     ASSERT_EQ(response.status, serve::RequestStatus::Ok);
     EXPECT_GT(response.neuralSeconds + response.symbolicSeconds, 0.0);

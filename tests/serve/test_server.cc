@@ -1,7 +1,8 @@
 /**
  * @file
  * Server behaviour tests over the fake workload: admission control,
- * deadlines, coalescing, graceful drain, and callback delivery.
+ * deadlines, single-flight coalescing and its per-waiter semantics,
+ * graceful drain, and callback delivery.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "fake_workload.hh"
@@ -31,8 +34,6 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.maxBatch = 4;
-    options.maxWaitUs = 2000;
     options.profilePhases = false;
     options.factory = [&counters, seed_sensitive,
                        sleep_ms](const std::string &) {
@@ -41,6 +42,24 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
                                               sleep_ms);
     };
     return options;
+}
+
+/** Submits one Fake request; the future holds its response. */
+std::future<serve::Response>
+submitFake(serve::Server &server, uint64_t seed,
+           serve::TimePoint deadline = serve::noDeadline(),
+           serve::CancelToken cancel = nullptr)
+{
+    auto promise = std::make_shared<std::promise<serve::Response>>();
+    auto future = promise->get_future();
+    EXPECT_EQ(server.submit(
+                  "Fake", seed,
+                  [promise](const serve::Response &response) {
+                      promise->set_value(response);
+                  },
+                  deadline, std::move(cancel)),
+              serve::RequestStatus::Ok);
+    return future;
 }
 
 TEST(ServeServer, PrewarmsOneReplicaPerWorkerBeforeServing)
@@ -134,7 +153,6 @@ TEST(ServeServer, BackpressureRejectsWhenQueueFills)
     FakeCounters counters;
     auto options = fakeOptions(counters, true, 50);
     options.queueCapacity = 2;
-    options.maxBatch = 1;
     serve::Server server(std::move(options));
 
     // Saturate the single slow worker, then overfill the queue.
@@ -164,42 +182,18 @@ TEST(ServeServer, BackpressureRejectsWhenQueueFills)
 TEST(ServeServer, CoalescesSameSeedRequests)
 {
     FakeCounters counters;
-    auto options = fakeOptions(counters, true, 5);
-    options.maxBatch = 8;
-    options.maxWaitUs = 50000;
-    serve::Server server(std::move(options));
+    serve::Server server(fakeOptions(counters, true, 5));
 
-    // Warm-up request so the batcher timer dynamics are the only
-    // variable, then 8 requests for two distinct seeds.
+    // Warm-up request, then 8 requests for two distinct seeds.
     server.call("Fake", 99);
     uint64_t runsBefore = counters.runs.load();
 
-    std::atomic<int> outstanding{8};
-    std::mutex mu;
-    std::condition_variable cv;
+    std::vector<std::future<serve::Response>> responses;
+    for (uint64_t i = 0; i < 8; i++)
+        responses.push_back(submitFake(server, i % 2));
     std::vector<double> scoresBySeed[2];
-    std::mutex scoresMu;
-    for (int i = 0; i < 8; i++) {
-        uint64_t seed = static_cast<uint64_t>(i % 2);
-        ASSERT_EQ(server.submit(
-                      "Fake", seed,
-                      [&, seed](const serve::Response &response) {
-                          {
-                              std::lock_guard<std::mutex> lock(
-                                  scoresMu);
-                              scoresBySeed[seed].push_back(
-                                  response.score);
-                          }
-                          std::lock_guard<std::mutex> lock(mu);
-                          if (outstanding.fetch_sub(1) == 1)
-                              cv.notify_all();
-                      }),
-                  serve::RequestStatus::Ok);
-    }
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return outstanding.load() == 0; });
-    }
+    for (size_t i = 0; i < responses.size(); i++)
+        scoresBySeed[i % 2].push_back(responses[i].get().score);
 
     // Two distinct seeds -> at most a handful of runs, far fewer
     // than 8; every member of a seed group got the same score.
@@ -215,31 +209,18 @@ TEST(ServeServer, CoalescesSameSeedRequests)
 TEST(ServeServer, SeedInsensitiveWorkloadsCoalesceWholeBatches)
 {
     FakeCounters counters;
-    auto options = fakeOptions(counters, /*seed_sensitive=*/false, 5);
-    options.maxBatch = 8;
-    options.maxWaitUs = 50000;
-    serve::Server server(std::move(options));
+    serve::Server server(
+        fakeOptions(counters, /*seed_sensitive=*/false, 5));
 
     server.call("Fake", 0);
     uint64_t runsBefore = counters.runs.load();
     uint64_t reseedsBefore = counters.reseeds.load();
 
-    std::atomic<int> outstanding{8};
-    std::mutex mu;
-    std::condition_variable cv;
+    std::vector<std::future<serve::Response>> responses;
     for (uint64_t i = 0; i < 8; i++)
-        ASSERT_EQ(server.submit("Fake", i,
-                                [&](const serve::Response &) {
-                                    std::lock_guard<std::mutex> lock(
-                                        mu);
-                                    if (outstanding.fetch_sub(1) == 1)
-                                        cv.notify_all();
-                                }),
-                  serve::RequestStatus::Ok);
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return outstanding.load() == 0; });
-    }
+        responses.push_back(submitFake(server, i));
+    for (auto &response : responses)
+        EXPECT_EQ(response.get().status, serve::RequestStatus::Ok);
 
     // Eight distinct seeds, but the workload ignores them: they
     // coalesce onto far fewer runs and never trigger a reseed.
@@ -247,19 +228,28 @@ TEST(ServeServer, SeedInsensitiveWorkloadsCoalesceWholeBatches)
     EXPECT_EQ(counters.reseeds.load(), reseedsBefore);
 }
 
-TEST(ServeServer, CoalesceOffRunsEveryRequest)
+TEST(ServeServer, SequentialCallsRunAloneConcurrentDuplicatesShare)
 {
     FakeCounters counters;
-    auto options = fakeOptions(counters, true);
-    options.coalesce = false;
-    options.maxBatch = 8;
-    serve::Server server(std::move(options));
+    serve::Server server(fakeOptions(counters, true, 5));
 
-    for (int i = 0; i < 6; i++)
-        server.call("Fake", 3);
+    // Each call's flight has ended before the next call starts, so
+    // every call runs on its own.
+    const double alone = server.call("Fake", 3).score;
+    for (int i = 1; i < 6; i++)
+        EXPECT_EQ(server.call("Fake", 3).score, alone);
     EXPECT_EQ(counters.runs.load(), 6u);
     EXPECT_DOUBLE_EQ(
         server.metrics().workload("Fake").shareFactor(), 1.0);
+
+    // Concurrent duplicates join the first one's flight and share its
+    // run — with the same score as the runs above.
+    std::vector<std::future<serve::Response>> shared;
+    for (int i = 0; i < 6; i++)
+        shared.push_back(submitFake(server, 3));
+    for (auto &response : shared)
+        EXPECT_EQ(response.get().score, alone);
+    EXPECT_LT(counters.runs.load(), 12u);
 }
 
 TEST(ServeServer, ShutdownDrainsAndThenRejects)
@@ -295,7 +285,6 @@ TEST(ServeServer, OfferedLoadCountsRejectionsSeparately)
     FakeCounters counters;
     auto options = fakeOptions(counters, true, 50);
     options.queueCapacity = 2;
-    options.maxBatch = 1;
     serve::Server server(std::move(options));
 
     std::atomic<int> completions{0};
@@ -341,5 +330,95 @@ TEST(ServeServer, MetricsAccountEveryOutcome)
     server.resetMetrics();
     EXPECT_EQ(server.metrics().workload("Fake").submitted, 0u);
 }
+
+/**
+ * Single-flight waiter semantics, with the result cache off and on:
+ * every request on a key waits with its own deadline and cancel
+ * token, so one request giving up never decides another's outcome.
+ * One worker whose runs take 100 ms lets requests queue.
+ */
+class ServeWaiters : public ::testing::TestWithParam<bool>
+{
+  protected:
+    ServeWaiters()
+    {
+        auto options = fakeOptions(counters_, true, 100);
+        options.resultCache = GetParam();
+        server_ = std::make_unique<serve::Server>(std::move(options));
+    }
+
+    /** Blocks until @p n run() calls have started. */
+    void
+    awaitRuns(uint64_t n)
+    {
+        while (counters_.runs.load() < n)
+            std::this_thread::sleep_for(1ms);
+    }
+
+    /** The score an un-served run of the fake returns for @p seed. */
+    static double
+    direct(uint64_t seed)
+    {
+        FakeCounters counters;
+        FakeWorkload workload(counters, true);
+        workload.setUp(serve::ServerOptions{}.modelSeed);
+        workload.reseedEpisodes(seed);
+        return workload.run();
+    }
+
+    FakeCounters counters_;
+    std::unique_ptr<serve::Server> server_;
+};
+
+TEST_P(ServeWaiters, CanceledLeaderLeavesItsFollowerOk)
+{
+    auto blocker = submitFake(*server_, 1);
+    awaitRuns(1); // The worker is busy: seed 2 queues behind it.
+    auto cancel = std::make_shared<std::atomic<bool>>(false);
+    auto leader = submitFake(*server_, 2, serve::noDeadline(), cancel);
+    auto follower = submitFake(*server_, 2);
+    cancel->store(true);
+
+    EXPECT_EQ(leader.get().status, serve::RequestStatus::Canceled);
+    serve::Response response = follower.get();
+    EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+    EXPECT_EQ(response.score, direct(2));
+    EXPECT_EQ(blocker.get().status, serve::RequestStatus::Ok);
+    EXPECT_EQ(counters_.runs.load(), 2u);
+}
+
+TEST_P(ServeWaiters, ExpiredLeaderLeavesItsFollowerOk)
+{
+    auto blocker = submitFake(*server_, 1);
+    awaitRuns(1); // The worker is busy: seed 2 queues behind it.
+    auto leader = submitFake(*server_, 2, serve::ServeClock::now() + 20ms);
+    auto follower = submitFake(*server_, 2, serve::noDeadline());
+
+    EXPECT_EQ(leader.get().status, serve::RequestStatus::Expired);
+    serve::Response response = follower.get();
+    EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+    EXPECT_EQ(response.score, direct(2));
+    EXPECT_EQ(blocker.get().status, serve::RequestStatus::Ok);
+    EXPECT_EQ(counters_.runs.load(), 2u);
+}
+
+TEST_P(ServeWaiters, FollowerCanceledDuringItsLeadersRunIsCanceled)
+{
+    auto leader = submitFake(*server_, 2);
+    awaitRuns(1); // The leader's run is under way.
+    auto cancel = std::make_shared<std::atomic<bool>>(false);
+    auto follower = submitFake(*server_, 2, serve::noDeadline(), cancel);
+    cancel->store(true);
+
+    EXPECT_EQ(follower.get().status, serve::RequestStatus::Canceled);
+    serve::Response response = leader.get();
+    EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+    EXPECT_EQ(response.score, direct(2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Cache, ServeWaiters, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "CacheOn" : "CacheOff";
+                         });
 
 } // namespace

@@ -49,6 +49,8 @@
 #include "util/failpoint.hh"
 #include "workloads/register.hh"
 
+#include "../serve/fake_workload.hh"
+
 namespace
 {
 
@@ -302,8 +304,6 @@ singleWorkerOptions()
     serve::ServerOptions options;
     options.workloads = {"LNN"};
     options.workers = 1;
-    options.maxBatch = 1;
-    options.maxWaitUs = 200;
     options.resultCache = false;
     options.factory = serve::serveFactory;
     return options;
@@ -588,9 +588,16 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
 {
     // Each execution sleeps 60ms; the queue never fills (capacity
     // default) but drains far slower than the 2ms sojourn target —
-    // the CoDel-style gate must start shedding at submit.
+    // the CoDel-style gate must start shedding at submit. The fake is
+    // seed-sensitive, so every request is a new flight that needs a
+    // queue slot (LNN's requests would all share one flight).
     ASSERT_EQ(fp::configure("serve.worker.run=1.0@5~60000"), "");
+    tests::FakeCounters counters;
     serve::ServerOptions options = singleWorkerOptions();
+    options.workloads = {"Fake"};
+    options.factory = [&counters](const std::string &) {
+        return std::make_unique<tests::FakeWorkload>(counters, true);
+    };
     options.targetSojournUs = 2000;
     options.sojournGraceUs = 0;
     serve::Server server(options);
@@ -599,7 +606,7 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
     int shed = 0, admitted = 0;
     for (uint64_t seed = 0; seed < 24; seed++) {
         serve::RequestStatus status = server.submit(
-            "LNN", seed,
+            "Fake", seed,
             [&callbacks](const serve::Response &) { callbacks++; });
         if (status == serve::RequestStatus::RejectedOverload)
             shed++;
@@ -630,8 +637,6 @@ TEST_F(Tail, HedgeCoversADelayedBackendByteIdentically)
         serve::ServerOptions options;
         options.workloads = {"LNN"};
         options.workers = 2;
-        options.maxBatch = 1;
-        options.maxWaitUs = 200;
         options.resultCache = false;
         if (slow)
             options.factory = [](const std::string &name) {

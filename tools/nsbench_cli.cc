@@ -10,10 +10,10 @@
  *   loadgen [options]         serve under an open-loop Poisson load
  *   route [options]           shard requests across TCP backends
  *
- * `serve` and `loadgen` start a batching inference server over
- * pre-warmed replicas, drive it with the built-in load generator for
- * a configured window, then drain gracefully and print the SLO
- * report (p50/p95/p99 latency, throughput, neural/symbolic split).
+ * `serve` and `loadgen` start an inference server over pre-warmed
+ * replicas, drive it with the built-in load generator for a
+ * configured window, then drain gracefully and print the SLO report
+ * (p50/p95/p99 latency, throughput, neural/symbolic split).
  * They share options; they differ only in the default discipline
  * (closed loop vs open loop, overridable with --open/--closed).
  *
@@ -55,14 +55,6 @@
  *                  NSBENCH_FAILPOINTS environment variable
  *   --retries N    re-attempts for a failed run() (default 2)
  *   --retry-backoff-us N  first retry backoff; doubles per retry
- *   --shed-at F    shed with RejectedOverload at F fractional queue
- *                  occupancy (0 disables, the default)
- *   --no-stale     fail requests instead of serving a stale cached
- *                  score after the retries are exhausted
- *   --pipeline[=D] enable intra-replica stage pipelining on the
- *                  workers (queue depth D, default 2); staged
- *                  workloads overlap the coalesced executions of a
- *                  batch across their neural/symbolic stages
  */
 
 #include <chrono>
@@ -120,9 +112,8 @@ usage()
            "              [--connect HOST:PORT] (drive a remote\n"
            "               server; needs --workloads)\n"
            "              [--json PATH]\n"
-           "              [--workers N] [--max-batch N]\n"
-           "              [--max-wait-us N] [--queue N]\n"
-           "              [--model-seed N] [--no-coalesce]\n"
+           "              [--workers N] [--queue N]\n"
+           "              [--model-seed N]\n"
            "              [--cache on|off] [--cache-mb N]\n"
            "              [--preset serve|default]\n"
            "              [--open|--closed] [--rate HZ] [--clients N]\n"
@@ -130,8 +121,7 @@ usage()
            "              [--seed-universe N] [--zipf S]\n"
            "              [--deadline-ms MS] [--mix A=W,B=W] [--csv]\n"
            "              [--faults SPEC] [--retries N]\n"
-           "              [--retry-backoff-us N] [--shed-at F]\n"
-           "              [--no-stale] [--pipeline[=D]]\n"
+           "              [--retry-backoff-us N]\n"
            "              [--target-sojourn-us N]\n"
            "              [--sojourn-grace-us N]\n"
            "  nsbench route --listen [HOST:]PORT\n"
@@ -589,18 +579,18 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             server_options.workloads = splitList(next());
         } else if (arg == "--workers") {
             server_options.workers = std::atoi(next());
-        } else if (arg == "--max-batch") {
-            server_options.maxBatch = std::atoi(next());
-        } else if (arg == "--max-wait-us") {
-            server_options.maxWaitUs = std::atoll(next());
         } else if (arg == "--queue") {
-            server_options.queueCapacity =
-                static_cast<size_t>(std::atoll(next()));
+            // Checked before the size_t cast: a negative count would
+            // wrap into an effectively unbounded queue.
+            long long queue = std::atoll(next());
+            if (queue < 1) {
+                std::cerr << "--queue must be positive\n";
+                return 2;
+            }
+            server_options.queueCapacity = static_cast<size_t>(queue);
         } else if (arg == "--model-seed") {
             server_options.modelSeed =
                 std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--no-coalesce") {
-            server_options.coalesce = false;
         } else if (arg == "--cache") {
             server_options.resultCache = parseCacheMode(next());
         } else if (arg == "--cache-mb") {
@@ -673,15 +663,6 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 std::cerr << "--retry-backoff-us must be >= 0\n";
                 return 2;
             }
-        } else if (arg == "--shed-at") {
-            server_options.shedAtOccupancy = std::atof(next());
-            if (server_options.shedAtOccupancy < 0.0 ||
-                server_options.shedAtOccupancy > 1.0) {
-                std::cerr << "--shed-at must be in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--no-stale") {
-            server_options.staleFallback = false;
         } else if (arg == "--target-sojourn-us") {
             server_options.targetSojournUs = std::atoll(next());
             if (server_options.targetSojournUs < 0) {
@@ -742,9 +723,6 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 std::cerr << "--retry-down must be positive\n";
                 return 2;
             }
-        } else if (parsePipelineArg(arg,
-                                    &server_options.pipelineDepth)) {
-            // depth captured by the parser
         } else if (arg == "--listen") {
             cli->listen = next();
         } else if (arg == "--connect") {
@@ -1022,17 +1000,10 @@ cmdServe(int argc, char **argv, bool open_loop)
             std::cout << (i ? "," : "")
                       << server_options.workloads[i];
         std::cout << "\nworkers:  " << server_options.workers
-                  << "  max-batch " << server_options.maxBatch
-                  << "  max-wait "
-                  << server_options.maxWaitUs << "us  queue "
-                  << server_options.queueCapacity << "  coalesce "
-                  << (server_options.coalesce ? "on" : "off")
+                  << "  queue " << server_options.queueCapacity
                   << "  cache "
-                  << (server_options.resultCache ? "on" : "off");
-        if (server_options.pipelineDepth > 0)
-            std::cout << "  pipeline depth "
-                      << server_options.pipelineDepth;
-        std::cout << "\ndriving:  "
+                  << (server_options.resultCache ? "on" : "off")
+                  << "\ndriving:  "
                   << (load_options.openLoop ? "open loop" : "closed loop");
         if (load_options.openLoop)
             std::cout << " at " << load_options.rateHz << " req/s";
