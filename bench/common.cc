@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "cache/config.hh"
-#include "tensor/alloc.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/threadpool.hh"
@@ -74,7 +73,6 @@ runMetadataJson()
          << "\",\"build_type\":\"" << NSBENCH_BUILD_TYPE
          << "\",\"threads\":" << util::ThreadPool::globalThreads()
          << ",\"simd\":\"" << util::simd::activeBackendName()
-         << "\",\"arena\":\"" << tensor::activeAllocatorName()
          << "\",\"cache\":" << (cache::enabled() ? "true" : "false")
          << "}";
     return meta.str();

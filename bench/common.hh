@@ -45,8 +45,8 @@ void printHeader(const std::string &title, const std::string &paper_ref);
 /**
  * One-line JSON object describing this run's provenance: the git
  * commit and build type baked in at configure time, plus the
- * runtime-selected knobs (threads, simd backend, arena allocator,
- * cache enablement) read at call time.
+ * runtime-selected knobs (threads, simd backend, cache enablement)
+ * read at call time.
  */
 std::string runMetadataJson();
 

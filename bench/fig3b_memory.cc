@@ -10,10 +10,8 @@
  * weights plus VSA codebooks dominate persistent storage (>90% for
  * NVSA).
  *
- * The alloc/recycled columns expose allocation churn: total storage
- * acquisitions and how many the arena allocator served from its free
- * lists (zero in heap mode). Peak/alloc byte figures are logical and
- * identical whichever allocator is active.
+ * The allocs column exposes allocation churn: total tensor storage
+ * acquisitions. Peak/alloc byte figures are logical tensor bytes.
  */
 
 #include <iostream>
@@ -33,8 +31,7 @@ main()
 
     util::Table table({"workload", "peak-live", "neural-peak",
                        "symbolic-peak", "neural-alloc",
-                       "symbolic-alloc", "allocs", "recycled",
-                       "model-storage"});
+                       "symbolic-alloc", "allocs", "model-storage"});
 
     for (const auto &name : bench::paperOrder()) {
         auto run = bench::profileWorkload(name);
@@ -49,7 +46,6 @@ main()
              util::humanBytes(
                  p.allocatedBytesIn(core::Phase::Symbolic)),
              std::to_string(churn.allocs),
-             std::to_string(churn.recycledAllocs),
              util::humanBytes(run.storageBytes)});
     }
     table.print(std::cout);

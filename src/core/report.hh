@@ -63,9 +63,8 @@ util::Table topOpsTable(const Profiler &profiler, size_t n);
 
 /**
  * Memory peaks, allocation volume, and allocation churn per phase
- * (Fig. 3b). Peak/allocated are logical tensor bytes — identical for
- * every allocator backend; the churn columns (alloc counts and bytes
- * recycled) are where the arena shows up.
+ * (Fig. 3b). Peak/allocated are logical tensor bytes; the churn
+ * columns count storage buffers and cache-served structures.
  */
 util::Table memoryTable(const Profiler &profiler);
 

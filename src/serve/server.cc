@@ -397,13 +397,9 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
     // attempt may have swapped in a fresh replica.
     auto executeOnce = [&] {
         core::Profiler::ThreadTargetScope target(replica.profiler);
-        if (options_.profilePhases) {
-            // reset() also makes this worker the profiler's
-            // owner, so every inline-executed op applies directly.
-            replica.profiler.reset();
-        } else {
-            replica.profiler.setEnabled(false);
-        }
+        // reset() also makes this worker the profiler's owner, so
+        // every inline-executed op applies directly.
+        replica.profiler.reset();
         if (seedMatters)
             replica.workload->reseedEpisodes(flight.seed);
         util::WallTimer timer;
@@ -427,14 +423,10 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
         }
         service = timer.elapsed();
         core::Profiler::flushThisThread();
-        if (options_.profilePhases) {
-            neural =
-                replica.profiler.phaseTotals(core::Phase::Neural)
-                    .seconds;
-            symbolic =
-                replica.profiler.phaseTotals(core::Phase::Symbolic)
-                    .seconds;
-        }
+        neural =
+            replica.profiler.phaseTotals(core::Phase::Neural).seconds;
+        symbolic =
+            replica.profiler.phaseTotals(core::Phase::Symbolic).seconds;
     };
 
     // Bounded retry with exponential backoff. A poisoned replica is

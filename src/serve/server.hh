@@ -60,7 +60,6 @@ struct ServerOptions
     int workers = 2;              ///< Worker threads (replica sets).
     size_t queueCapacity = 256;   ///< Admission queue bound (flights).
     uint64_t modelSeed = 42;      ///< setUp seed for every replica.
-    bool profilePhases = true;    ///< Collect the neural/symbolic split.
     /**
      * Enables the request-result cache: repeats of a completed
      * (workload, episode seed) are answered at admission without a

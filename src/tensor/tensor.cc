@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <numeric>
 #include <sstream>
 
 #include "core/profiler.hh"
-#include "tensor/alloc.hh"
 
 namespace nsbench::tensor
 {
@@ -40,29 +40,32 @@ shapeStr(const Shape &shape)
  * Reference-counted flat buffer; reports its lifetime to the profiler
  * so live-byte accounting happens exactly once per physical buffer,
  * however many tensor handles alias it.
+ *
+ * Each buffer is its own exact-size, 64-byte-aligned heap allocation
+ * (cache line / AVX-512 friendly), so a sanitizer sees a read past a
+ * tensor's last element as out of bounds.
  */
 struct Tensor::Storage
 {
-    detail::RawStorage raw;
+    static constexpr std::align_val_t kAlign{64};
+
+    float *data = nullptr;
     size_t n = 0;
 
-    /**
-     * Profiler accounting is in LOGICAL tensor bytes (n * 4), never
-     * the arena's rounded class capacity, so the Fig. 3b live/peak
-     * figures are identical whichever allocator is active.
-     */
+    /** The contents are uninitialized unless @p zero_fill is set. */
     Storage(size_t n_, bool zero_fill)
-        : raw(detail::acquireStorage(n_)), n(n_)
+        : data(static_cast<float *>(
+              ::operator new(n_ * sizeof(float), kAlign))),
+          n(n_)
     {
-        core::globalProfiler().recordAlloc(n * sizeof(float),
-                                           raw.recycled);
+        core::globalProfiler().recordAlloc(n * sizeof(float));
         if (zero_fill)
-            std::memset(raw.data, 0, n * sizeof(float));
+            std::memset(data, 0, n * sizeof(float));
     }
 
     Storage(const Storage &other) : Storage(other.n, false)
     {
-        std::memcpy(raw.data, other.raw.data, n * sizeof(float));
+        std::memcpy(data, other.data, n * sizeof(float));
     }
 
     Storage &operator=(const Storage &) = delete;
@@ -70,7 +73,7 @@ struct Tensor::Storage
     ~Storage()
     {
         core::globalProfiler().recordFree(n * sizeof(float));
-        detail::releaseStorage(raw);
+        ::operator delete(data, kAlign);
     }
 };
 
@@ -176,14 +179,14 @@ std::span<float>
 Tensor::data()
 {
     util::panicIf(!storage_, "Tensor::data: empty tensor");
-    return {storage_->raw.data, storage_->n};
+    return {storage_->data, storage_->n};
 }
 
 std::span<const float>
 Tensor::data() const
 {
     util::panicIf(!storage_, "Tensor::data: empty tensor");
-    return {storage_->raw.data, storage_->n};
+    return {storage_->data, storage_->n};
 }
 
 float &

@@ -88,6 +88,40 @@ TEST(CliNegative, ZeroQueueIsRejectedBeforeServing)
     }
 }
 
+TEST(CliNegative, BadMixWeightIsRejectedBeforeServing)
+{
+    // Each weight must parse whole as a finite number > 0: atof read
+    // "abc" as 0, and a weight <= 0 reached the load generator's
+    // panic after the banner.
+    for (const char *weight : {"-1", "0", "abc", "2x", "inf"}) {
+        CliResult result =
+            runCli(std::string("loadgen --workloads LNN --mix LNN=") +
+                   weight + " --duration 0.1");
+        EXPECT_EQ(result.exitCode, 2) << "--mix LNN=" << weight;
+        EXPECT_NE(result.output.find("--mix weight for 'LNN' must be "
+                                     "a positive number"),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+            << result.output;
+    }
+}
+
+TEST(CliNegative, MixNameOutsideWorkloadsIsRejectedBeforeServing)
+{
+    // The server would reject every request as an unknown workload,
+    // and the run would still exit 0.
+    CliResult result = runCli(
+        "loadgen --workloads LNN --mix NVSA=1 --duration 0.1");
+    EXPECT_EQ(result.exitCode, 2);
+    EXPECT_NE(result.output.find("--mix names 'NVSA', which is not "
+                                 "in --workloads"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+        << result.output;
+}
+
 TEST(CliNegative, ZeroDurationIsRejected)
 {
     CliResult result = runCli("serve --duration 0");

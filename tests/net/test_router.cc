@@ -191,8 +191,22 @@ TEST_F(NetRouter, FailsOverToSurvivingBackend)
     net::Router router(routerOptions(backends));
     net::Client client(clientFor(router.port()));
 
+    // Placement hashes the backends' ephemeral ports, so pick keys by
+    // shard: two on the backend that dies, two on the survivor. The
+    // first dead-shard call may be in flight when the connection
+    // drops (failed over, but one dropped connection does not open
+    // the breaker); the second then dials a closed port.
+    std::vector<uint64_t> dead_keys, live_keys;
+    for (uint64_t seed = 0; seed < 64; seed++)
+        (router.shardOf("LNN", 0, seed) == 0 ? dead_keys : live_keys)
+            .push_back(seed);
+    ASSERT_GE(dead_keys.size(), 2u);
+    ASSERT_GE(live_keys.size(), 2u);
+    const std::vector<uint64_t> keys = {dead_keys[0], live_keys[0],
+                                        dead_keys[1], live_keys[1]};
+
     // Warm both shards up, then kill backend 0 outright.
-    for (uint64_t seed = 0; seed < 8; seed++)
+    for (uint64_t seed : keys)
         EXPECT_EQ(client.call("LNN", seed).status,
                   serve::RequestStatus::Ok);
     backends[0]->tcp->shutdown();
@@ -201,7 +215,7 @@ TEST_F(NetRouter, FailsOverToSurvivingBackend)
 
     // Every key — including those placed on the dead backend — must
     // still complete via failover to the survivor.
-    for (uint64_t seed = 0; seed < 8; seed++)
+    for (uint64_t seed : keys)
         EXPECT_EQ(client.call("LNN", seed).status,
                   serve::RequestStatus::Ok)
             << "seed " << seed << " lost to the dead backend";

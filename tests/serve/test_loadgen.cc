@@ -28,7 +28,6 @@ fakeServer(FakeCounters &counters)
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 2;
-    options.profilePhases = false;
     options.factory = [&counters](const std::string &) {
         return std::make_unique<FakeWorkload>(counters,
                                               /*seed_sensitive=*/true,
@@ -162,7 +161,6 @@ TEST(ServeLoadgen, HonoursExplicitWorkloadMix)
     serve::ServerOptions server_options;
     server_options.workloads = {"A", "B"};
     server_options.workers = 2;
-    server_options.profilePhases = false;
     server_options.factory = [&](const std::string &name) {
         FakeCounters &counters =
             name == "A" ? counters_a : counters_b;

@@ -34,7 +34,6 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.profilePhases = false;
     options.factory = [&counters, seed_sensitive,
                        sleep_ms](const std::string &) {
         return std::make_unique<FakeWorkload>(counters,

@@ -662,7 +662,10 @@ TEST_F(Tail, HedgeCoversADelayedBackendByteIdentically)
         "127.0.0.1:" + std::to_string(slow_tcp->port()),
         "127.0.0.1:" + std::to_string(fast_tcp->port())};
     options.hedging = true;
-    options.hedgeMinSamples = 4;
+    // Arms only after all six primers completed: a primer that could
+    // hedge on a loaded host would spend the 5% budget (one hedge on
+    // seven primary forwards) and get the slow key's hedge denied.
+    options.hedgeMinSamples = 6;
     options.hedgeMaxDelaySeconds = 0.020;
     // Isolate hedging: the breaker may only trip on hard
     // unreachability, never on the latency EWMA.

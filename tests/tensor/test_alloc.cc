@@ -1,190 +1,54 @@
 /**
  * @file
- * Allocator-policy tests: the arena must change where bytes live and
- * nothing else. Live-byte accounting, peaks, and workload results are
- * required to be identical in heap and arena mode; only the churn
- * counters may differ.
+ * Tensor storage accounting: the profiler tracks live and peak
+ * storage in logical tensor bytes, and counts one alloc and one free
+ * per storage buffer.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/profiler.hh"
-#include "tensor/alloc.hh"
-#include "tensor/ops.hh"
 #include "tensor/tensor.hh"
-#include "util/arena.hh"
-#include "util/rng.hh"
-#include "workloads/lnn.hh"
 
 namespace
 {
 
 using namespace nsbench;
-using tensor::AllocatorKind;
 using tensor::Tensor;
 
-/** Pins one allocator for a test and restores the default after. */
-class AllocTest : public testing::TestWithParam<AllocatorKind>
+/** Starts and leaves each test with a clean global profiler. */
+class AllocTest : public testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        util::Arena::global().trim();
-        util::Arena::global().resetStats();
-        tensor::setAllocator(GetParam());
-        core::globalProfiler().reset();
-    }
-
-    void
-    TearDown() override
-    {
-        tensor::resetAllocator();
-        util::Arena::global().trim();
-        core::globalProfiler().reset();
-    }
+    void SetUp() override { core::globalProfiler().reset(); }
+    void TearDown() override { core::globalProfiler().reset(); }
 };
 
-TEST(AllocPolicyTest, SetAllocatorOverridesAndNames)
-{
-    tensor::setAllocator(AllocatorKind::Arena);
-    EXPECT_EQ(tensor::activeAllocator(), AllocatorKind::Arena);
-    EXPECT_STREQ(tensor::activeAllocatorName(), "arena");
-    tensor::setAllocator(AllocatorKind::Heap);
-    EXPECT_EQ(tensor::activeAllocator(), AllocatorKind::Heap);
-    EXPECT_STREQ(tensor::activeAllocatorName(), "heap");
-    tensor::resetAllocator();
-}
-
-TEST(AllocPolicyTest, ArenaReusesStorageAcrossTensorLifetimes)
-{
-    tensor::setAllocator(AllocatorKind::Arena);
-    util::Arena::global().trim();
-    util::Arena::global().resetStats();
-
-    { Tensor warm({1024}); } // dies: its block parks on a free list
-    { Tensor reuse({1024}); }
-    { Tensor again({1000}); } // same 4 KiB class despite smaller shape
-
-    auto stats = util::Arena::global().stats();
-    EXPECT_EQ(stats.freshAllocs, 1u);
-    EXPECT_EQ(stats.reusedAllocs, 2u);
-
-    tensor::resetAllocator();
-    util::Arena::global().trim();
-}
-
-TEST(AllocPolicyTest, MixedModeReleaseHonorsProvenance)
-{
-    // A tensor created in arena mode must return to the arena even if
-    // the mode flipped to heap while it was alive (and vice versa).
-    tensor::setAllocator(AllocatorKind::Arena);
-    util::Arena::global().trim();
-    util::Arena::global().resetStats();
-    {
-        Tensor arena_born({512});
-        tensor::setAllocator(AllocatorKind::Heap);
-        Tensor heap_born({512});
-        tensor::setAllocator(AllocatorKind::Arena);
-    }
-    auto stats = util::Arena::global().stats();
-    EXPECT_EQ(stats.freshAllocs, 1u);
-    EXPECT_EQ(stats.releases, 1u);
-
-    tensor::resetAllocator();
-    util::Arena::global().trim();
-}
-
-TEST_P(AllocTest, PeakTracksLiveLogicalBytesNotArenaCapacity)
+TEST_F(AllocTest, PeakTracksLiveLogicalBytes)
 {
     auto &prof = core::globalProfiler();
 
     // Two sequential short-lived tensors: the live high-water mark is
-    // ONE tensor's logical size, even though the arena's capacity
-    // could legally be anything.
+    // ONE tensor's logical size.
     { Tensor a({1024}); }
     { Tensor b({1024}); }
     EXPECT_EQ(prof.peakBytes(), 1024u * sizeof(float));
     EXPECT_EQ(prof.currentBytes(), 0u);
 
-    // Logical bytes, not the rounded size class: 100 floats = 400
-    // bytes even though the arena block is 512.
+    // Logical bytes: 100 floats = 400 bytes.
     prof.reset();
     { Tensor c({100}); }
     EXPECT_EQ(prof.peakBytes(), 400u);
 }
 
-TEST_P(AllocTest, ChurnCountsAllocatorBehaviour)
+TEST_F(AllocTest, ChurnCountsOneAllocAndFreePerTensor)
 {
-    auto &prof = core::globalProfiler();
-    { Tensor warm({100}); }
-    prof.reset();
     { Tensor t({100}); }
 
-    core::MemChurn churn = prof.memChurn();
+    core::MemChurn churn = core::globalProfiler().memChurn();
     EXPECT_EQ(churn.allocs, 1u);
     EXPECT_EQ(churn.frees, 1u);
-    if (GetParam() == AllocatorKind::Arena) {
-        // Warmed pool: the alloc is recycled, counted in LOGICAL bytes.
-        EXPECT_EQ(churn.recycledAllocs, 1u);
-        EXPECT_EQ(churn.recycledBytes, 400u);
-        EXPECT_EQ(churn.freshAllocs(), 0u);
-    } else {
-        EXPECT_EQ(churn.recycledAllocs, 0u);
-        EXPECT_EQ(churn.freshAllocs(), 1u);
-    }
-}
-
-TEST_P(AllocTest, OpResultsDoNotDependOnAllocator)
-{
-    util::Rng rng(123);
-    Tensor a = Tensor::randn({64, 64}, rng);
-    Tensor b = Tensor::randn({64, 64}, rng);
-    Tensor sum = tensor::add(a, b);
-    Tensor prod = tensor::matmul(a, b);
-
-    // Recompute with the OTHER allocator: bit-identical results.
-    tensor::setAllocator(GetParam() == AllocatorKind::Arena
-                             ? AllocatorKind::Heap
-                             : AllocatorKind::Arena);
-    Tensor sum2 = tensor::add(a, b);
-    Tensor prod2 = tensor::matmul(a, b);
-    for (int64_t i = 0; i < sum.numel(); i++)
-        ASSERT_EQ(sum.data()[static_cast<size_t>(i)],
-                  sum2.data()[static_cast<size_t>(i)]);
-    for (int64_t i = 0; i < prod.numel(); i++)
-        ASSERT_EQ(prod.data()[static_cast<size_t>(i)],
-                  prod2.data()[static_cast<size_t>(i)]);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BothAllocators, AllocTest,
-    testing::Values(AllocatorKind::Heap, AllocatorKind::Arena),
-    [](const testing::TestParamInfo<AllocatorKind> &info) {
-        return std::string(tensor::allocatorName(info.param));
-    });
-
-TEST(AllocWorkloadTest, WorkloadScoreIdenticalAcrossAllocators)
-{
-    auto run_with = [](AllocatorKind kind) {
-        tensor::setAllocator(kind);
-        util::Arena::global().trim();
-        workloads::LnnWorkload w(
-            workloads::LnnConfig{2, 3, 16, 2, 8});
-        w.setUp(11);
-        core::globalProfiler().reset();
-        double score = w.run();
-        uint64_t peak = core::globalProfiler().peakBytes();
-        core::globalProfiler().reset();
-        return std::pair<double, uint64_t>(score, peak);
-    };
-    auto heap = run_with(AllocatorKind::Heap);
-    auto arena = run_with(AllocatorKind::Arena);
-    tensor::resetAllocator();
-    util::Arena::global().trim();
-
-    EXPECT_EQ(heap.first, arena.first);   // bit-identical score
-    EXPECT_EQ(heap.second, arena.second); // identical Fig. 3b peak
+    EXPECT_EQ(churn.freshAllocs(), 1u);
 }
 
 } // namespace

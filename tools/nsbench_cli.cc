@@ -32,8 +32,6 @@
  *                  NSBENCH_THREADS env var, else hardware concurrency)
  *   --simd MODE    kernel backend: "scalar", "avx2" or "auto"
  *                  (default: NSBENCH_SIMD env var, else CPUID)
- *   --arena MODE   tensor allocator: "on" (size-classed arena) or
- *                  "off" (plain heap; default, or NSBENCH_ARENA env)
  *   --cache MODE   memoization: "on" enables the seed-invariant
  *                  precompute cache (and, for serve/loadgen, the
  *                  request-result cache); "off" disables both
@@ -57,7 +55,9 @@
  *   --retry-backoff-us N  first retry backoff; doubles per retry
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -81,7 +81,6 @@
 #include "core/workload.hh"
 #include "sim/device.hh"
 #include "sim/projection.hh"
-#include "tensor/alloc.hh"
 #include "util/failpoint.hh"
 #include "util/format.hh"
 #include "util/simd.hh"
@@ -104,8 +103,7 @@ usage()
            "  nsbench devices\n"
            "  nsbench run <workload> [--seed N] [--runs N]\n"
            "              [--threads N] [--simd scalar|avx2|auto]\n"
-           "              [--arena on|off] [--cache on|off]\n"
-           "              [--cache-mb N] [--csv]\n"
+           "              [--cache on|off] [--cache-mb N] [--csv]\n"
            "              [--device NAME|all] [--pipeline[=D]]\n"
            "  nsbench serve|loadgen [--workloads A,B,...]\n"
            "              [--listen [HOST:]PORT] (serve over TCP)\n"
@@ -356,16 +354,6 @@ cmdRun(int argc, char **argv)
                 std::cerr << "--simd must be scalar, avx2 or auto\n";
                 return 2;
             }
-        } else if (arg == "--arena") {
-            std::string mode = next();
-            if (mode == "on") {
-                tensor::setAllocator(tensor::AllocatorKind::Arena);
-            } else if (mode == "off") {
-                tensor::setAllocator(tensor::AllocatorKind::Heap);
-            } else {
-                std::cerr << "--arena must be on or off\n";
-                return 2;
-            }
         } else if (arg == "--cache") {
             parseCacheMode(next());
         } else if (arg == "--cache-mb") {
@@ -426,7 +414,6 @@ cmdRun(int argc, char **argv)
                   << util::humanBytes(workload->storageBytes())
                   << "\nthreads:  " << util::ThreadPool::globalThreads()
                   << "\nsimd:     " << util::simd::activeBackendName()
-                  << "\narena:    " << tensor::activeAllocatorName()
                   << "\ncache:    "
                   << (cache::enabled() ? "on" : "off") << "\n\n";
     }
@@ -631,10 +618,22 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             for (const auto &entry : splitList(next())) {
                 auto eq = entry.find('=');
                 std::string name = entry.substr(0, eq);
-                double weight =
-                    eq == std::string::npos
-                        ? 1.0
-                        : std::atof(entry.substr(eq + 1).c_str());
+                double weight = 1.0;
+                if (eq != std::string::npos) {
+                    // Whole-string parse: atof would read "abc" as 0
+                    // and "2x" as 2.
+                    const char *text = entry.c_str() + eq + 1;
+                    char *end = nullptr;
+                    weight = std::strtod(text, &end);
+                    if (end == text || *end != '\0' ||
+                        !std::isfinite(weight) || weight <= 0.0) {
+                        std::cerr << "--mix weight for '" << name
+                                  << "' must be a positive number, "
+                                     "got '"
+                                  << text << "'\n";
+                        return 2;
+                    }
+                }
                 load_options.mix.emplace_back(name, weight);
             }
         } else if (arg == "--threads") {
@@ -762,10 +761,22 @@ validateWorkloads(const std::vector<std::string> &names)
     return -1;
 }
 
-/** Load-discipline validation (local and remote load generation). */
+/**
+ * Load-discipline validation (local and remote load generation);
+ * @p workloads is the --workloads list the mix must draw from.
+ */
 int
-validateLoadOptions(const serve::LoadgenOptions &load_options)
+validateLoadOptions(const serve::LoadgenOptions &load_options,
+                    const std::vector<std::string> &workloads)
 {
+    for (const auto &[name, weight] : load_options.mix) {
+        if (std::find(workloads.begin(), workloads.end(), name) ==
+            workloads.end()) {
+            std::cerr << "--mix names '" << name
+                      << "', which is not in --workloads\n";
+            return 2;
+        }
+    }
     if (load_options.durationSeconds <= 0.0) {
         std::cerr << "--duration must be positive\n";
         return 2;
@@ -905,7 +916,7 @@ runRemoteLoadgen(ServeCli &cli, int argc, char **argv,
     int rc = validateWorkloads(cli.server.workloads);
     if (rc >= 0)
         return rc;
-    rc = validateLoadOptions(cli.load);
+    rc = validateLoadOptions(cli.load, cli.server.workloads);
     if (rc >= 0)
         return rc;
 
@@ -986,7 +997,7 @@ cmdServe(int argc, char **argv, bool open_loop)
     }
     if (!cli.listen.empty())
         return runListenServe(cli, argc, argv);
-    rc = validateLoadOptions(cli.load);
+    rc = validateLoadOptions(cli.load, cli.server.workloads);
     if (rc >= 0)
         return rc;
 
