@@ -4,8 +4,9 @@
  *
  * Runs each hot kernel single-threaded under the scalar backend and
  * again under the AVX2 backend, reporting wall time and speedup while
- * checking that the two backends agree (bit-identical for maps and
- * packed-binary kernels, <= 1e-5 relative for float reductions). A
+ * checking that the two backends agree (<= 1e-5 relative for float
+ * reductions and fused kernels; exactly equal checksums for the
+ * order-preserving circular_conv and conv2d kernels). A
  * third column times the AVX2 backend at the full default pool width,
  * showing how vectorization composes with the thread runtime. The
  * final BENCH_JSON line is machine-readable so the perf trajectory of
@@ -52,7 +53,19 @@ struct Kernel
 {
     std::string name;
     std::function<double()> run;
+    /** Order-preserving kernel: checksums must match exactly. */
+    bool exact = false;
 };
+
+/** Serial double sum: a checksum that no backend can reorder. */
+double
+orderedSum(const Tensor &t)
+{
+    double sum = 0.0;
+    for (float v : t.data())
+        sum += v;
+    return sum;
+}
 
 double
 timeKernel(const Kernel &kernel, double *checksum)
@@ -99,6 +112,11 @@ main(int argc, char **argv)
     vsa::BinaryCodebook bin_book(1024, 16384, rng);
     vsa::BinaryVector bin_query =
         vsa::BinaryVector::random(16384, rng);
+    Tensor cc_a = Tensor::randn({2048}, rng);
+    Tensor cc_b = Tensor::randn({2048}, rng);
+    Tensor conv_x = Tensor::randn({1, 8, 48, 48}, rng);
+    Tensor conv_w = Tensor::randn({16, 8, 3, 3}, rng);
+    Tensor conv_bias = Tensor::randn({16}, rng);
 
     std::vector<Kernel> kernels = {
         {"matmul_512",
@@ -128,6 +146,15 @@ main(int argc, char **argv)
              auto r = bin_book.cleanup(bin_query);
              return static_cast<double>(r.index) + r.similarity;
          }},
+        {"circular_conv_2048",
+         [&] { return orderedSum(vsa::circularConvolve(cc_a, cc_b)); },
+         true},
+        {"conv2d_48x48_8to16",
+         [&] {
+             return orderedSum(
+                 tensor::conv2d(conv_x, conv_w, conv_bias, 1, 1));
+         },
+         true},
     };
 
     core::globalProfiler().setEnabled(false);
@@ -159,9 +186,14 @@ main(int argc, char **argv)
 
         double denom = std::max(1.0, std::abs(scalar_checksum));
         bool match =
-            std::abs(simd_checksum - scalar_checksum) / denom <=
-                1e-5 &&
-            std::abs(wide_checksum - scalar_checksum) / denom <= 1e-5;
+            kernel.exact
+                ? simd_checksum == scalar_checksum &&
+                      wide_checksum == scalar_checksum
+                : std::abs(simd_checksum - scalar_checksum) / denom <=
+                          1e-5 &&
+                      std::abs(wide_checksum - scalar_checksum) /
+                              denom <=
+                          1e-5;
         all_match = all_match && match;
 
         double speedup = simd_s > 0.0 ? scalar_s / simd_s : 0.0;

@@ -29,6 +29,25 @@ fnv1a(const void *data, size_t size,
     return hash;
 }
 
+/**
+ * MurmurHash3's 64-bit finalizer: each input bit flips every output
+ * bit with probability about 1/2. FNV-1a alone does not do that for
+ * ring points: "host:port#0" .. "host:port#63" differ only in their
+ * last bytes, which reach the low and middle bits of the hash but
+ * barely the high ones, so a backend's points bunched together on the
+ * ring and one of two backends could own almost all of it.
+ */
+uint64_t
+fmix64(uint64_t hash)
+{
+    hash ^= hash >> 33;
+    hash *= 0xff51afd7ed558ccdULL;
+    hash ^= hash >> 33;
+    hash *= 0xc4ceb9fe1a85ec53ULL;
+    hash ^= hash >> 33;
+    return hash;
+}
+
 /** The placement key: (workload, modelSeed, episodeSeed). */
 uint64_t
 keyHash(const std::string &workload, uint64_t modelSeed,
@@ -37,7 +56,7 @@ keyHash(const std::string &workload, uint64_t modelSeed,
     uint64_t hash = fnv1a(workload.data(), workload.size());
     hash = fnv1a(&modelSeed, sizeof(modelSeed), hash);
     hash = fnv1a(&episodeSeed, sizeof(episodeSeed), hash);
-    return hash;
+    return fmix64(hash);
 }
 
 /** Splits "host:port"; dies on nonsense — a router with a bad
@@ -103,7 +122,8 @@ Router::Router(const RouterOptions &options) : options_(options)
         for (int v = 0; v < points; ++v) {
             std::string point =
                 options_.backends[i] + "#" + std::to_string(v);
-            ring_.emplace_back(fnv1a(point.data(), point.size()), i);
+            ring_.emplace_back(fmix64(fnv1a(point.data(), point.size())),
+                               i);
         }
     }
     std::sort(ring_.begin(), ring_.end());

@@ -7,13 +7,14 @@
  * request to one of N backend servers and relays the response. The
  * pieces:
  *
- *  - Consistent-hash placement: a ring of virtual nodes (FNV-1a 64,
- *    `virtualNodes` points per backend) keyed by (workload,
- *    modelSeed, episodeSeed). The same request always lands on the
- *    same backend, so each backend's result cache and single-flight
- *    table see the full repeat-rate of their key range — sharding
- *    multiplies cache capacity instead of diluting hit rate. Adding
- *    or losing a backend remaps only the ring arcs it owned.
+ *  - Consistent-hash placement: a ring of virtual nodes (FNV-1a 64
+ *    through a 64-bit finalizer, `virtualNodes` points per backend)
+ *    keyed by (workload, modelSeed, episodeSeed). The same request
+ *    always lands on the same backend, so each backend's result
+ *    cache and single-flight table see the full repeat-rate of their
+ *    key range — sharding multiplies cache capacity instead of
+ *    diluting hit rate. Adding or losing a backend remaps only the
+ *    ring arcs it owned.
  *
  *  - Health: a per-backend circuit breaker (net/breaker.hh). An
  *    unreachable submit trips it instantly (the old binary

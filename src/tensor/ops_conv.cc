@@ -27,27 +27,26 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
     util::panicIf(has_bias && (bias.dim() != 1 || bias.size(0) != o),
                   "conv2d: bias shape mismatch");
 
+    // Checked before dividing: the division truncates toward zero, so
+    // a kernel one row too tall at stride 2 would still yield oh == 1.
+    util::panicIf(kh > h + 2 * padding || kw > w + 2 * padding,
+                  "conv2d: kernel exceeds input");
     int64_t oh = (h + 2 * padding - kh) / stride + 1;
     int64_t ow = (w + 2 * padding - kw) / stride + 1;
-    util::panicIf(oh < 1 || ow < 1, "conv2d: kernel exceeds input");
 
     core::ScopedOp op("conv2d", core::OpCategory::Convolution);
-    // Every output element gets its locally accumulated value stored
-    // exactly once (bias/zero is folded into the accumulator).
+    // Every output element is written exactly once (bias/zero is
+    // folded into its accumulator).
     Tensor out = Tensor::uninitialized({n, o, oh, ow});
-    auto src = input.data();
-    auto wt = weight.data();
-    auto dst = out.data();
-
-    auto in_at = [&](int64_t b, int64_t ch, int64_t y,
-                     int64_t x) -> float {
-        return src[static_cast<size_t>(((b * c + ch) * h + y) * w +
-                                       x)];
-    };
+    const float *src = input.data().data();
+    const float *wt = weight.data().data();
+    float *dst = out.data().data();
+    const util::simd::ConvGeometry geom{
+        c, h, w, kh, kw, stride, padding, oh, ow};
 
     // Parallel over (batch, output-channel) planes: each lane writes
-    // disjoint output planes with serial-identical arithmetic, so the
-    // result is bit-identical at any thread count.
+    // disjoint output planes, and every output's arithmetic is the
+    // same at any thread count and on either backend.
     double plane_macs = static_cast<double>(oh * ow) *
                         static_cast<double>(c * kh * kw);
     util::parallelFor(
@@ -56,35 +55,10 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
             for (int64_t p = p0; p < p1; p++) {
                 int64_t b = p / o;
                 int64_t oc = p % o;
-                float bias_v = has_bias ? bias.flat(oc) : 0.0f;
-                for (int64_t oy = 0; oy < oh; oy++) {
-                    for (int64_t ox = 0; ox < ow; ox++) {
-                        float acc = bias_v;
-                        int64_t iy0 = oy * stride - padding;
-                        int64_t ix0 = ox * stride - padding;
-                        for (int64_t ic = 0; ic < c; ic++) {
-                            for (int64_t ky = 0; ky < kh; ky++) {
-                                int64_t iy = iy0 + ky;
-                                if (iy < 0 || iy >= h)
-                                    continue;
-                                for (int64_t kx = 0; kx < kw; kx++) {
-                                    int64_t ix = ix0 + kx;
-                                    if (ix < 0 || ix >= w)
-                                        continue;
-                                    acc +=
-                                        in_at(b, ic, iy, ix) *
-                                        wt[static_cast<size_t>(
-                                            ((oc * c + ic) * kh +
-                                             ky) * kw +
-                                            kx)];
-                                }
-                            }
-                        }
-                        dst[static_cast<size_t>(
-                            ((b * o + oc) * oh + oy) * ow + ox)] =
-                            acc;
-                    }
-                }
+                util::simd::conv2dPlane(
+                    src + b * c * h * w, wt + oc * c * kh * kw,
+                    has_bias ? bias.flat(oc) : 0.0f,
+                    dst + p * oh * ow, geom);
             }
         });
 
@@ -113,9 +87,11 @@ pool2d(const char *name, const Tensor &input, int64_t kernel,
 
     int64_t n = input.size(0), c = input.size(1);
     int64_t h = input.size(2), w = input.size(3);
+    // Checked before dividing, as in conv2d.
+    util::panicIf(kernel > h || kernel > w,
+                  "pool2d: kernel exceeds input");
     int64_t oh = (h - kernel) / stride + 1;
     int64_t ow = (w - kernel) / stride + 1;
-    util::panicIf(oh < 1 || ow < 1, "pool2d: kernel exceeds input");
 
     core::ScopedOp op(name, core::OpCategory::VectorElementwise);
     Tensor out = Tensor::uninitialized({n, c, oh, ow});

@@ -29,6 +29,19 @@
  * reassociate or fuse (reductions, FMA accumulation) agree within
  * 1e-5 relative tolerance, which the equivalence suite enforces.
  *
+ * The order-preserving kernels (conv2dPlane, circularConvRows,
+ * circularCorrRows; simd_exact.cc) are exact across backends as well:
+ * the AVX2 version puts independent outputs in different lanes and
+ * gives each output the scalar twin's operations in the scalar twin's
+ * order, so both return the bits of the historical loops. Their source
+ * is compiled with -ffp-contract=off. GCC contracts by default in C++
+ * mode, and inside a target("fma") function it would turn a multiply
+ * followed by an add into one fused multiply-add that rounds once
+ * where the scalar loop rounds twice. A double-precision FMA over two
+ * widened floats is the one exception: the product is exact in
+ * double, so fusing it changes nothing, and the circular kernels use
+ * it on purpose.
+ *
  * Profiler attribution (FLOPs, bytes, invocations) is computed from
  * operand shapes by the calling ops, so it is exact and identical for
  * both backends.
@@ -144,6 +157,49 @@ void xorWords(const uint64_t *a, const uint64_t *b, uint64_t *out,
 /** popcount(a ^ b) over n words (Hamming distance of packed HVs). */
 int64_t popcountXorWords(const uint64_t *a, const uint64_t *b,
                          int64_t n);
+/// @}
+
+/// @name Order-preserving kernels: bit-identical across backends.
+/// @{
+/** Shape of one output plane of a 2-D convolution. */
+struct ConvGeometry
+{
+    int64_t channels; ///< Input channels summed into the plane.
+    int64_t height;   ///< Input rows.
+    int64_t width;    ///< Input columns.
+    int64_t kernelH;  ///< Kernel rows.
+    int64_t kernelW;  ///< Kernel columns.
+    int64_t stride;   ///< Step between output positions.
+    int64_t padding;  ///< Implicit zero border on every side.
+    int64_t outH;     ///< Output rows.
+    int64_t outW;     ///< Output columns.
+};
+
+/**
+ * One output plane of a 2-D convolution. @p in is one image
+ * [channels, height, width], @p weight one filter [channels, kernelH,
+ * kernelW] and @p out the [outH, outW] plane. Each output starts at
+ * @p bias and adds in * weight one float product at a time over
+ * (channel, ky, kx) in increasing order, skipping the taps that fall
+ * in the padding. The AVX2 version vectorizes stride-1 interior
+ * columns 8 to a vector and keeps borders and stride > 1 scalar.
+ */
+void conv2dPlane(const float *in, const float *weight, float bias,
+                 float *out, const ConvGeometry &g);
+
+/**
+ * Circular convolution outputs i in [i0, i1): out[i] is the double
+ * sum over j = 0..d-1, in increasing j, of a[j] * bb[i - j + d],
+ * rounded to float. @p a holds the d widened elements of the first
+ * operand and @p bb the 2d widened elements of [b, b], so bb[i - j +
+ * d] is b[(i - j) mod d] without a modulo.
+ */
+void circularConvRows(const double *a, const double *bb, float *out,
+                      int64_t i0, int64_t i1, int64_t d);
+
+/** Circular correlation: as circularConvRows with bb[i + j]. */
+void circularCorrRows(const double *a, const double *bb, float *out,
+                      int64_t i0, int64_t i1, int64_t d);
 /// @}
 
 } // namespace nsbench::util::simd

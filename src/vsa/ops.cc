@@ -1,6 +1,8 @@
 #include "vsa/ops.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/profiler.hh"
 #include "util/logging.hh"
@@ -142,32 +144,39 @@ permuteShift(const Tensor &a, int64_t k)
     return out;
 }
 
-Tensor
-circularConvolve(const Tensor &a, const Tensor &b)
+namespace
 {
-    checkSameDim("circular_conv", a, b);
-    ScopedOp op("circular_conv", OpCategory::VectorElementwise);
+
+/**
+ * Shared body of circular_conv and circular_corr. Both operands are
+ * widened to double once per call, b twice over ([b, b]) so the
+ * kernel reads the wrapped operand without a modulo. Outputs are
+ * independent dot products, so any split of them over the pool is
+ * bit-identical to the serial loop.
+ */
+Tensor
+circularOp(const char *name, const Tensor &a, const Tensor &b,
+           void (*rows)(const double *, const double *, float *,
+                        int64_t, int64_t, int64_t))
+{
+    checkSameDim(name, a, b);
+    ScopedOp op(name, OpCategory::VectorElementwise);
     int64_t d = a.size(0);
     Tensor out = Tensor::uninitialized({d});
     auto pa = a.data();
     auto pb = b.data();
-    auto po = out.data();
-    // Output elements are independent dot products; parallel over i is
-    // bit-identical to the serial schoolbook loop.
+    std::vector<double> wa(pa.begin(), pa.end());
+    std::vector<double> wbb(2 * pb.size());
+    std::copy(pb.begin(), pb.end(), wbb.begin());
+    std::copy(pb.begin(), pb.end(), wbb.begin() + d);
+    float *po = out.data().data();
+    // Chunks of whole 32-output blocks, the kernel's widest step.
+    constexpr int64_t block = 32;
     util::parallelFor(
-        0, d, util::grainFor(2.0 * static_cast<double>(d)),
+        0, d,
+        block * util::grainFor(2.0 * block * static_cast<double>(d)),
         [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; i++) {
-                double acc = 0.0;
-                for (int64_t j = 0; j < d; j++) {
-                    acc += static_cast<double>(
-                               pa[static_cast<size_t>(j)]) *
-                           pb[static_cast<size_t>(
-                               ((i - j) % d + d) % d)];
-                }
-                po[static_cast<size_t>(i)] =
-                    static_cast<float>(acc);
-            }
+            rows(wa.data(), wbb.data(), po, i0, i1, d);
         });
     auto n = static_cast<double>(d);
     op.setFlops(2.0 * n * n);
@@ -177,35 +186,20 @@ circularConvolve(const Tensor &a, const Tensor &b)
     return out;
 }
 
+} // namespace
+
+Tensor
+circularConvolve(const Tensor &a, const Tensor &b)
+{
+    return circularOp("circular_conv", a, b,
+                      util::simd::circularConvRows);
+}
+
 Tensor
 circularCorrelate(const Tensor &a, const Tensor &b)
 {
-    checkSameDim("circular_corr", a, b);
-    ScopedOp op("circular_corr", OpCategory::VectorElementwise);
-    int64_t d = a.size(0);
-    Tensor out = Tensor::uninitialized({d});
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    util::parallelFor(
-        0, d, util::grainFor(2.0 * static_cast<double>(d)),
-        [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; i++) {
-                double acc = 0.0;
-                for (int64_t j = 0; j < d; j++) {
-                    acc += static_cast<double>(
-                               pa[static_cast<size_t>(j)]) *
-                           pb[static_cast<size_t>((j + i) % d)];
-                }
-                po[static_cast<size_t>(i)] =
-                    static_cast<float>(acc);
-            }
-        });
-    auto n = static_cast<double>(d);
-    op.setFlops(2.0 * n * n);
-    op.setBytesRead((n + n * n) * elemBytes);
-    op.setBytesWritten(n * elemBytes);
-    return out;
+    return circularOp("circular_corr", a, b,
+                      util::simd::circularCorrRows);
 }
 
 Tensor

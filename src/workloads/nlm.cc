@@ -1,6 +1,7 @@
 #include "workloads/nlm.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "cache/precompute.hh"
 #include "core/profiler.hh"
@@ -22,23 +23,38 @@ using tensor::Tensor;
 namespace
 {
 
-/** Gate steepness for the constructed boolean MLPs. */
-constexpr float gateGain = 8.0f;
+/**
+ * Copies one c-float channel row and returns the end of the copy.
+ * NLM's groups carry a few channels each, so the copy is inlined 16
+ * bytes at a time rather than made a library call per row.
+ */
+inline float *
+copyRow(const float *from, int64_t c, float *dst)
+{
+    int64_t ch = 0;
+    for (; ch + 4 <= c; ch += 4)
+        std::memcpy(dst + ch, from + ch, 4 * sizeof(float));
+    for (; ch < c; ch++)
+        dst[ch] = from[ch];
+    return dst + c;
+}
 
-/** Expand a unary group to binary: channels [u_i..., u_j...]. */
+} // namespace
+
 Tensor
-expandUnary(const Tensor &unary)
+nlmExpandUnary(const Tensor &unary)
 {
     ScopedOp op("nlm_expand", OpCategory::DataTransform);
     int64_t n = unary.size(0);
     int64_t c = unary.size(1);
-    Tensor out({n, n, 2 * c});
+    // Every element is one of the row copies below.
+    Tensor out = Tensor::uninitialized({n, n, 2 * c});
+    const float *src = unary.data().data();
+    float *dst = out.data().data();
     for (int64_t i = 0; i < n; i++) {
         for (int64_t j = 0; j < n; j++) {
-            for (int64_t ch = 0; ch < c; ch++) {
-                out(i, j, ch) = unary(i, ch);
-                out(i, j, c + ch) = unary(j, ch);
-            }
+            dst = copyRow(src + i * c, c, dst);
+            dst = copyRow(src + j * c, c, dst);
         }
     }
     op.setBytesRead(static_cast<double>(unary.numel()) * 4.0);
@@ -46,37 +62,24 @@ expandUnary(const Tensor &unary)
     return out;
 }
 
-/**
- * Expand a binary group to ternary with all argument orders: output
- * channel p*C + ch holds B[a, b, ch] where (a, b) is the p-th pair of
- * (i, j, k) in the fixed order (i,j), (i,k), (j,i), (j,k), (k,i),
- * (k,j).
- */
 Tensor
-expandBinaryPerms(const Tensor &binary)
+nlmExpandBinaryPerms(const Tensor &binary)
 {
     ScopedOp op("nlm_expand", OpCategory::DataTransform);
     int64_t n = binary.size(0);
     int64_t c = binary.size(2);
-    Tensor out({n, n, n, 6 * c});
+    // Every element is one of the row copies below.
+    Tensor out = Tensor::uninitialized({n, n, n, 6 * c});
+    const float *src = binary.data().data();
+    float *dst = out.data().data();
+    auto row = [&](int64_t a, int64_t b) { return src + (a * n + b) * c; };
     for (int64_t i = 0; i < n; i++) {
         for (int64_t j = 0; j < n; j++) {
             for (int64_t k = 0; k < n; k++) {
-                const std::array<std::pair<int64_t, int64_t>, 6>
-                    pairs = {{{i, j},
-                              {i, k},
-                              {j, i},
-                              {j, k},
-                              {k, i},
-                              {k, j}}};
-                for (size_t p = 0; p < pairs.size(); p++) {
-                    for (int64_t ch = 0; ch < c; ch++) {
-                        out(i, j, k,
-                            static_cast<int64_t>(p) * c + ch) =
-                            binary(pairs[p].first, pairs[p].second,
-                                   ch);
-                    }
-                }
+                for (const float *from : {row(i, j), row(i, k),
+                                          row(j, i), row(j, k),
+                                          row(k, i), row(k, j)})
+                    dst = copyRow(from, c, dst);
             }
         }
     }
@@ -84,6 +87,12 @@ expandBinaryPerms(const Tensor &binary)
     op.setBytesWritten(static_cast<double>(out.numel()) * 4.0);
     return out;
 }
+
+namespace
+{
+
+/** Gate steepness for the constructed boolean MLPs. */
+constexpr float gateGain = 8.0f;
 
 /** Binary-group argument permutations: channels [B_ij..., B_ji...]. */
 Tensor
@@ -170,7 +179,7 @@ NlmWorkload::setUp(uint64_t seed)
 
     // Layer 1. Binary input channels: 0=parent, 1=eye.
     // Ternary input channel p*2+c with the pair order documented at
-    // expandBinaryPerms.
+    // nlmExpandBinaryPerms.
     {
         LayerWeights &l = layers_[0];
         l.ternaryW = Tensor::zeros({2, 12});
@@ -258,7 +267,7 @@ NlmWorkload::evaluateLayer(const Tensor &unary, const Tensor &binary,
     Tensor tern_out;
     {
         PhaseScope symbolic(Phase::Symbolic, "nlm/wiring");
-        tern_in = expandBinaryPerms(binary);
+        tern_in = nlmExpandBinaryPerms(binary);
     }
     {
         PhaseScope neural(Phase::Neural, "nlm/mlp");
@@ -269,7 +278,7 @@ NlmWorkload::evaluateLayer(const Tensor &unary, const Tensor &binary,
         PhaseScope symbolic(Phase::Symbolic, "nlm/wiring");
         Tensor reduced = reduceTernary(tern_out);
         bin_in = tensor::concat(
-            {permuteBinary(binary), expandUnary(unary), reduced},
+            {permuteBinary(binary), nlmExpandUnary(unary), reduced},
             2);
     }
     PhaseScope neural(Phase::Neural, "nlm/mlp");

@@ -27,6 +27,20 @@
 namespace nsbench::workloads
 {
 
+/**
+ * The nlm_expand op, unary to binary: out[i, j] holds the channels
+ * [u_i..., u_j...] of the [N, C] group, giving [N, N, 2C].
+ */
+tensor::Tensor nlmExpandUnary(const tensor::Tensor &unary);
+
+/**
+ * The nlm_expand op, binary to ternary with all argument orders:
+ * output channel p*C + ch of out[i, j, k] holds B[a, b, ch], where
+ * (a, b) is the p-th pair of (i, j, k) in the fixed order (i,j),
+ * (i,k), (j,i), (j,k), (k,i), (k,j). [N, N, C] gives [N, N, N, 6C].
+ */
+tensor::Tensor nlmExpandBinaryPerms(const tensor::Tensor &binary);
+
 /** NLM configuration knobs. */
 struct NlmConfig
 {

@@ -1,6 +1,7 @@
 #include "workloads/perception.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/profiler.hh"
@@ -16,9 +17,6 @@ using tensor::Tensor;
 
 namespace
 {
-
-/** Threshold separating lit pixels from background. */
-constexpr float litThreshold = 0.02f;
 
 /** Sharpness of the template-score softmax. */
 constexpr float matchTemperature = 20.0f;
@@ -44,6 +42,34 @@ peakedPmf(int domain, int estimate)
 }
 
 } // namespace
+
+std::vector<uint64_t>
+litMask(const float *pixels, int64_t pitch, int64_t size)
+{
+    std::vector<uint64_t> mask(
+        static_cast<size_t>((size * size + 63) / 64));
+    for (int64_t y = 0; y < size; y++) {
+        for (int64_t x = 0; x < size; x++) {
+            if (pixels[y * pitch + x] > litThreshold) {
+                auto bit = static_cast<size_t>(y * size + x);
+                mask[bit / 64] |= uint64_t{1} << (bit % 64);
+            }
+        }
+    }
+    return mask;
+}
+
+float
+maskIoU(const std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
+{
+    int64_t inter = 0, uni = 0;
+    for (size_t w = 0; w < a.size(); w++) {
+        inter += std::popcount(a[w] & b[w]);
+        uni += std::popcount(a[w] | b[w]);
+    }
+    return uni > 0 ? static_cast<float>(inter) / static_cast<float>(uni)
+                   : 0.0f;
+}
 
 RavenPerception::RavenPerception(int grid, uint64_t seed)
     : grid_(grid), templateRenderer_(grid, seed ^ 0xbeefcafeull)
@@ -71,6 +97,8 @@ RavenPerception::RavenPerception(int grid, uint64_t seed)
                 for (int64_t x = 0; x < cell; x++)
                     cell_img(y, x) = panel(0, y, x);
             }
+            templateMasks_.push_back(
+                litMask(cell_img.data().data(), cell, cell));
             templates_.push_back(std::move(cell_img));
         }
     }
@@ -86,29 +114,15 @@ RavenPerception::storageBytes() const
 }
 
 void
-RavenPerception::matchCell(const Tensor &image, int64_t cell_row,
-                           int64_t cell_col, int64_t cell_size,
+RavenPerception::matchCell(const std::vector<uint64_t> &cell_mask,
                            Tensor &type_scores,
                            Tensor &size_scores) const
 {
     int size_domain =
         data::attributeDomain(AttributeId::Size, grid_);
 
-    for (size_t idx = 0; idx < templates_.size(); idx++) {
-        const Tensor &tpl = templates_[idx];
-        int64_t inter = 0, uni = 0;
-        for (int64_t y = 0; y < cell_size; y++) {
-            for (int64_t x = 0; x < cell_size; x++) {
-                bool a = image(0, cell_row + y, cell_col + x) >
-                         litThreshold;
-                bool b = tpl(y, x) > litThreshold;
-                inter += (a && b) ? 1 : 0;
-                uni += (a || b) ? 1 : 0;
-            }
-        }
-        float iou = uni > 0 ? static_cast<float>(inter) /
-                                  static_cast<float>(uni)
-                            : 0.0f;
+    for (size_t idx = 0; idx < templateMasks_.size(); idx++) {
+        float iou = maskIoU(cell_mask, templateMasks_[idx]);
         auto t = static_cast<int64_t>(idx) / size_domain;
         auto s = static_cast<int64_t>(idx) % size_domain;
         type_scores(t) = std::max(type_scores(t), iou);
@@ -216,7 +230,9 @@ RavenPerception::estimate(const Tensor &image)
             Tensor cell_size({size_domain});
             const auto &[row, col] =
                 occupied_cells[static_cast<size_t>(c)];
-            matchCell(image, row, col, cell, cell_type, cell_size);
+            matchCell(litMask(image.data().data() + row * hw + col, hw,
+                              cell),
+                      cell_type, cell_size);
             for (int64_t t = 0; t < type_domain; t++)
                 type_mat(c, t) = cell_type(t);
             for (int64_t sz = 0; sz < size_domain; sz++)

@@ -15,6 +15,7 @@
 #define NSBENCH_WORKLOADS_PERCEPTION_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,25 @@
 
 namespace nsbench::workloads
 {
+
+/** Threshold separating lit pixels from background. */
+inline constexpr float litThreshold = 0.02f;
+
+/**
+ * Lit-pixel bitmask of a size x size window whose rows start @p pitch
+ * floats apart: bit y * size + x is set when pixel (y, x) exceeds
+ * litThreshold.
+ */
+std::vector<uint64_t> litMask(const float *pixels, int64_t pitch,
+                              int64_t size);
+
+/**
+ * Intersection over union of two equal-length lit masks: the pixel
+ * counts popcount(a AND b) / popcount(a OR b), or 0 when both are
+ * empty.
+ */
+float maskIoU(const std::vector<uint64_t> &a,
+              const std::vector<uint64_t> &b);
 
 /** Per-attribute PMFs for one perceived panel. */
 struct PanelBelief
@@ -74,13 +94,18 @@ class RavenPerception
   private:
     int grid_;
     std::unique_ptr<nn::Sequential> trunk_;
-    /** Rendered cell templates per (type, size), at panel resolution. */
+    /** Rendered cell templates per (type, size), at panel resolution:
+     *  the stored model state that storageBytes() counts. */
     std::vector<tensor::Tensor> templates_;
+    /** Lit-pixel bitmask of each template, what matchCell reads. */
+    std::vector<std::vector<uint64_t>> templateMasks_;
     data::RavenGenerator templateRenderer_;
 
-    /** Template-matching estimate of (type, size) for one cell. */
-    void matchCell(const tensor::Tensor &image, int64_t cell_row,
-                   int64_t cell_col, int64_t cell_size,
+    /**
+     * Template-matching estimate of (type, size) for one cell: the
+     * IoU of the cell's lit-pixel bitmask with each template's.
+     */
+    void matchCell(const std::vector<uint64_t> &cell_mask,
                    tensor::Tensor &type_scores,
                    tensor::Tensor &size_scores) const;
 

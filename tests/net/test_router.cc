@@ -27,6 +27,7 @@
 #include "net/tcp_server.hh"
 #include "serve/presets.hh"
 #include "serve/server.hh"
+#include "util/rng.hh"
 #include "workloads/register.hh"
 
 namespace
@@ -112,6 +113,33 @@ TEST_F(NetRouter, PlacementIsDeterministicAndSpreadsKeys)
     // 64 keys over 3 backends with 64 virtual nodes each: every
     // backend must own a nonempty share.
     EXPECT_EQ(population.size(), backends.size());
+}
+
+TEST_F(NetRouter, TwoBackendRingSharesStayBalanced)
+{
+    // Placement only: no backend is started (the router's clients
+    // dial lazily). Over 64 seeded port pairs, each backend of a
+    // two-backend ring must own 30-70% of 4096 keys.
+    util::Rng rng(20261017);
+    for (int pair = 0; pair < 64; pair++) {
+        auto port0 = rng.uniformInt(1024, 65535);
+        auto port1 = rng.uniformInt(1024, 65535);
+        if (port1 == port0)
+            port1 = port0 == 65535 ? 1024 : port0 + 1;
+        net::RouterOptions options;
+        options.backends = {"127.0.0.1:" + std::to_string(port0),
+                            "127.0.0.1:" + std::to_string(port1)};
+        options.hedging = false;
+        net::Router router(options);
+
+        const int keys = 4096;
+        int owned = 0;
+        for (uint64_t seed = 0; seed < keys; seed++)
+            owned += router.shardOf("LNN", 0, seed) == 0 ? 1 : 0;
+        double share = static_cast<double>(owned) / keys;
+        EXPECT_GE(share, 0.30) << "ports " << port0 << ", " << port1;
+        EXPECT_LE(share, 0.70) << "ports " << port0 << ", " << port1;
+    }
 }
 
 TEST_F(NetRouter, ForwardsWithCacheAffinity)

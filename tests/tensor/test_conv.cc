@@ -135,4 +135,20 @@ TEST(Conv2dDeath, KernelTooLarge)
     EXPECT_DEATH(conv2d(input, weight, Tensor()), "kernel exceeds");
 }
 
+// (3 - 4) / 2 truncates to 0, so a check on the divided extent would
+// accept these shapes with one output row and column.
+TEST(Conv2dDeath, KernelTooLargeAtStrideTwo)
+{
+    Tensor input = Tensor::ones({1, 1, 3, 3});
+    Tensor weight = Tensor::ones({1, 1, 4, 4});
+    EXPECT_DEATH(conv2d(input, weight, Tensor(), 2, 0),
+                 "kernel exceeds");
+}
+
+TEST(MaxPool2dDeath, KernelTooLargeAtStrideTwo)
+{
+    Tensor input = Tensor::ones({1, 1, 3, 3});
+    EXPECT_DEATH(maxPool2d(input, 4, 2), "kernel exceeds");
+}
+
 } // namespace

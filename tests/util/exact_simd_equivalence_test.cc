@@ -1,0 +1,499 @@
+/**
+ * @file
+ * The order-preserving kernels against the direct loops they replaced.
+ *
+ * circular_conv / circular_corr, conv2d, nlm_expand and the
+ * template_match IoU run many outputs at once but keep each output's
+ * exact accumulation order. The loops they replaced stay here as
+ * oracles, and every output is compared byte for byte (memcmp) under
+ * the scalar backend and, on AVX2 hosts, the AVX2 backend, each at pool
+ * widths 1, 4 and 13.
+ *
+ * The file is linked a second time with golden/poison_new.cc (test
+ * prefix Poisoned.), so every fresh tensor buffer starts as NaN bytes:
+ * an output element a rewrite forgets to write then fails the
+ * comparison instead of reading a zero by luck.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "tensor/ops.hh"
+#include "tensor/tensor.hh"
+#include "util/rng.hh"
+#include "util/simd.hh"
+#include "util/threadpool.hh"
+#include "vsa/ops.hh"
+#include "workloads/nlm.hh"
+#include "workloads/perception.hh"
+
+namespace
+{
+
+using namespace nsbench;
+using nsbench::tensor::Tensor;
+using nsbench::util::Rng;
+using nsbench::util::ThreadPool;
+namespace simd = nsbench::util::simd;
+
+const std::vector<int> kWidths = {1, 4, 13};
+
+std::vector<simd::Backend>
+backends()
+{
+    std::vector<simd::Backend> all = {simd::Backend::Scalar};
+    if (simd::avx2Supported())
+        all.push_back(simd::Backend::Avx2);
+    return all;
+}
+
+/** Index of the first element whose bytes differ, or -1. */
+int64_t
+firstMismatch(const Tensor &got, const Tensor &want)
+{
+    auto g = got.data();
+    auto w = want.data();
+    for (size_t i = 0; i < w.size(); i++) {
+        if (std::memcmp(&g[i], &w[i], sizeof(float)) != 0)
+            return static_cast<int64_t>(i);
+    }
+    return -1;
+}
+
+/** Runs fn under every backend and pool width; each result must carry
+ * exactly the oracle's bytes. */
+void
+expectSameBytes(const Tensor &want, const std::function<Tensor()> &fn,
+                const std::string &what)
+{
+    for (simd::Backend backend : backends()) {
+        simd::setBackend(backend);
+        for (int width : kWidths) {
+            ThreadPool::setGlobalThreads(width);
+            Tensor got = fn();
+            ASSERT_EQ(got.shape(), want.shape()) << what;
+            ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.data().size_bytes()),
+                      0)
+                << what << ", " << simd::backendName(backend)
+                << " backend, width " << width
+                << ": first mismatch at element "
+                << firstMismatch(got, want);
+        }
+    }
+}
+
+class ExactSimdEquivalence : public testing::Test
+{
+  protected:
+    ~ExactSimdEquivalence() override
+    {
+        simd::resetBackend();
+        ThreadPool::setGlobalThreads(0);
+    }
+};
+
+// ---------------------------------------------------------------------
+// Oracles: the loops as they were before the rewrite.
+// ---------------------------------------------------------------------
+
+Tensor
+circularConvOracle(const Tensor &a, const Tensor &b)
+{
+    int64_t d = a.size(0);
+    Tensor out({d});
+    auto pa = a.data();
+    auto pb = b.data();
+    auto po = out.data();
+    for (int64_t i = 0; i < d; i++) {
+        double acc = 0.0;
+        for (int64_t j = 0; j < d; j++) {
+            acc += static_cast<double>(pa[static_cast<size_t>(j)]) *
+                   pb[static_cast<size_t>(((i - j) % d + d) % d)];
+        }
+        po[static_cast<size_t>(i)] = static_cast<float>(acc);
+    }
+    return out;
+}
+
+Tensor
+circularCorrOracle(const Tensor &a, const Tensor &b)
+{
+    int64_t d = a.size(0);
+    Tensor out({d});
+    auto pa = a.data();
+    auto pb = b.data();
+    auto po = out.data();
+    for (int64_t i = 0; i < d; i++) {
+        double acc = 0.0;
+        for (int64_t j = 0; j < d; j++) {
+            acc += static_cast<double>(pa[static_cast<size_t>(j)]) *
+                   pb[static_cast<size_t>((j + i) % d)];
+        }
+        po[static_cast<size_t>(i)] = static_cast<float>(acc);
+    }
+    return out;
+}
+
+Tensor
+conv2dOracle(const Tensor &input, const Tensor &weight, const Tensor &bias,
+             int64_t stride, int64_t padding)
+{
+    int64_t n = input.size(0), c = input.size(1);
+    int64_t h = input.size(2), w = input.size(3);
+    int64_t o = weight.size(0);
+    int64_t kh = weight.size(2), kw = weight.size(3);
+    int64_t oh = (h + 2 * padding - kh) / stride + 1;
+    int64_t ow = (w + 2 * padding - kw) / stride + 1;
+    Tensor out({n, o, oh, ow});
+    auto src = input.data();
+    auto wt = weight.data();
+    auto dst = out.data();
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t oc = 0; oc < o; oc++) {
+            float bias_v = bias.empty() ? 0.0f : bias.flat(oc);
+            for (int64_t oy = 0; oy < oh; oy++) {
+                for (int64_t ox = 0; ox < ow; ox++) {
+                    float acc = bias_v;
+                    int64_t iy0 = oy * stride - padding;
+                    int64_t ix0 = ox * stride - padding;
+                    for (int64_t ic = 0; ic < c; ic++) {
+                        for (int64_t ky = 0; ky < kh; ky++) {
+                            int64_t iy = iy0 + ky;
+                            if (iy < 0 || iy >= h)
+                                continue;
+                            for (int64_t kx = 0; kx < kw; kx++) {
+                                int64_t ix = ix0 + kx;
+                                if (ix < 0 || ix >= w)
+                                    continue;
+                                acc += src[static_cast<size_t>(
+                                           ((b * c + ic) * h + iy) * w +
+                                           ix)] *
+                                       wt[static_cast<size_t>(
+                                           ((oc * c + ic) * kh + ky) *
+                                               kw +
+                                           kx)];
+                            }
+                        }
+                    }
+                    dst[static_cast<size_t>(
+                        ((b * o + oc) * oh + oy) * ow + ox)] = acc;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+Tensor
+expandUnaryOracle(const Tensor &unary)
+{
+    int64_t n = unary.size(0);
+    int64_t c = unary.size(1);
+    Tensor out({n, n, 2 * c});
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < n; j++) {
+            for (int64_t ch = 0; ch < c; ch++) {
+                out(i, j, ch) = unary(i, ch);
+                out(i, j, c + ch) = unary(j, ch);
+            }
+        }
+    }
+    return out;
+}
+
+Tensor
+expandBinaryPermsOracle(const Tensor &binary)
+{
+    int64_t n = binary.size(0);
+    int64_t c = binary.size(2);
+    Tensor out({n, n, n, 6 * c});
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < n; j++) {
+            for (int64_t k = 0; k < n; k++) {
+                const std::array<std::pair<int64_t, int64_t>, 6>
+                    pairs = {{{i, j},
+                              {i, k},
+                              {j, i},
+                              {j, k},
+                              {k, i},
+                              {k, j}}};
+                for (size_t p = 0; p < pairs.size(); p++) {
+                    for (int64_t ch = 0; ch < c; ch++) {
+                        out(i, j, k,
+                            static_cast<int64_t>(p) * c + ch) =
+                            binary(pairs[p].first, pairs[p].second,
+                                   ch);
+                    }
+                }
+            }
+        }
+    }
+    return out;
+}
+
+/** template_match's per-pixel IoU of one cell against one template. */
+float
+pixelIoUOracle(const Tensor &image, int64_t cell_row, int64_t cell_col,
+               const Tensor &tpl, int64_t cell_size)
+{
+    int64_t inter = 0, uni = 0;
+    for (int64_t y = 0; y < cell_size; y++) {
+        for (int64_t x = 0; x < cell_size; x++) {
+            bool a = image(0, cell_row + y, cell_col + x) >
+                     workloads::litThreshold;
+            bool b = tpl(y, x) > workloads::litThreshold;
+            inter += (a && b) ? 1 : 0;
+            uni += (a || b) ? 1 : 0;
+        }
+    }
+    return uni > 0 ? static_cast<float>(inter) / static_cast<float>(uni)
+                   : 0.0f;
+}
+
+// ---------------------------------------------------------------------
+// circular_conv / circular_corr
+// ---------------------------------------------------------------------
+
+// Wrap points, odd d and every remainder of the 32- and 4-output
+// blocks, up to the largest hypervector NVSA uses.
+const std::vector<int64_t> kCircularDims = {
+    1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1023, 1024, 2048};
+
+TEST_F(ExactSimdEquivalence, CircularConvolutionMatchesSchoolbook)
+{
+    for (int64_t d : kCircularDims) {
+        for (bool gaussian : {false, true}) {
+            Rng rng(static_cast<uint64_t>(1000 + d));
+            Tensor a = gaussian ? Tensor::randn({d}, rng)
+                                : Tensor::bipolar({d}, rng);
+            Tensor b = gaussian ? Tensor::randn({d}, rng)
+                                : Tensor::bipolar({d}, rng);
+            std::string what = "d " + std::to_string(d) +
+                               (gaussian ? " gaussian" : " bipolar");
+            expectSameBytes(circularConvOracle(a, b),
+                            [&] { return vsa::circularConvolve(a, b); },
+                            "conv " + what);
+            expectSameBytes(circularCorrOracle(a, b),
+                            [&] { return vsa::circularCorrelate(a, b); },
+                            "corr " + what);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// conv2d
+// ---------------------------------------------------------------------
+
+struct ConvCase
+{
+    int64_t n, c, h, w, o, k, stride, padding;
+    bool bias;
+};
+
+std::string
+describe(const ConvCase &cc)
+{
+    return "n" + std::to_string(cc.n) + " c" + std::to_string(cc.c) +
+           " " + std::to_string(cc.h) + "x" + std::to_string(cc.w) +
+           " o" + std::to_string(cc.o) + " k" + std::to_string(cc.k) +
+           " s" + std::to_string(cc.stride) + " p" +
+           std::to_string(cc.padding) + (cc.bias ? " bias" : "");
+}
+
+void
+checkConv(const ConvCase &cc, Rng &rng)
+{
+    Tensor input = Tensor::randn({cc.n, cc.c, cc.h, cc.w}, rng);
+    Tensor weight = Tensor::randn({cc.o, cc.c, cc.k, cc.k}, rng);
+    Tensor bias = cc.bias ? Tensor::randn({cc.o}, rng) : Tensor();
+    expectSameBytes(
+        conv2dOracle(input, weight, bias, cc.stride, cc.padding),
+        [&] {
+            return tensor::conv2d(input, weight, bias, cc.stride,
+                                  cc.padding);
+        },
+        describe(cc));
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dMatchesDirectLoop)
+{
+    Rng rng(4242);
+    int index = 0;
+    for (int64_t k : {1, 3, 5, 8, 10}) {
+        for (int64_t padding : {0, 1, 2}) {
+            // Interior (all-taps-inside) widths: below one vector,
+            // exactly one, and 8m + r for each block size the kernel
+            // uses, so every overlap and remainder path runs.
+            for (int64_t interior : {3, 8, 13, 19, 27, 35, 40}) {
+                ConvCase cc{};
+                cc.n = index % 2 == 0 ? 2 : 1;
+                cc.c = std::vector<int64_t>{1, 3, 8}[index % 3];
+                cc.h = k + 2;
+                cc.w = interior + k - 1;
+                cc.o = 2;
+                cc.k = k;
+                cc.stride = 1;
+                cc.padding = padding;
+                cc.bias = index % 4 != 3;
+                index++;
+                checkConv(cc, rng);
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dStrideAndWorkloadShapes)
+{
+    Rng rng(777);
+    std::vector<ConvCase> cases = {
+        // Stride 2: scalar on both backends, same skip rule.
+        {2, 3, 9, 9, 2, 3, 2, 1, true},
+        {1, 1, 17, 20, 3, 1, 2, 0, false},
+        {2, 8, 12, 19, 2, 5, 2, 2, true},
+        {1, 3, 20, 40, 2, 3, 2, 0, true},
+        // Kernel wider than the input, fitting only with padding.
+        {1, 2, 3, 3, 2, 5, 1, 1, true},
+        {1, 1, 6, 12, 1, 10, 1, 2, false},
+        // The workload shapes: perception trunk (48x48, 1->8 and
+        // 8->16), ZeroC's shared net (32x32) and an energy kernel.
+        {2, 1, 48, 48, 8, 3, 1, 1, true},
+        {1, 8, 48, 48, 16, 3, 1, 1, true},
+        {1, 1, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 8, 3, 1, 1, true},
+        {1, 1, 32, 32, 1, 7, 1, 0, false},
+    };
+    for (const ConvCase &cc : cases) {
+        checkConv(cc, rng);
+        if (HasFailure())
+            return;
+    }
+}
+
+// ---------------------------------------------------------------------
+// nlm_expand
+// ---------------------------------------------------------------------
+
+TEST_F(ExactSimdEquivalence, NlmExpandUnaryMatchesLoop)
+{
+    Rng rng(31);
+    for (int64_t n : {1, 2, 5, 24}) {
+        for (int64_t c : {1, 2, 3, 8}) {
+            Tensor unary = Tensor::randn({n, c}, rng);
+            expectSameBytes(
+                expandUnaryOracle(unary),
+                [&] { return workloads::nlmExpandUnary(unary); },
+                "unary n " + std::to_string(n) + " c " +
+                    std::to_string(c));
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, NlmExpandBinaryPermsMatchesLoop)
+{
+    Rng rng(37);
+    for (int64_t n : {1, 2, 5, 24}) {
+        for (int64_t c : {1, 2, 8}) {
+            Tensor binary = Tensor::randn({n, n, c}, rng);
+            expectSameBytes(
+                expandBinaryPermsOracle(binary),
+                [&] { return workloads::nlmExpandBinaryPerms(binary); },
+                "binary n " + std::to_string(n) + " c " +
+                    std::to_string(c));
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// template_match
+// ---------------------------------------------------------------------
+
+/** A [1, size, size] image mixing threshold edge values and noise. */
+Tensor
+edgyImage(int64_t size, Rng &rng)
+{
+    const std::vector<float> edges = {
+        0.0f,
+        -0.0f,
+        workloads::litThreshold,
+        std::nextafter(workloads::litThreshold, 1.0f),
+        std::nextafter(workloads::litThreshold, 0.0f),
+        -0.5f,
+        1.0f,
+        std::numeric_limits<float>::quiet_NaN()};
+    Tensor image({1, size, size});
+    for (float &v : image.data()) {
+        v = rng.bernoulli(0.5)
+                ? edges[static_cast<size_t>(rng.uniformInt(
+                      0, static_cast<int64_t>(edges.size()) - 1))]
+                : static_cast<float>(rng.uniformDouble(-0.05, 0.1));
+    }
+    return image;
+}
+
+TEST_F(ExactSimdEquivalence, TemplateIoUMatchesPixelLoop)
+{
+    Rng rng(53);
+    // Cell sizes of the 1x1, 2x2 and 3x3 grids on 48-pixel panels,
+    // plus word-boundary sizes.
+    for (int64_t cell : {1, 7, 8, 16, 24, 48}) {
+        int64_t hw = 2 * cell + 3;
+        Tensor image = edgyImage(hw, rng);
+        std::vector<Tensor> templates;
+        for (int t = 0; t < 5; t++) {
+            Tensor tpl = edgyImage(cell, rng).reshaped({cell, cell});
+            templates.push_back(tpl);
+        }
+        // An empty template against an empty cell has IoU 0.
+        templates.push_back(Tensor::zeros({cell, cell}));
+
+        std::vector<std::pair<int64_t, int64_t>> origins = {
+            {0, 0}, {cell, 3}, {hw - cell, hw - cell}};
+        int64_t scores = static_cast<int64_t>(origins.size() *
+                                              templates.size());
+        Tensor want({scores});
+        int64_t s = 0;
+        for (const auto &[row, col] : origins) {
+            for (const Tensor &tpl : templates)
+                want.flat(s++) =
+                    pixelIoUOracle(image, row, col, tpl, cell);
+        }
+        expectSameBytes(
+            want,
+            [&] {
+                Tensor got = Tensor::uninitialized({scores});
+                int64_t i = 0;
+                for (const auto &[row, col] : origins) {
+                    auto cell_mask = workloads::litMask(
+                        image.data().data() + row * hw + col, hw, cell);
+                    for (const Tensor &tpl : templates)
+                        got.flat(i++) = workloads::maskIoU(
+                            cell_mask,
+                            workloads::litMask(tpl.data().data(), cell,
+                                               cell));
+                }
+                return got;
+            },
+            "cell " + std::to_string(cell));
+        if (HasFailure())
+            return;
+    }
+}
+
+} // namespace
