@@ -188,7 +188,7 @@ routerOptions(bool tail_tolerant)
     // Long open window: every half-open probe to the sick shard
     // costs one request the injected delay unless its hedge covers
     // it, so probe sparingly.
-    options.retryDownSeconds = 2.0;
+    options.breaker.openSeconds = 2.0;
     if (tail_tolerant) {
         options.hedging = true;
         options.hedgeMinSamples = 16;

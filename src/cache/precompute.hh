@@ -4,8 +4,8 @@
  *
  * Workloads rebuild expensive derived structures on every setUp()
  * that are pure functions of (config, model seed) — or of the config
- * alone: NVSA/PrAE codebook layouts, the LNN grounded KB index, LTN
- * model bundles, NLM predicate tensors. When the serving runtime
+ * alone: NVSA/PrAE codebook layouts, LTN model bundles, NLM
+ * predicate tensors. When the serving runtime
  * pre-warms one replica per worker, or a sweep re-instantiates a
  * workload per point, each replica re-derives the identical bytes.
  * This cache builds such a structure once per key and hands out

@@ -2,13 +2,11 @@
  * @file
  * Grounded formula-graph index over a saturated knowledge base.
  *
- * This is the LNN workload's symbolic front half, factored out of the
- * workload so it can be memoized: for a fixed KB (i.e. a fixed model
- * seed) the saturation, the atom-id assignment and the per-rule
- * instance lists are identical on every run. The index is immutable
- * once built — per-run inference copies initialBounds into private
- * mutable state and reads everything else in place — which is what
- * makes sharing one instance across replicas and runs sound.
+ * This is the LNN workload's symbolic front half: the saturation,
+ * the atom-id assignment and the per-rule instance lists. LNN builds
+ * it on every run — grounding is half of the characterized workload
+ * — and its inference copies initialBounds into the episode's
+ * mutable neuron state, reading everything else in place.
  */
 
 #ifndef NSBENCH_LOGIC_GROUNDING_HH
@@ -46,11 +44,9 @@ struct GroundedIndex
 
 /**
  * Builds the grounded index: saturates a scratch copy of @p kb, then
- * grounds every rule into formula-graph instances. Instrumented
- * exactly like the historical in-workload path — forward chaining's
- * per-rule ops plus one "formula_grounding" op per rule — so op
- * streams are unchanged whether the caller builds or replays. Run it
- * inside the caller's symbolic phase scope.
+ * grounds every rule into formula-graph instances. Instrumented as
+ * forward chaining's per-rule ops plus one "formula_grounding" op per
+ * rule. Run it inside the caller's symbolic phase scope.
  */
 GroundedIndex buildGroundedIndex(const KnowledgeBase &kb);
 

@@ -3,6 +3,14 @@
 namespace nsbench::net
 {
 
+namespace
+{
+
+/** EWMA smoothing factor for error rate and latency. */
+constexpr double kAlpha = 0.125;
+
+} // namespace
+
 const char *
 breakerStateName(BreakerState state)
 {
@@ -25,17 +33,16 @@ CircuitBreaker::CircuitBreaker(const BreakerOptions &options)
 void
 CircuitBreaker::observe(bool failed, double latencySeconds)
 {
-    double a = options_.alpha;
     if (samples_ == 0) {
         // Seed from the first outcome so the EWMAs are meaningful
-        // immediately instead of climbing from zero for 1/alpha
+        // immediately instead of climbing from zero for 1/kAlpha
         // samples.
         errorEwma_ = failed ? 1.0 : 0.0;
         latencyEwma_ = failed ? 0.0 : latencySeconds;
     } else {
-        errorEwma_ += a * ((failed ? 1.0 : 0.0) - errorEwma_);
+        errorEwma_ += kAlpha * ((failed ? 1.0 : 0.0) - errorEwma_);
         if (!failed)
-            latencyEwma_ += a * (latencySeconds - latencyEwma_);
+            latencyEwma_ += kAlpha * (latencySeconds - latencyEwma_);
     }
     samples_++;
 }

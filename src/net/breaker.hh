@@ -56,8 +56,6 @@ struct BreakerOptions
     double openSeconds = 1.0;
     /** Concurrent probe requests admitted while half-open. */
     int halfOpenProbes = 1;
-    /** EWMA smoothing factor for error rate and latency. */
-    double alpha = 0.125;
 };
 
 /** The breaker's position in its state machine. */

@@ -16,6 +16,7 @@
 
 #include "net/translate.hh"
 #include "util/failpoint.hh"
+#include "util/fields.hh"
 #include "util/logging.hh"
 
 namespace nsbench::net
@@ -26,6 +27,22 @@ namespace
 
 using util::warn;
 using util::failpoints::sites::kNetBackendConnect;
+
+/** Bound on waiting for the HelloAck after connecting. */
+constexpr double kHandshakeTimeoutSeconds = 5.0;
+
+/** The client's transport counters, as `loadgen --connect` reports
+ *  them. */
+const util::Fields<ClientStats> kClientFields = {
+    {nullptr, "connects", &ClientStats::connects},
+    {nullptr, "connect_failures", &ClientStats::connectFailures},
+    {nullptr, "sent", &ClientStats::sent},
+    {nullptr, "received", &ClientStats::received},
+    {nullptr, "disconnects", &ClientStats::disconnects},
+    {nullptr, "orphaned", &ClientStats::orphaned},
+    {nullptr, "cancels", &ClientStats::cancelsSent},
+    {nullptr, "call_timeouts", &ClientStats::callTimeouts},
+};
 
 /** Blocking write of the whole buffer; false on any hard error. */
 bool
@@ -144,7 +161,7 @@ Client::dial(uint16_t *ackedVersion)
         wire::encodeHello(wire::HelloFrame{}, &hello);
         bool ok = sendAll(fd, hello.data(), hello.size());
         if (ok) {
-            setRecvTimeout(fd, options_.handshakeTimeoutSeconds);
+            setRecvTimeout(fd, kHandshakeTimeoutSeconds);
             std::vector<uint8_t> buf;
             ok = false;
             while (true) {
@@ -499,6 +516,14 @@ Client::stats() const
 {
     std::lock_guard<std::mutex> lock(statsMu_);
     return stats_;
+}
+
+std::string
+remoteLoadgenJson(const serve::LoadgenReport &report,
+                  const ClientStats &stats)
+{
+    return "{" + serve::reportJson("loadgen_remote", report) + "," +
+           util::json(kClientFields, stats) + "}";
 }
 
 } // namespace nsbench::net

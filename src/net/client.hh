@@ -54,8 +54,6 @@ struct ClientOptions
     int connectAttempts = 10;
     double backoffInitialSeconds = 0.05; ///< First retry delay.
     double backoffMaxSeconds = 1.0;      ///< Backoff ceiling.
-    /** Bound on waiting for the HelloAck after connecting. */
-    double handshakeTimeoutSeconds = 5.0;
     /** Extra wait call() allows past the request deadline before it
      *  gives up on a wedged-but-connected server and synthesizes an
      *  Expired response (the server normally expires the request
@@ -197,6 +195,11 @@ class Client
     mutable std::mutex statsMu_;
     ClientStats stats_;
 };
+
+/** The `loadgen --connect --json` payload: the load report plus the
+ *  client's transport counters, as one JSON object. */
+std::string remoteLoadgenJson(const serve::LoadgenReport &report,
+                              const ClientStats &stats);
 
 /**
  * serve::LoadTarget over a remote server. The workload list must be

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 #include "net/translate.hh"
+#include "util/fields.hh"
 #include "util/logging.hh"
 
 namespace nsbench::net
@@ -13,7 +13,12 @@ namespace nsbench::net
 namespace
 {
 
+using util::bump;
 using util::fatal;
+using util::load;
+
+constexpr int kVirtualNodes = 64;             ///< Ring points per backend.
+constexpr uint64_t kMaxInflightPerBackend = 256; ///< Backpressure cap.
 
 /** FNV-1a 64 over arbitrary bytes, chainable via @p seed. */
 uint64_t
@@ -74,20 +79,44 @@ parseEndpoint(const std::string &endpoint)
     return {endpoint.substr(0, colon), static_cast<uint16_t>(port)};
 }
 
-/** Minimal JSON string escaping (endpoints are host:port, but stay
- *  correct if someone routes to a hostname with odd characters). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
+using B = BackendStats;
+
+/** The backend report: table columns and `route --json` keys. The
+ *  breaker EWMAs show rounded in the table, finer in JSON. */
+const util::Fields<B> kBackendFields = {
+    {"backend", "endpoint", nullptr,
+     [](const B &b) { return b.endpoint; }, true},
+    {"state", "breaker", nullptr,
+     [](const B &b) { return b.breakerState; }, true},
+    {nullptr, "down", nullptr,
+     [](const B &b) { return std::string(b.down ? "true" : "false"); }},
+    {nullptr, "error_rate", nullptr,
+     [](const B &b) { return util::fixedStr(b.errorRate, 4); }},
+    {nullptr, "latency_ewma_seconds", nullptr,
+     [](const B &b) { return util::fixedStr(b.latencySeconds, 6); }},
+    {"inflight", "inflight", &B::inflight},
+    {"forwarded", "forwarded", &B::forwarded},
+    {"hedges", "hedges", &B::hedges},
+    {"hedge wins", "hedge_wins", &B::hedgeWins},
+    {"cancels", "cancels", &B::cancels},
+    {"failovers", "failovers", &B::failovers},
+    {"saturated", "saturated", &B::saturated},
+    {"trips", "trips", &B::downMarks},
+    {nullptr, "probes", &B::probes},
+    {"err ewma", nullptr, nullptr,
+     [](const B &b) { return util::fixedStr(b.errorRate, 3); }},
+    {"lat ewma", nullptr, nullptr,
+     [](const B &b) {
+         return util::fixedStr(b.latencySeconds * 1e3, 3) + "ms";
+     }},
+};
+
+const util::Fields<HedgeStats> kHedgeFields = {
+    {nullptr, "hedges_sent", &HedgeStats::hedgesSent},
+    {nullptr, "hedges_won", &HedgeStats::hedgesWon},
+    {nullptr, "hedges_denied", &HedgeStats::hedgesDenied},
+    {nullptr, "cancels", &HedgeStats::cancelsSent},
+};
 
 } // namespace
 
@@ -104,22 +133,21 @@ Router::Router(const RouterOptions &options) : options_(options)
     if (options_.backends.empty())
         fatal("net: router needs at least one backend");
 
-    BreakerOptions breaker = options_.breaker;
-    breaker.openSeconds = options_.retryDownSeconds;
-
     for (size_t i = 0; i < options_.backends.size(); ++i) {
         auto [host, port] = parseEndpoint(options_.backends[i]);
-        auto backend = std::make_unique<Backend>(breaker);
+        auto backend = std::make_unique<Backend>(options_.breaker);
         backend->endpoint = options_.backends[i];
-        ClientOptions client = options_.clientTemplate;
+        // Forwarding runs on the event-loop thread, so reconnect
+        // patience is traded for fast failover: one connect attempt,
+        // and the breaker's open window provides the backoff.
+        ClientOptions client;
         client.host = host;
         client.port = port;
-        client.connectAttempts = 1; // Fail fast; the breaker retries.
+        client.connectAttempts = 1;
         backend->client = std::make_unique<Client>(client);
         backends_.push_back(std::move(backend));
 
-        int points = std::max(1, options_.virtualNodes);
-        for (int v = 0; v < points; ++v) {
+        for (int v = 0; v < kVirtualNodes; ++v) {
             std::string point =
                 options_.backends[i] + "#" + std::to_string(v);
             ring_.emplace_back(fmix64(fnv1a(point.data(), point.size())),
@@ -227,14 +255,9 @@ Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
         relay->deadline, &attempt->wireId);
 
     if (admitted == serve::RequestStatus::Ok) {
-        backend.forwarded.fetch_add(1, std::memory_order_relaxed);
-        if (hedge) {
-            backend.hedges.fetch_add(1, std::memory_order_relaxed);
-            hedgesSent_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            primaryForwarded_.fetch_add(1,
-                                        std::memory_order_relaxed);
-        }
+        bump(backend.counts.forwarded);
+        if (hedge)
+            bump(backend.counts.hedges);
         {
             std::lock_guard<std::mutex> lock(relay->mu);
             relay->attempts.push_back(attempt);
@@ -245,8 +268,7 @@ Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
         if (relay->responded.load(std::memory_order_acquire) &&
             attempt->wireId != 0) {
             backend.client->cancel(attempt->wireId);
-            backend.cancels.fetch_add(1, std::memory_order_relaxed);
-            cancelsSent_.fetch_add(1, std::memory_order_relaxed);
+            bump(backend.counts.cancels);
         }
         return admitted;
     }
@@ -254,7 +276,7 @@ Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
     backend.inflight.fetch_sub(1, std::memory_order_relaxed);
     if (admitted == serve::RequestStatus::RejectedUnreachable) {
         backend.breaker.onUnreachable(nowUs());
-        backend.failovers.fetch_add(1, std::memory_order_relaxed);
+        bump(backend.counts.failovers);
     }
     return admitted;
 }
@@ -297,7 +319,7 @@ Router::complete(const RelayPtr &relay,
     if (response.status == serve::RequestStatus::Failed &&
         !relay->responded.load(std::memory_order_acquire) &&
         retryElsewhere(relay, attempt->hedge)) {
-        backend.failovers.fetch_add(1, std::memory_order_relaxed);
+        bump(backend.counts.failovers);
         return;
     }
 
@@ -305,10 +327,8 @@ Router::complete(const RelayPtr &relay,
     if (relay->responded.exchange(true, std::memory_order_acq_rel))
         return;
 
-    if (attempt->hedge) {
-        backend.hedgeWins.fetch_add(1, std::memory_order_relaxed);
-        hedgesWon_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (attempt->hedge)
+        bump(backend.counts.hedgeWins);
     metrics_.recordOutcome(relay->workload, response);
     relay->session->respond(toFrame(response, relay->id));
     cancelLosers(relay, attempt.get());
@@ -327,9 +347,7 @@ Router::cancelLosers(const RelayPtr &relay, const Attempt *winner)
     }
     for (const auto &[index, wire_id] : losers) {
         backends_[index]->client->cancel(wire_id);
-        backends_[index]->cancels.fetch_add(
-            1, std::memory_order_relaxed);
-        cancelsSent_.fetch_add(1, std::memory_order_relaxed);
+        bump(backends_[index]->counts.cancels);
     }
 }
 
@@ -410,9 +428,8 @@ Router::retryElsewhere(const RelayPtr &relay, bool hedge)
             continue;
         Backend &backend = *backends_[index];
         if (backend.inflight.load(std::memory_order_relaxed) >=
-            options_.maxInflightPerBackend) {
-            backend.saturated.fetch_add(1,
-                                        std::memory_order_relaxed);
+            kMaxInflightPerBackend) {
+            bump(backend.counts.saturated);
             continue;
         }
         if (!backend.breaker.allow(nowUs()))
@@ -429,14 +446,20 @@ Router::fireHedge(const RelayPtr &relay)
 {
     // Budget: hedges may add at most hedgeBudget extra load on top
     // of primary forwards (with a floor of one so a cold router can
-    // hedge at all).
-    uint64_t primaries =
-        primaryForwarded_.load(std::memory_order_relaxed);
+    // hedge at all). Every forward that is not a hedge is a primary;
+    // each hedge count is read after its forward count, so the
+    // difference may only undercount primaries.
+    uint64_t forwarded = 0, hedges = 0;
+    for (const auto &backend : backends_) {
+        forwarded += load(backend->counts.forwarded);
+        hedges += load(backend->counts.hedges);
+    }
+    uint64_t primaries = forwarded > hedges ? forwarded - hedges : 0;
     uint64_t allowed = std::max<uint64_t>(
         1, static_cast<uint64_t>(options_.hedgeBudget *
                                  static_cast<double>(primaries)));
-    if (hedgesSent_.load(std::memory_order_relaxed) >= allowed) {
-        hedgesDenied_.fetch_add(1, std::memory_order_relaxed);
+    if (hedges >= allowed) {
+        bump(hedgesDenied_);
         return;
     }
 
@@ -464,20 +487,19 @@ Router::handle(const FrameServer::SessionPtr &session,
     for (size_t index : relay->candidates) {
         Backend &backend = *backends_[index];
         if (backend.inflight.load(std::memory_order_relaxed) >=
-            options_.maxInflightPerBackend) {
-            backend.saturated.fetch_add(1,
-                                        std::memory_order_relaxed);
+            kMaxInflightPerBackend) {
+            bump(backend.counts.saturated);
             continue;
         }
         if (!backend.breaker.allow(nowUs())) {
-            backend.failovers.fetch_add(1,
-                                        std::memory_order_relaxed);
+            bump(backend.counts.failovers);
             continue;
         }
         serve::RequestStatus admitted =
             sendTo(relay, index, /*hedge=*/false);
         if (admitted == serve::RequestStatus::Ok) {
-            metrics_.recordAdmitted(relay->workload);
+            metrics_.count(relay->workload,
+                           &serve::WorkloadMetrics::submitted);
             scheduleHedge(relay);
             return;
         }
@@ -508,9 +530,10 @@ Router::backendStats() const
     std::vector<BackendStats> out;
     out.reserve(backends_.size());
     for (const auto &backend : backends_) {
-        BackendStats stats;
-        stats.endpoint = backend->endpoint;
+        BackendStats stats =
+            util::snapshot(kBackendFields, backend->counts);
         BreakerSnapshot snap = backend->breaker.snapshot(nowUs());
+        stats.endpoint = backend->endpoint;
         stats.down = snap.state != BreakerState::Closed;
         stats.breakerState = breakerStateName(snap.state);
         stats.errorRate = snap.errorRate;
@@ -519,18 +542,6 @@ Router::backendStats() const
         stats.probes = snap.probes;
         stats.inflight =
             backend->inflight.load(std::memory_order_relaxed);
-        stats.forwarded =
-            backend->forwarded.load(std::memory_order_relaxed);
-        stats.hedges =
-            backend->hedges.load(std::memory_order_relaxed);
-        stats.hedgeWins =
-            backend->hedgeWins.load(std::memory_order_relaxed);
-        stats.cancels =
-            backend->cancels.load(std::memory_order_relaxed);
-        stats.failovers =
-            backend->failovers.load(std::memory_order_relaxed);
-        stats.saturated =
-            backend->saturated.load(std::memory_order_relaxed);
         out.push_back(std::move(stats));
     }
     return out;
@@ -540,67 +551,50 @@ HedgeStats
 Router::hedgeStats() const
 {
     HedgeStats stats;
-    stats.hedgesSent = hedgesSent_.load(std::memory_order_relaxed);
-    stats.hedgesWon = hedgesWon_.load(std::memory_order_relaxed);
-    stats.hedgesDenied =
-        hedgesDenied_.load(std::memory_order_relaxed);
-    stats.cancelsSent =
-        cancelsSent_.load(std::memory_order_relaxed);
+    for (const BackendStats &backend : backendStats()) {
+        stats.hedgesSent += backend.hedges;
+        stats.hedgesWon += backend.hedgeWins;
+        stats.cancelsSent += backend.cancels;
+    }
+    stats.hedgesDenied = load(hedgesDenied_);
     return stats;
 }
 
 util::Table
 Router::backendTable() const
 {
-    util::Table table({"backend", "state", "inflight", "forwarded",
-                       "hedges", "hedge wins", "cancels",
-                       "failovers", "saturated", "trips",
-                       "err ewma", "lat ewma"});
+    util::Table table(util::columns(kBackendFields));
     for (const BackendStats &stats : backendStats())
-        table.addRow(
-            {stats.endpoint, stats.breakerState,
-             std::to_string(stats.inflight),
-             std::to_string(stats.forwarded),
-             std::to_string(stats.hedges),
-             std::to_string(stats.hedgeWins),
-             std::to_string(stats.cancels),
-             std::to_string(stats.failovers),
-             std::to_string(stats.saturated),
-             std::to_string(stats.downMarks),
-             util::fixedStr(stats.errorRate, 3),
-             util::fixedStr(stats.latencySeconds * 1e3, 3) + "ms"});
+        table.addRow(util::cells(kBackendFields, stats));
     return table;
 }
 
 std::string
 Router::backendJson() const
 {
-    std::ostringstream json;
-    json << "[";
-    bool first = true;
+    std::string json;
+    for (const BackendStats &stats : backendStats())
+        json += (json.empty() ? "{" : ",{") +
+                util::json(kBackendFields, stats) + "}";
+    return "[" + json + "]";
+}
+
+std::string
+Router::json() const
+{
+    std::string perBackend;
+    uint64_t forwarded = 0;
     for (const BackendStats &stats : backendStats()) {
-        if (!first)
-            json << ",";
-        first = false;
-        json << "{\"endpoint\":\"" << jsonEscape(stats.endpoint)
-             << "\",\"breaker\":\"" << stats.breakerState
-             << "\",\"down\":" << (stats.down ? "true" : "false")
-             << ",\"error_rate\":"
-             << util::fixedStr(stats.errorRate, 4)
-             << ",\"latency_ewma_seconds\":"
-             << util::fixedStr(stats.latencySeconds, 6)
-             << ",\"inflight\":" << stats.inflight
-             << ",\"forwarded\":" << stats.forwarded
-             << ",\"hedges\":" << stats.hedges
-             << ",\"hedge_wins\":" << stats.hedgeWins
-             << ",\"cancels\":" << stats.cancels
-             << ",\"failovers\":" << stats.failovers
-             << ",\"saturated\":" << stats.saturated
-             << ",\"trips\":" << stats.downMarks
-             << ",\"probes\":" << stats.probes << "}";
+        perBackend += (perBackend.empty() ? "" : ",") +
+                      std::to_string(stats.forwarded);
+        forwarded += stats.forwarded;
     }
-    json << "]";
-    return json.str();
+    return "{\"mode\":\"route\"," + metrics_.json() +
+           ",\"shed\":" + std::to_string(metrics_.total().rejected()) +
+           ",\"forwarded\":" + std::to_string(forwarded) +
+           ",\"per_backend\":[" + perBackend + "]," +
+           util::json(kHedgeFields, hedgeStats()) +
+           ",\"backends\":" + backendJson() + "}";
 }
 
 } // namespace nsbench::net

@@ -8,7 +8,7 @@
  * pieces:
  *
  *  - Consistent-hash placement: a ring of virtual nodes (FNV-1a 64
- *    through a 64-bit finalizer, `virtualNodes` points per backend)
+ *    through a 64-bit finalizer, 64 points per backend)
  *    keyed by (workload, modelSeed, episodeSeed). The same request
  *    always lands on the same backend, so each backend's result
  *    cache and single-flight table see the full repeat-rate of their
@@ -22,7 +22,7 @@
  *    latency EWMAs trip it for the subtler slow-not-dead case, where
  *    a backend answers everything but at a multiple of its peers'
  *    latency. An open breaker is walked past on the ring like a
- *    saturated backend; after `retryDownSeconds` it admits bounded
+ *    saturated backend; after `breaker.openSeconds` it admits bounded
  *    half-open probes that decide recovery. The latency reference a
  *    backend is judged against is the smallest latency EWMA among
  *    the *other* backends — the healthiest peer — so one sick shard
@@ -40,14 +40,16 @@
  *    Exactly-once relay is a first-writer-wins flag on the relay
  *    state; the losing completion only feeds health counters.
  *
- *  - Backpressure: at most `maxInflightPerBackend` forwarded
- *    requests per backend; a saturated backend is walked past like
+ *  - Backpressure: at most 256 forwarded requests per backend
+ *    (`inflight`); a saturated backend is walked past like
  *    an open-breaker one. When every backend is open or saturated
  *    the router sheds with RejectedUnreachable — it never queues.
  *
  * The router keeps its own ServerMetrics: transport counters from
  * its FrameServer, per-workload offered/rejected/latency from the
- * relay path, so `nsbench route` prints the standard tables.
+ * relay path, so `nsbench route` prints the standard tables. Its own
+ * counters are plain BackendStats fields bumped through util::bump;
+ * the reports render from one field list (router.cc).
  */
 
 #ifndef NSBENCH_NET_ROUTER_HH
@@ -80,13 +82,8 @@ struct RouterOptions
 {
     FrameServerOptions listen;          ///< Front-end bind address.
     std::vector<std::string> backends;  ///< "host:port" per shard.
-    int virtualNodes = 64;              ///< Ring points per backend.
-    uint64_t maxInflightPerBackend = 256; ///< Backpressure cap.
-    /** Open-breaker window: how long a tripped backend is walked
-     *  past before half-open probes test it again. */
-    double retryDownSeconds = 1.0;
-    /** Breaker thresholds (openSeconds is overridden by
-     *  retryDownSeconds above — one knob, not two). */
+    /** Breaker thresholds; openSeconds is how long a tripped backend
+     *  is walked past before half-open probes test it again. */
     BreakerOptions breaker;
     /** Master switch for hedged requests. */
     bool hedging = true;
@@ -103,13 +100,6 @@ struct RouterOptions
      *  denied once hedgesSent exceeds this share (≤5% extra load at
      *  the default). */
     double hedgeBudget = 0.05;
-    /**
-     * Template for backend connections. connectAttempts is forced to
-     * 1: forwarding runs on the event-loop thread, so reconnect
-     * patience is traded for fast failover (the breaker's open
-     * window provides the backoff instead).
-     */
-    ClientOptions clientTemplate;
 };
 
 /** Point-in-time per-backend counters. */
@@ -131,7 +121,7 @@ struct BackendStats
     uint64_t probes = 0;       ///< Half-open probes admitted.
 };
 
-/** Router-wide tail-tolerance counters. */
+/** Router-wide tail-tolerance counters (backend sums but one). */
 struct HedgeStats
 {
     uint64_t hedgesSent = 0;   ///< Hedge re-issues written.
@@ -174,6 +164,10 @@ class Router
      */
     std::string backendJson() const;
 
+    /** The `route --json` payload: relay and transport totals, the
+     *  hedge counters and backendJson(), as one JSON object. */
+    std::string json() const;
+
     /**
      * Ring lookup without forwarding: the backend index that
      * (workload, modelSeed, episodeSeed) maps to when every backend
@@ -186,13 +180,10 @@ class Router
     struct Backend
     {
         std::string endpoint;
+        /** A real atomic: it gates admission, not just reporting. */
         std::atomic<uint64_t> inflight{0};
-        std::atomic<uint64_t> forwarded{0};
-        std::atomic<uint64_t> hedges{0};
-        std::atomic<uint64_t> hedgeWins{0};
-        std::atomic<uint64_t> cancels{0};
-        std::atomic<uint64_t> failovers{0};
-        std::atomic<uint64_t> saturated{0};
+        /** Forwarding counters, bumped through util::bump. */
+        BackendStats counts;
 
         CircuitBreaker breaker;
 
@@ -290,11 +281,9 @@ class Router
      *  construction, so lookups are lock-free. */
     std::vector<std::pair<uint64_t, size_t>> ring_;
 
-    std::atomic<uint64_t> primaryForwarded_{0};
-    std::atomic<uint64_t> hedgesSent_{0};
-    std::atomic<uint64_t> hedgesWon_{0};
-    std::atomic<uint64_t> hedgesDenied_{0};
-    std::atomic<uint64_t> cancelsSent_{0};
+    /** The one router-wide counter; the rest of HedgeStats sums the
+     *  backends' counts. Bumped through util::bump. */
+    mutable uint64_t hedgesDenied_ = 0;
 
     /** Per-workload completion-latency p95 (hedge delay source). */
     mutable std::mutex latencyMu_;

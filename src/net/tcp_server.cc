@@ -22,10 +22,17 @@ namespace nsbench::net
 namespace
 {
 
+using serve::NetStats;
 using util::fatal;
 using util::failpoints::sites::kNetAccept;
 using util::failpoints::sites::kNetRead;
 using util::failpoints::sites::kNetWrite;
+
+constexpr int kBacklog = 128; ///< listen() backlog.
+
+/** Shutdown drain bound: how long to wait for in-flight requests to
+ *  complete and write buffers to empty before closing. */
+constexpr double kDrainSeconds = 5.0;
 
 /** Binds and listens a nonblocking IPv4 socket; dies on failure. */
 int
@@ -58,7 +65,7 @@ listenSocket(const FrameServerOptions &options, uint16_t *boundPort)
               std::to_string(options.port) +
               ") failed: " + std::strerror(err));
     }
-    if (::listen(fd, options.backlog) < 0) {
+    if (::listen(fd, kBacklog) < 0) {
         int err = errno;
         ::close(fd);
         fatal(std::string("net: listen() failed: ") +
@@ -87,7 +94,7 @@ FrameServer::Session::respond(const wire::ResponseFrame &frame)
             return;
         wire::encodeResponse(frame, &out_);
     }
-    server->metrics_.recordNetFrameOut();
+    server->metrics_.count(&NetStats::framesOut);
     server->requestFlush(shared_from_this());
 }
 
@@ -183,8 +190,7 @@ FrameServer::loop()
                 std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<
                     std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        options_.drainSeconds));
+                    std::chrono::duration<double>(kDrainSeconds));
             if (listenFd_ >= 0) {
                 ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_,
                             nullptr);
@@ -257,10 +263,10 @@ FrameServer::handleAccept()
                 continue;
             return;
         }
-        metrics_.recordNetAccept();
+        metrics_.count(&NetStats::connectionsAccepted);
         if (NSBENCH_FAILPOINT(kNetAccept)) {
             ::close(fd);
-            metrics_.recordNetClose();
+            metrics_.count(&NetStats::connectionsClosed);
             continue;
         }
         int one = 1;
@@ -288,7 +294,7 @@ FrameServer::handleReadable(const SessionPtr &session)
         uint8_t buf[4096];
         ssize_t n = ::recv(session->fd_, buf, sizeof(buf), 0);
         if (n > 0) {
-            metrics_.recordNetBytesRead(static_cast<uint64_t>(n));
+            metrics_.count(&NetStats::bytesRead, static_cast<uint64_t>(n));
             session->in_.insert(session->in_.end(), buf, buf + n);
             continue;
         }
@@ -314,7 +320,7 @@ FrameServer::handleReadable(const SessionPtr &session)
         if (result.status == wire::DecodeStatus::NeedMore)
             break;
         if (result.status == wire::DecodeStatus::Malformed) {
-            metrics_.recordNetMalformed();
+            metrics_.count(&NetStats::malformedFrames);
             closeSession(session);
             return;
         }
@@ -340,7 +346,7 @@ FrameServer::handleFrame(const SessionPtr &session,
             frame.hello.magic != wire::kMagic ||
             frame.hello.version < wire::kMinVersion ||
             frame.hello.version > wire::kVersion) {
-            metrics_.recordNetHandshakeFailure();
+            metrics_.count(&NetStats::handshakeFailures);
             closeSession(session);
             return;
         }
@@ -356,7 +362,7 @@ FrameServer::handleFrame(const SessionPtr &session,
             ack.version = session->version_;
             wire::encodeHelloAck(ack, &session->out_);
         }
-        metrics_.recordNetFrameOut();
+        metrics_.count(&NetStats::framesOut);
         if (!flushSession(session))
             closeSession(session);
         else
@@ -369,7 +375,7 @@ FrameServer::handleFrame(const SessionPtr &session,
         // Advisory: prune if possible, never acknowledge. Does not
         // touch the inflight accounting — the canceled request still
         // gets its response.
-        metrics_.recordNetFrameIn();
+        metrics_.count(&NetStats::framesIn);
         if (cancelHandler_)
             cancelHandler_(session, frame.cancel.id);
         return;
@@ -378,12 +384,12 @@ FrameServer::handleFrame(const SessionPtr &session,
     if (frame.type != wire::FrameType::Request) {
         // A handshaken client may only send requests (plus Cancel on
         // v2 connections); anything else is a protocol violation.
-        metrics_.recordNetMalformed();
+        metrics_.count(&NetStats::malformedFrames);
         closeSession(session);
         return;
     }
 
-    metrics_.recordNetFrameIn();
+    metrics_.count(&NetStats::framesIn);
     {
         std::lock_guard<std::mutex> lock(session->mu_);
         session->inflight_++;
@@ -412,7 +418,7 @@ FrameServer::flushSession(const SessionPtr &session)
             session->fd_, session->out_.data() + session->outOffset_,
             session->out_.size() - session->outOffset_, MSG_NOSIGNAL);
         if (n > 0) {
-            metrics_.recordNetBytesWritten(static_cast<uint64_t>(n));
+            metrics_.count(&NetStats::bytesWritten, static_cast<uint64_t>(n));
             session->outOffset_ += static_cast<size_t>(n);
             continue;
         }
@@ -491,7 +497,7 @@ FrameServer::closeSession(const SessionPtr &session)
         session->out_.clear();
         session->outOffset_ = 0;
     }
-    metrics_.recordNetClose();
+    metrics_.count(&NetStats::connectionsClosed);
 }
 
 TcpServer::TcpServer(serve::Server &server,
@@ -508,6 +514,13 @@ TcpServer::TcpServer(serve::Server &server,
         [this](const FrameServer::SessionPtr &session, uint64_t id) {
             handleCancel(session, id);
         });
+}
+
+std::string
+TcpServer::json() const
+{
+    return "{\"mode\":\"serve_listen\"," + server_.metrics().json() +
+           "}";
 }
 
 void

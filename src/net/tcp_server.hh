@@ -61,10 +61,6 @@ struct FrameServerOptions
 {
     std::string host = "127.0.0.1"; ///< Bind address (IPv4 dotted).
     uint16_t port = 0;              ///< 0 -> kernel-assigned port.
-    int backlog = 128;              ///< listen() backlog.
-    /** Shutdown drain bound: how long to wait for in-flight requests
-     *  to complete and write buffers to empty before closing. */
-    double drainSeconds = 5.0;
 };
 
 /**
@@ -150,7 +146,7 @@ class FrameServer
 
     /**
      * Graceful stop: closes the listener, answers further request
-     * frames with RejectedShutdown, waits up to drainSeconds for
+     * frames with RejectedShutdown, waits up to five seconds for
      * in-flight requests and queued output, closes all connections
      * and joins the loop thread. Idempotent, callable from any
      * thread except the loop itself.
@@ -213,6 +209,10 @@ class TcpServer
 
     /** Graceful drain; idempotent (also runs on destruction). */
     void shutdown() { frames_->shutdown(); }
+
+    /** The `serve --listen --json` payload: the server's outcome and
+     *  transport totals as one JSON object. */
+    std::string json() const;
 
   private:
     void handle(const FrameServer::SessionPtr &session,

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
+#include "util/fields.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/timer.hh"
@@ -55,15 +57,30 @@ class MixSampler
     std::vector<double> weights_;
 };
 
-/** Shared completion accounting for one loadgen window. */
+/**
+ * Outcome accounting for one loadgen window. Every request ends in
+ * exactly one status, from submit() or from its callback, and is
+ * counted where the shared status table (statusRow) says: a
+ * rejection is never an admission, however it arrived.
+ */
 struct Tracker
 {
     std::mutex mu;
     std::condition_variable cv;
     uint64_t outstanding = 0;
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> expired{0};
-    std::atomic<uint64_t> failed{0};
+    WorkloadMetrics counts;
+
+    /** Counts one request that ended with @p status; @p settles
+     *  when it held a makeCallback() slot (its callback fired, or its
+     *  submit was rejected and the callback never will). */
+    void
+    count(RequestStatus status, bool settles = false)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        counts.*statusRow(status).counter += 1;
+        if (settles && --outstanding == 0)
+            cv.notify_all();
+    }
 
     Callback
     makeCallback()
@@ -73,16 +90,7 @@ struct Tracker
             outstanding++;
         }
         return [this](const Response &response) {
-            if (response.status == RequestStatus::Ok)
-                completed.fetch_add(1, std::memory_order_relaxed);
-            else if (response.status == RequestStatus::Failed)
-                failed.fetch_add(1, std::memory_order_relaxed);
-            else
-                expired.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mu);
-            outstanding--;
-            if (outstanding == 0)
-                cv.notify_all();
+            count(response.status, true);
         };
     }
 
@@ -93,15 +101,41 @@ struct Tracker
         cv.wait(lock, [this] { return outstanding == 0; });
     }
 
-    /** Un-counts a callback whose submit was rejected. */
+    /** Fills @p report's outcome counters; submitted must be set. */
     void
-    cancel()
+    fill(LoadgenReport &report)
     {
         std::lock_guard<std::mutex> lock(mu);
-        outstanding--;
-        if (outstanding == 0)
-            cv.notify_all();
+        report.completed = counts.completed;
+        // The loadgen never cancels, but a Canceled answer is still
+        // an admitted request that ended without a score.
+        report.expired = counts.expired + counts.canceled;
+        report.failed = counts.failed;
+        report.rejected = counts.rejected();
+        report.admitted = report.submitted - report.rejected;
     }
+};
+
+/** A double as an ostream prints it (six significant digits). */
+std::string
+number(double value)
+{
+    std::ostringstream out;
+    out << value;
+    return out.str();
+}
+
+const util::Fields<LoadgenReport> kReportFields = {
+    {nullptr, "submitted", &LoadgenReport::submitted},
+    {nullptr, "admitted", &LoadgenReport::admitted},
+    {nullptr, "completed", &LoadgenReport::completed},
+    {nullptr, "expired", &LoadgenReport::expired},
+    {nullptr, "failed", &LoadgenReport::failed},
+    {nullptr, "rejected", &LoadgenReport::rejected},
+    {nullptr, "offered_rate", nullptr,
+     [](const LoadgenReport &r) { return number(r.offeredRate); }},
+    {nullptr, "throughput", nullptr,
+     [](const LoadgenReport &r) { return number(r.throughput()); }},
 };
 
 TimePoint
@@ -142,12 +176,8 @@ runOpenLoop(LoadTarget &target, const LoadgenOptions &options)
         RequestStatus status = target.submit(
             workload, seed, std::move(done), deadlineFor(options));
         report.submitted++;
-        if (status == RequestStatus::Ok) {
-            report.admitted++;
-        } else {
-            report.rejected++;
-            tracker.cancel();
-        }
+        if (status != RequestStatus::Ok)
+            tracker.count(status, true);
         double gap = -std::log(1.0 - rng.uniformDouble()) /
                      options.rateHz;
         next += std::chrono::microseconds(
@@ -156,9 +186,7 @@ runOpenLoop(LoadTarget &target, const LoadgenOptions &options)
 
     tracker.drain();
     report.wallSeconds = wall.elapsed();
-    report.completed = tracker.completed.load();
-    report.expired = tracker.expired.load();
-    report.failed = tracker.failed.load();
+    tracker.fill(report);
     report.offeredRate = options.durationSeconds > 0.0
                              ? static_cast<double>(report.submitted) /
                                    options.durationSeconds
@@ -173,15 +201,11 @@ runClosedLoop(LoadTarget &target, const LoadgenOptions &options)
                   "loadgen: closed loop needs at least one client");
     SeedSampler seeds(options.seedUniverse, options.zipfExponent);
     MixSampler mix(target, options);
+    Tracker tracker;
     LoadgenReport report;
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> submitted{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> expired{0};
-    std::atomic<uint64_t> failed{0};
-    std::atomic<uint64_t> rejected{0};
 
     util::WallTimer wall;
     std::vector<std::thread> clients;
@@ -196,25 +220,9 @@ runClosedLoop(LoadTarget &target, const LoadgenOptions &options)
                 uint64_t unique =
                     submitted.fetch_add(1, std::memory_order_relaxed);
                 uint64_t seed = seeds.sample(rng, unique);
-                Response response = target.call(
-                    workload, seed, deadlineFor(options));
-                switch (response.status) {
-                case RequestStatus::Ok:
-                    admitted.fetch_add(1);
-                    completed.fetch_add(1);
-                    break;
-                case RequestStatus::Expired:
-                    admitted.fetch_add(1);
-                    expired.fetch_add(1);
-                    break;
-                case RequestStatus::Failed:
-                    admitted.fetch_add(1);
-                    failed.fetch_add(1);
-                    break;
-                default:
-                    rejected.fetch_add(1);
-                    break;
-                }
+                tracker.count(
+                    target.call(workload, seed, deadlineFor(options))
+                        .status);
             }
         });
     }
@@ -228,11 +236,7 @@ runClosedLoop(LoadTarget &target, const LoadgenOptions &options)
 
     report.wallSeconds = wall.elapsed();
     report.submitted = submitted.load();
-    report.admitted = admitted.load();
-    report.completed = completed.load();
-    report.expired = expired.load();
-    report.failed = failed.load();
-    report.rejected = rejected.load();
+    tracker.fill(report);
     report.offeredRate = options.durationSeconds > 0.0
                              ? static_cast<double>(report.submitted) /
                                    options.durationSeconds
@@ -254,6 +258,24 @@ runLoadgen(Server &server, const LoadgenOptions &options)
 {
     ServerTarget target(server);
     return runLoadgen(target, options);
+}
+
+std::string
+reportJson(const std::string &mode, const LoadgenReport &report)
+{
+    return "\"mode\":" + util::jsonString(mode) + "," +
+           util::json(kReportFields, report);
+}
+
+std::string
+loadgenJson(const std::string &mode, const LoadgenReport &report,
+            const ServerMetrics &metrics)
+{
+    util::TailStats latency = metrics.total().latency;
+    return "{" + reportJson(mode, report) +
+           ",\"p50_ms\":" + number(latency.p50() * 1e3) +
+           ",\"p95_ms\":" + number(latency.p95() * 1e3) +
+           ",\"p99_ms\":" + number(latency.p99() * 1e3) + "}";
 }
 
 } // namespace nsbench::serve

@@ -165,9 +165,13 @@ struct LoadgenReport
     uint64_t submitted = 0;    ///< submit() calls issued.
     uint64_t admitted = 0;     ///< Requests the server accepted.
     uint64_t completed = 0;    ///< Callbacks with status Ok.
-    uint64_t expired = 0;      ///< Callbacks with status Expired.
+    uint64_t expired = 0;      ///< Callbacks with status Expired
+                               ///< (or Canceled).
     uint64_t failed = 0;       ///< Callbacks with status Failed.
-    uint64_t rejected = 0;     ///< Admission-time rejections.
+    /** Rejections, whether submit() returned one or a callback
+     *  delivered one (a remote server's, or a follower's inherited
+     *  leader rejection). */
+    uint64_t rejected = 0;
     double offeredRate = 0.0;  ///< submitted / window seconds.
 
     /** Completed requests per wall second. */
@@ -192,6 +196,17 @@ LoadgenReport runLoadgen(LoadTarget &target,
 /** Convenience overload for the in-process case. */
 LoadgenReport runLoadgen(Server &server,
                          const LoadgenOptions &options);
+
+/** `"mode":@p mode` and the report's counters, as comma-separated
+ *  JSON object members: the part every load `--json` payload shares. */
+std::string reportJson(const std::string &mode,
+                       const LoadgenReport &report);
+
+/** The in-process `serve`/`loadgen --json` payload: the report plus
+ *  the server's latency tails, as one JSON object. */
+std::string loadgenJson(const std::string &mode,
+                        const LoadgenReport &report,
+                        const ServerMetrics &metrics);
 
 } // namespace nsbench::serve
 

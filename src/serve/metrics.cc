@@ -1,80 +1,163 @@
 #include "serve/metrics.hh"
 
+#include "util/fields.hh"
 #include "util/format.hh"
 
 namespace nsbench::serve
 {
 
+namespace
+{
+
+using M = WorkloadMetrics;
+
+/** One row per RequestStatus, in enum order. */
+const StatusRow kStatusRows[] = {
+    {"ok", &M::completed, false},
+    {"rejected_queue_full", &M::rejectedQueueFull, true},
+    {"rejected_deadline", &M::rejectedDeadline, true},
+    {"rejected_shutdown", &M::rejectedShutdown, true},
+    {"rejected_unknown_workload", &M::rejectedUnknown, true},
+    {"rejected_overload", &M::rejectedOverload, true},
+    {"expired", &M::expired, false},
+    {"failed", &M::failed, false},
+    {"rejected_unreachable", &M::rejectedUnreachable, true},
+    {"canceled", &M::canceled, false},
+};
+static_assert(std::size(kStatusRows) ==
+              static_cast<size_t>(RequestStatus::Canceled) + 1);
+
+std::string
+ms(double seconds)
+{
+    return util::fixedStr(seconds * 1e3, 2);
+}
+
+/** The standard serve report. Keyed fields, here and below, are the
+ *  outcome totals json() carries. */
+const util::Fields<M> kServeFields = {
+    {"done", "completed", &M::completed},
+    {"rej", nullptr, nullptr,
+     [](const M &m) { return std::to_string(m.rejected()); }},
+    {"exp", nullptr, &M::expired},
+    {"runs", nullptr, &M::executions},
+    {"share", nullptr, nullptr,
+     [](const M &m) { return util::fixedStr(m.shareFactor(), 2); }},
+    {"flight", nullptr, nullptr,
+     [](const M &m) { return util::fixedStr(m.batchOccupancy.mean(), 2); }},
+    {"hit%", nullptr, nullptr,
+     [](const M &m) { return util::percentStr(m.cacheHitRate()); }},
+    {"sf", nullptr, &M::singleFlightShared},
+    {"p50 ms", nullptr, nullptr,
+     [](const M &m) { return ms(m.latency.p50()); }},
+    {"p95 ms", nullptr, nullptr,
+     [](const M &m) { return ms(m.latency.p95()); }},
+    {"p99 ms", nullptr, nullptr,
+     [](const M &m) { return ms(m.latency.p99()); }},
+    {"mean ms", nullptr, nullptr,
+     [](const M &m) { return ms(m.latency.mean()); }},
+    {"wait ms", nullptr, nullptr,
+     [](const M &m) { return ms(m.queueWait.mean()); }},
+    {"neural", nullptr, nullptr,
+     [](const M &m) { return util::percentStr(m.neuralFraction()); }},
+};
+
+/** The resilience report; any nonzero counter here is an event. */
+const util::Fields<M> kResilienceFields = {
+    {"faults", nullptr, &M::workerFaults},
+    {"retries", nullptr, &M::retries},
+    {"retried_ok", nullptr, &M::retriedOk},
+    {"failed", nullptr, &M::failed},
+    {"shed", nullptr, &M::rejectedOverload},
+    {"soj_shed", "soj_shed", &M::sojournSheds},
+    {"canceled", "canceled", &M::canceled},
+    {"replaced", nullptr, &M::replicasReplaced},
+    {"cb_err", nullptr, &M::callbackFailures},
+    {"success%", nullptr, nullptr,
+     [](const M &m) { return util::percentStr(m.successRate()); }},
+};
+
+/** The network report; byte counts display human-sized. */
+const util::Fields<NetStats> kNetFields = {
+    {"conns", "conns", &NetStats::connectionsAccepted},
+    {"closed", "closed", &NetStats::connectionsClosed},
+    {"bytes in", "bytes_in", &NetStats::bytesRead,
+     [](const NetStats &s) { return util::humanBytes(s.bytesRead); }},
+    {"bytes out", "bytes_out", &NetStats::bytesWritten,
+     [](const NetStats &s) { return util::humanBytes(s.bytesWritten); }},
+    {"frames in", "frames_in", &NetStats::framesIn},
+    {"frames out", "frames_out", &NetStats::framesOut},
+    {"malformed", "malformed", &NetStats::malformedFrames},
+    {"bad hello", "bad_hello", &NetStats::handshakeFailures},
+};
+
+/** One row per workload, plus a TOTAL row when there are several. */
+util::Table
+renderTable(const ServerMetrics &metrics, const util::Fields<M> &fields)
+{
+    auto snapshot = metrics.byWorkload();
+    util::Table table(util::columns(fields, "workload"));
+    for (const auto &[name, m] : snapshot)
+        table.addRow(util::cells(fields, m, name));
+    if (snapshot.size() > 1)
+        table.addRow(util::cells(fields, metrics.total(), "TOTAL"));
+    return table;
+}
+
+} // namespace
+
+const StatusRow &
+statusRow(RequestStatus status)
+{
+    return kStatusRows[static_cast<size_t>(status)];
+}
+
 const char *
 statusName(RequestStatus status)
 {
-    switch (status) {
-    case RequestStatus::Ok:
-        return "ok";
-    case RequestStatus::RejectedQueueFull:
-        return "rejected_queue_full";
-    case RequestStatus::RejectedDeadline:
-        return "rejected_deadline";
-    case RequestStatus::RejectedShutdown:
-        return "rejected_shutdown";
-    case RequestStatus::RejectedUnknownWorkload:
-        return "rejected_unknown_workload";
-    case RequestStatus::RejectedOverload:
-        return "rejected_overload";
-    case RequestStatus::Expired:
-        return "expired";
-    case RequestStatus::Failed:
-        return "failed";
-    case RequestStatus::RejectedUnreachable:
-        return "rejected_unreachable";
-    case RequestStatus::Canceled:
-        return "canceled";
-    }
-    return "unknown";
+    return statusRow(status).name;
+}
+
+bool
+isRejection(RequestStatus status)
+{
+    return statusRow(status).rejection;
+}
+
+uint64_t
+WorkloadMetrics::rejected() const
+{
+    uint64_t sum = 0;
+    for (const StatusRow &row : kStatusRows)
+        if (row.rejection)
+            sum += this->*row.counter;
+    return sum;
 }
 
 void
-ServerMetrics::recordAdmitted(const std::string &workload)
+ServerMetrics::count(const std::string &workload,
+                     uint64_t WorkloadMetrics::*counter, uint64_t n)
 {
+    if (n == 0)
+        return;
     std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].offered++;
-    perWorkload_[workload].submitted++;
-    total_.offered++;
-    total_.submitted++;
+    perWorkload_[workload].*counter += n;
+    total_.*counter += n;
+}
+
+void
+ServerMetrics::count(uint64_t NetStats::*counter, uint64_t n)
+{
+    util::bump(net_.*counter, n);
 }
 
 void
 ServerMetrics::recordRejected(const std::string &workload,
                               RequestStatus status)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto bump = [status](WorkloadMetrics &m) {
-        m.offered++;
-        switch (status) {
-        case RequestStatus::RejectedQueueFull:
-            m.rejectedQueueFull++;
-            break;
-        case RequestStatus::RejectedDeadline:
-            m.rejectedDeadline++;
-            break;
-        case RequestStatus::RejectedShutdown:
-            m.rejectedShutdown++;
-            break;
-        case RequestStatus::RejectedUnknownWorkload:
-            m.rejectedUnknown++;
-            break;
-        case RequestStatus::RejectedOverload:
-            m.rejectedOverload++;
-            break;
-        case RequestStatus::RejectedUnreachable:
-            m.rejectedUnreachable++;
-            break;
-        default:
-            break;
-        }
-    };
-    bump(perWorkload_[workload]);
-    bump(total_);
+    const StatusRow &row = statusRow(status);
+    if (row.rejection)
+        count(workload, row.counter);
 }
 
 void
@@ -82,12 +165,10 @@ ServerMetrics::recordFlight(const std::string &workload,
                             size_t requests)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto add = [requests](WorkloadMetrics &m) {
-        m.batches++;
-        m.batchOccupancy.add(static_cast<double>(requests));
-    };
-    add(perWorkload_[workload]);
-    add(total_);
+    for (M *m : {&perWorkload_[workload], &total_}) {
+        m->batches++;
+        m->batchOccupancy.add(static_cast<double>(requests));
+    }
 }
 
 void
@@ -95,225 +176,63 @@ ServerMetrics::recordExecution(const std::string &workload,
                                double serviceSeconds)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto add = [serviceSeconds](WorkloadMetrics &m) {
-        m.executions++;
-        m.service.add(serviceSeconds);
-    };
-    add(perWorkload_[workload]);
-    add(total_);
+    for (M *m : {&perWorkload_[workload], &total_}) {
+        m->executions++;
+        m->service.add(serviceSeconds);
+    }
 }
 
 void
 ServerMetrics::recordOutcome(const std::string &workload,
                              const Response &response)
 {
+    const StatusRow &row = statusRow(response.status);
+    if (row.rejection)
+        return; // Fanned-out leader failure; counted at admission.
+    // Shared executions attribute their phase split once per member
+    // divided by the share count, so the per-workload sums stay
+    // one-profiler-pass exact.
+    double share = response.shared > 0
+                       ? 1.0 / static_cast<double>(response.shared)
+                       : 1.0;
     std::lock_guard<std::mutex> lock(mu_);
-    auto add = [&response](WorkloadMetrics &m) {
-        if (response.status == RequestStatus::Expired) {
-            m.expired++;
-            return;
-        }
-        if (response.status == RequestStatus::Canceled) {
-            m.canceled++;
-            return;
-        }
-        if (response.status == RequestStatus::Failed) {
-            m.failed++;
-            return;
-        }
-        if (isRejection(response.status))
-            return; // Fanned-out leader failure; counted at record.
-        m.completed++;
-        // retries are counted at the attempt (recordRetry) so they
-        // cover requests that later expire or fail too; here only
-        // note that this completion needed at least one.
+    for (M *m : {&perWorkload_[workload], &total_}) {
+        m->*row.counter += 1;
+        if (response.status != RequestStatus::Ok)
+            continue;
+        // retries are counted at the attempt so they cover requests
+        // that later expire or fail too; here only note that this
+        // completion needed at least one.
         if (response.retries > 0)
-            m.retriedOk++;
-        m.latency.add(response.latencySeconds);
-        m.queueWait.add(response.queueSeconds);
-        // Shared executions attribute their phase split once per
-        // member divided by the share count, so the per-workload sums
-        // stay one-profiler-pass exact.
-        double share = response.shared > 0
-                           ? 1.0 / static_cast<double>(response.shared)
-                           : 1.0;
-        m.neuralSeconds += response.neuralSeconds * share;
-        m.symbolicSeconds += response.symbolicSeconds * share;
-    };
-    add(perWorkload_[workload]);
-    add(total_);
-}
-
-void
-ServerMetrics::recordWorkerFault(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].workerFaults++;
-    total_.workerFaults++;
-}
-
-void
-ServerMetrics::recordRetry(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].retries++;
-    total_.retries++;
-}
-
-void
-ServerMetrics::recordReplicaReplaced(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].replicasReplaced++;
-    total_.replicasReplaced++;
-}
-
-void
-ServerMetrics::recordCallbackFailure(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].callbackFailures++;
-    total_.callbackFailures++;
-}
-
-void
-ServerMetrics::recordSojournShed(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].sojournSheds++;
-    total_.sojournSheds++;
-}
-
-void
-ServerMetrics::recordCacheHit(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].cacheHits++;
-    total_.cacheHits++;
-}
-
-void
-ServerMetrics::recordCacheMiss(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].cacheMisses++;
-    total_.cacheMisses++;
-}
-
-void
-ServerMetrics::recordCacheEvictions(const std::string &workload,
-                                    uint64_t n)
-{
-    if (n == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].cacheEvictions += n;
-    total_.cacheEvictions += n;
-}
-
-void
-ServerMetrics::recordSingleFlight(const std::string &workload,
-                                  uint64_t n)
-{
-    if (n == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    perWorkload_[workload].singleFlightShared += n;
-    total_.singleFlightShared += n;
-}
-
-void
-ServerMetrics::recordNetAccept()
-{
-    netAccepted_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetClose()
-{
-    netClosed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetBytesRead(uint64_t n)
-{
-    netBytesRead_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetBytesWritten(uint64_t n)
-{
-    netBytesWritten_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetFrameIn()
-{
-    netFramesIn_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetFrameOut()
-{
-    netFramesOut_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetMalformed()
-{
-    netMalformed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ServerMetrics::recordNetHandshakeFailure()
-{
-    netHandshakeFailures_.fetch_add(1, std::memory_order_relaxed);
+            m->retriedOk++;
+        m->latency.add(response.latencySeconds);
+        m->queueWait.add(response.queueSeconds);
+        m->neuralSeconds += response.neuralSeconds * share;
+        m->symbolicSeconds += response.symbolicSeconds * share;
+    }
 }
 
 NetStats
 ServerMetrics::netStats() const
 {
-    NetStats stats;
-    stats.connectionsAccepted =
-        netAccepted_.load(std::memory_order_relaxed);
-    stats.connectionsClosed =
-        netClosed_.load(std::memory_order_relaxed);
-    stats.bytesRead = netBytesRead_.load(std::memory_order_relaxed);
-    stats.bytesWritten =
-        netBytesWritten_.load(std::memory_order_relaxed);
-    stats.framesIn = netFramesIn_.load(std::memory_order_relaxed);
-    stats.framesOut = netFramesOut_.load(std::memory_order_relaxed);
-    stats.malformedFrames =
-        netMalformed_.load(std::memory_order_relaxed);
-    stats.handshakeFailures =
-        netHandshakeFailures_.load(std::memory_order_relaxed);
-    return stats;
-}
-
-bool
-ServerMetrics::hasNetActivity() const
-{
-    NetStats stats = netStats();
-    return stats.connectionsAccepted || stats.bytesRead ||
-           stats.bytesWritten;
+    return util::snapshot(kNetFields, net_);
 }
 
 util::Table
 ServerMetrics::netTable() const
 {
-    NetStats stats = netStats();
-    util::Table table({"conns", "closed", "bytes in", "bytes out",
-                       "frames in", "frames out", "malformed",
-                       "bad hello"});
-    table.addRow({std::to_string(stats.connectionsAccepted),
-                  std::to_string(stats.connectionsClosed),
-                  util::humanBytes(stats.bytesRead),
-                  util::humanBytes(stats.bytesWritten),
-                  std::to_string(stats.framesIn),
-                  std::to_string(stats.framesOut),
-                  std::to_string(stats.malformedFrames),
-                  std::to_string(stats.handshakeFailures)});
+    util::Table table(util::columns(kNetFields));
+    table.addRow(util::cells(kNetFields, netStats()));
     return table;
+}
+
+std::string
+ServerMetrics::json() const
+{
+    WorkloadMetrics totals = total();
+    return util::json(kServeFields, totals) + "," +
+           util::json(kResilienceFields, totals) + "," +
+           util::json(kNetFields, netStats());
 }
 
 WorkloadMetrics
@@ -344,88 +263,29 @@ ServerMetrics::reset()
     std::lock_guard<std::mutex> lock(mu_);
     perWorkload_.clear();
     total_ = WorkloadMetrics{};
-    netAccepted_.store(0, std::memory_order_relaxed);
-    netClosed_.store(0, std::memory_order_relaxed);
-    netBytesRead_.store(0, std::memory_order_relaxed);
-    netBytesWritten_.store(0, std::memory_order_relaxed);
-    netFramesIn_.store(0, std::memory_order_relaxed);
-    netFramesOut_.store(0, std::memory_order_relaxed);
-    netMalformed_.store(0, std::memory_order_relaxed);
-    netHandshakeFailures_.store(0, std::memory_order_relaxed);
+    util::zero(kNetFields, net_);
 }
 
 util::Table
 ServerMetrics::table() const
 {
-    auto snapshot = byWorkload();
-    WorkloadMetrics totals = total();
+    return renderTable(*this, kServeFields);
+}
 
-    util::Table table({"workload", "done", "rej", "exp", "runs",
-                       "share", "flight", "hit%", "sf", "p50 ms",
-                       "p95 ms", "p99 ms", "mean ms", "wait ms",
-                       "neural"});
-    auto ms = [](double seconds) {
-        return util::fixedStr(seconds * 1e3, 2);
-    };
-    auto row = [&](const std::string &name,
-                   const WorkloadMetrics &m) {
-        table.addRow({name, std::to_string(m.completed),
-                      std::to_string(m.rejected()),
-                      std::to_string(m.expired),
-                      std::to_string(m.executions),
-                      util::fixedStr(m.shareFactor(), 2),
-                      util::fixedStr(m.batchOccupancy.mean(), 2),
-                      util::percentStr(m.cacheHitRate()),
-                      std::to_string(m.singleFlightShared),
-                      ms(m.latency.p50()), ms(m.latency.p95()),
-                      ms(m.latency.p99()), ms(m.latency.mean()),
-                      ms(m.queueWait.mean()),
-                      util::percentStr(m.neuralFraction())});
-    };
-    for (const auto &[name, m] : snapshot)
-        row(name, m);
-    if (snapshot.size() > 1)
-        row("TOTAL", totals);
-    return table;
+util::Table
+ServerMetrics::resilienceTable() const
+{
+    return renderTable(*this, kResilienceFields);
 }
 
 bool
 ServerMetrics::hasResilienceEvents() const
 {
     WorkloadMetrics totals = total();
-    return totals.workerFaults || totals.retries || totals.failed ||
-           totals.rejectedOverload || totals.replicasReplaced ||
-           totals.callbackFailures || totals.canceled ||
-           totals.sojournSheds;
-}
-
-util::Table
-ServerMetrics::resilienceTable() const
-{
-    auto snapshot = byWorkload();
-    WorkloadMetrics totals = total();
-
-    util::Table table({"workload", "faults", "retries", "retried_ok",
-                       "failed", "shed", "soj_shed",
-                       "canceled", "replaced", "cb_err", "success%"});
-    auto row = [&](const std::string &name,
-                   const WorkloadMetrics &m) {
-        table.addRow({name, std::to_string(m.workerFaults),
-                      std::to_string(m.retries),
-                      std::to_string(m.retriedOk),
-                      std::to_string(m.failed),
-                      std::to_string(m.rejectedOverload),
-                      std::to_string(m.sojournSheds),
-                      std::to_string(m.canceled),
-                      std::to_string(m.replicasReplaced),
-                      std::to_string(m.callbackFailures),
-                      util::percentStr(m.successRate())});
-    };
-    for (const auto &[name, m] : snapshot)
-        row(name, m);
-    if (snapshot.size() > 1)
-        row("TOTAL", totals);
-    return table;
+    for (const auto &f : kResilienceFields)
+        if (f.counter && totals.*f.counter)
+            return true;
+    return false;
 }
 
 } // namespace nsbench::serve

@@ -9,12 +9,15 @@
  * Latency tails (p50/p95/p99) come from util::TailStats streaming
  * estimators, so the accounting is O(1) per request no matter how
  * long the server runs.
+ *
+ * Every counter is a WorkloadMetrics or NetStats field bumped through
+ * count(), statusRow() classifies every status, and the reports render
+ * from the field lists in metrics.cc (util/fields.hh).
  */
 
 #ifndef NSBENCH_SERVE_METRICS_HH
 #define NSBENCH_SERVE_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -34,13 +37,6 @@ namespace nsbench::serve
  */
 struct WorkloadMetrics
 {
-    /**
-     * Every request that reached submit(): admissions plus every
-     * rejection. Offered load is the correct denominator for
-     * acceptance/goodput math — `completed` must never be divided by
-     * a window that silently includes queue-full rejects.
-     */
-    uint64_t offered = 0;
     uint64_t submitted = 0;          ///< Admitted into the queue.
     uint64_t completed = 0;          ///< Finished with status Ok.
     uint64_t rejectedQueueFull = 0;  ///< Backpressure rejections.
@@ -76,14 +72,16 @@ struct WorkloadMetrics
     double neuralSeconds = 0.0;      ///< Summed neural-phase op time.
     double symbolicSeconds = 0.0;    ///< Summed symbolic-phase op time.
 
-    /** Total admission-time rejections. */
-    uint64_t
-    rejected() const
-    {
-        return rejectedQueueFull + rejectedDeadline +
-               rejectedShutdown + rejectedUnknown +
-               rejectedOverload + rejectedUnreachable;
-    }
+    /** Total admission-time rejections (every rejection status). */
+    uint64_t rejected() const;
+
+    /**
+     * Every request that reached admission: the admitted plus every
+     * rejection. Offered load is the correct denominator for
+     * acceptance/goodput math — `completed` must never be divided by
+     * a window that silently includes queue-full rejects.
+     */
+    uint64_t offered() const { return submitted + rejected(); }
 
     /**
      * Fraction of requests that reached execution and eventually
@@ -129,12 +127,29 @@ struct WorkloadMetrics
 };
 
 /**
+ * How a request that ended in one RequestStatus is named and
+ * counted. The one classification every consumer shares:
+ * statusName(), isRejection(), WorkloadMetrics::rejected(), the
+ * ServerMetrics recorders and the load generator's tallies.
+ */
+struct StatusRow
+{
+    const char *name;                   ///< statusName().
+    uint64_t WorkloadMetrics::*counter; ///< Where it is counted.
+    bool rejection;                     ///< Refused at admission.
+};
+
+/** The table row of @p status. */
+const StatusRow &statusRow(RequestStatus status);
+
+/**
  * Connection-level counters of the TCP front end (src/net/). These
  * are transport facts, not per-workload outcomes, so they live next
  * to — not inside — the WorkloadMetrics aggregates; the net layer
  * folds them into the same ServerMetrics instance so one snapshot
- * captures the whole serving picture. Lock-free atomics: the byte
- * counters sit on the read/write hot path of every connection.
+ * captures the whole serving picture. The byte counters sit on the
+ * read/write path of every connection, so they are bumped lock-free
+ * (util::bump), never under the outcome mutex.
  */
 struct NetStats
 {
@@ -155,8 +170,12 @@ struct NetStats
 class ServerMetrics
 {
   public:
-    /** Notes an admitted request. */
-    void recordAdmitted(const std::string &workload);
+    /** Adds @p n to one counter of @p workload and of the total. */
+    void count(const std::string &workload,
+               uint64_t WorkloadMetrics::*counter, uint64_t n = 1);
+
+    /** Adds @p n to one transport counter (lock-free). */
+    void count(uint64_t NetStats::*counter, uint64_t n = 1);
 
     /** Notes an admission-time rejection of the given kind. */
     void recordRejected(const std::string &workload,
@@ -169,61 +188,9 @@ class ServerMetrics
     void recordExecution(const std::string &workload,
                          double serviceSeconds);
 
-    /** Notes a completion (Ok or Expired) with its response record. */
+    /** Notes a terminal response; a rejection was counted already. */
     void recordOutcome(const std::string &workload,
                        const Response &response);
-
-    /** Notes one run() attempt that threw (injected or real). */
-    void recordWorkerFault(const std::string &workload);
-
-    /** Notes one re-attempt after a faulted run(). */
-    void recordRetry(const std::string &workload);
-
-    /** Notes a supervisor replica rebuild after a poisoned run. */
-    void recordReplicaReplaced(const std::string &workload);
-
-    /** Notes a client callback that threw (contained by the server). */
-    void recordCallbackFailure(const std::string &workload);
-
-    /** Notes an overload shed decided by the adaptive sojourn gate
-     *  (recordRejected still counts the rejection itself). */
-    void recordSojournShed(const std::string &workload);
-
-    /** Notes a result-cache hit served at admission. */
-    void recordCacheHit(const std::string &workload);
-
-    /** Notes a result-cache miss. */
-    void recordCacheMiss(const std::string &workload);
-
-    /** Notes @p n entries evicted while caching a result. */
-    void recordCacheEvictions(const std::string &workload, uint64_t n);
-
-    /** Notes @p n followers fanned a single-flight leader's result. */
-    void recordSingleFlight(const std::string &workload, uint64_t n);
-
-    /** Notes an accepted TCP connection (net front end). */
-    void recordNetAccept();
-
-    /** Notes a closed TCP connection. */
-    void recordNetClose();
-
-    /** Notes @p n payload bytes read off sockets. */
-    void recordNetBytesRead(uint64_t n);
-
-    /** Notes @p n payload bytes written to sockets. */
-    void recordNetBytesWritten(uint64_t n);
-
-    /** Notes one well-formed frame decoded. */
-    void recordNetFrameIn();
-
-    /** Notes one frame encoded toward a client. */
-    void recordNetFrameOut();
-
-    /** Notes a malformed frame (the connection gets closed). */
-    void recordNetMalformed();
-
-    /** Notes a handshake rejected for bad magic or version. */
-    void recordNetHandshakeFailure();
 
     /** Snapshot of one workload's aggregates (zeroes if unseen). */
     WorkloadMetrics workload(const std::string &name) const;
@@ -257,9 +224,6 @@ class ServerMetrics
     /** Snapshot of the TCP front end's connection counters. */
     NetStats netStats() const;
 
-    /** True when the server saw any network traffic at all. */
-    bool hasNetActivity() const;
-
     /**
      * Renders the network report: connections, payload bytes and
      * frames in each direction, malformed frames and handshake
@@ -267,21 +231,16 @@ class ServerMetrics
      */
     util::Table netTable() const;
 
+    /** The total outcome and transport counters that `--json`
+     *  payloads carry, as comma-separated JSON object members. */
+    std::string json() const;
+
   private:
     mutable std::mutex mu_;
     std::map<std::string, WorkloadMetrics> perWorkload_;
     WorkloadMetrics total_;
-    /** Net counters are atomics, not under mu_: they tick on every
-     *  socket read/write and must never contend with outcome
-     *  recording. reset() zeroes them too. */
-    std::atomic<uint64_t> netAccepted_{0};
-    std::atomic<uint64_t> netClosed_{0};
-    std::atomic<uint64_t> netBytesRead_{0};
-    std::atomic<uint64_t> netBytesWritten_{0};
-    std::atomic<uint64_t> netFramesIn_{0};
-    std::atomic<uint64_t> netFramesOut_{0};
-    std::atomic<uint64_t> netMalformed_{0};
-    std::atomic<uint64_t> netHandshakeFailures_{0};
+    /** Bumped and read through std::atomic_ref, never under mu_. */
+    mutable NetStats net_;
 };
 
 } // namespace nsbench::serve

@@ -64,20 +64,11 @@ enum class RequestStatus
     Canceled,
 };
 
-/** Short stable name for reports and CSV. */
+/** Short stable name for reports and CSV (see serve::statusRow). */
 const char *statusName(RequestStatus status);
 
 /** True for the admission-time rejection statuses. */
-inline bool
-isRejection(RequestStatus status)
-{
-    return status == RequestStatus::RejectedQueueFull ||
-           status == RequestStatus::RejectedDeadline ||
-           status == RequestStatus::RejectedShutdown ||
-           status == RequestStatus::RejectedUnknownWorkload ||
-           status == RequestStatus::RejectedOverload ||
-           status == RequestStatus::RejectedUnreachable;
-}
+bool isRejection(RequestStatus status);
 
 /**
  * Completion record delivered to the request's callback. For Ok

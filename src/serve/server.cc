@@ -132,8 +132,8 @@ Server::submit(const std::string &workload, uint64_t seed,
     if (cache_) {
         double score = 0.0;
         if (cache_->lookup(flight.key, &score)) {
-            metrics_.recordCacheHit(workload);
-            metrics_.recordAdmitted(workload);
+            metrics_.count(workload, &WorkloadMetrics::cacheHits);
+            metrics_.count(workload, &WorkloadMetrics::submitted);
             Response response;
             response.status = RequestStatus::Ok;
             response.score = score;
@@ -145,7 +145,7 @@ Server::submit(const std::string &workload, uint64_t seed,
             deliver(workload, waiter.done, response);
             return RequestStatus::Ok;
         }
-        metrics_.recordCacheMiss(workload);
+        metrics_.count(workload, &WorkloadMetrics::cacheMisses);
     }
 
     // A flight already in progress answers this request too; only a
@@ -161,7 +161,7 @@ Server::submit(const std::string &workload, uint64_t seed,
     if (options_.targetSojournUs > 0 &&
         sojournOverloaded(flight.enqueue)) {
         shed = true;
-        metrics_.recordSojournShed(workload);
+        metrics_.count(workload, &WorkloadMetrics::sojournSheds);
     }
     if (NSBENCH_FAILPOINT(fp::sites::kAdmissionShed))
         shed = true;
@@ -190,7 +190,7 @@ Server::submit(const std::string &workload, uint64_t seed,
         }
         return status;
     }
-    metrics_.recordAdmitted(workload);
+    metrics_.count(workload, &WorkloadMetrics::submitted);
     return RequestStatus::Ok;
 }
 
@@ -209,7 +209,7 @@ Server::deliver(const std::string &workload, const Callback &done,
         if (NSBENCH_FAILPOINT(fp::sites::kCallback))
             throw FaultInjected();
     } catch (...) {
-        metrics_.recordCallbackFailure(workload);
+        metrics_.count(workload, &WorkloadMetrics::callbackFailures);
     }
 }
 
@@ -221,7 +221,7 @@ Server::answer(const Flight &flight, const Waiter &waiter,
         if (isRejection(response.status))
             metrics_.recordRejected(flight.workload, response.status);
         else
-            metrics_.recordAdmitted(flight.workload);
+            metrics_.count(flight.workload, &WorkloadMetrics::submitted);
     }
     metrics_.recordOutcome(flight.workload, response);
     deliver(flight.workload, waiter.done, response);
@@ -440,15 +440,15 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
             succeeded = true;
             break;
         } catch (const ReplicaPoisoned &) {
-            metrics_.recordWorkerFault(flight.workload);
+            metrics_.count(flight.workload, &WorkloadMetrics::workerFaults);
             rebuildReplica(flight.workload, replica);
         } catch (...) {
-            metrics_.recordWorkerFault(flight.workload);
+            metrics_.count(flight.workload, &WorkloadMetrics::workerFaults);
         }
         if (attempts >= options_.maxRetries)
             break;
         attempts++;
-        metrics_.recordRetry(flight.workload);
+        metrics_.count(flight.workload, &WorkloadMetrics::retries);
         std::this_thread::sleep_for(
             backoffFor(options_.retryBackoffUs, attempts));
         if (!pruneFlight(flight, ServeClock::now(), &answered)) {
@@ -464,7 +464,8 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
             // answered from the fresh entry instead of starting a
             // second run.
             uint64_t evicted = cache_->insert(flight.key, score);
-            metrics_.recordCacheEvictions(flight.workload, evicted);
+            metrics_.count(flight.workload,
+                           &WorkloadMetrics::cacheEvictions, evicted);
         }
     }
 
@@ -487,9 +488,8 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
         served += status == RequestStatus::Ok;
         statuses.push_back(status);
     }
-    if (waiters.size() > 1)
-        metrics_.recordSingleFlight(flight.workload,
-                                    waiters.size() - 1);
+    metrics_.count(flight.workload, &WorkloadMetrics::singleFlightShared,
+                   waiters.size() - 1);
     for (size_t i = 0; i < waiters.size(); i++) {
         const Waiter &waiter = waiters[i];
         Response response;
@@ -533,7 +533,7 @@ Server::rebuildReplica(const std::string &name, Replica &replica)
     if (!built)
         return;
     replica = std::move(fresh);
-    metrics_.recordReplicaReplaced(name);
+    metrics_.count(name, &WorkloadMetrics::replicasReplaced);
 }
 
 } // namespace nsbench::serve

@@ -231,8 +231,8 @@ class Server
 
     /**
      * Records and delivers one waiter's response. Followers are
-     * counted as offered here, when their fate is known, so a
-     * follower whose leader failed admission counts as rejected.
+     * counted as admitted or rejected here, when their fate is known,
+     * so a follower whose leader failed admission counts as rejected.
      */
     void answer(const Flight &flight, const Waiter &waiter,
                 const Response &response);

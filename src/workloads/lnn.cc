@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "logic/grounding.hh"
 #include "tensor/fused.hh"
@@ -26,7 +25,6 @@ using tensor::Tensor;
 void
 LnnWorkload::setUp(uint64_t seed)
 {
-    seed_ = seed;
     university_ = std::make_unique<data::UniversityKb>(
         data::makeUniversityKb(config_.departments,
                                config_.professorsPerDept,
@@ -47,60 +45,29 @@ LnnWorkload::storageBytes() const
     return university_ ? university_->kb.factBytes() : 0;
 }
 
-std::string
-LnnWorkload::groundingKey() const
-{
-    // The grounded index is pure in the KB, which is pure in the
-    // generator knobs and the model seed.
-    return "lnn/grounded/d" + std::to_string(config_.departments) +
-           "/p" + std::to_string(config_.professorsPerDept) + "/s" +
-           std::to_string(config_.studentsPerDept) + "/c" +
-           std::to_string(config_.coursesPerProf) + "/m" +
-           std::to_string(seed_);
-}
-
 LnnWorkload::GroundState
 LnnWorkload::groundKb()
 {
     // ---- Symbolic: grounding. Saturate to enumerate candidate
     // atoms, then ground every rule into formula-graph instances.
-    // Memoized: the index is immutable and pure in the model seed,
-    // so with the precompute cache on, replicas and repeat runs
-    // share one build.
+    // Built on every run, cache on or off: grounding is half of the
+    // characterized workload, not a setup cost.
     GroundState gs;
-    {
-        PhaseScope symbolic(Phase::Symbolic, "lnn/grounding");
-        gs.handle =
-            cache::PrecomputeCache::global()
-                .getOrBuild<logic::GroundedIndex>(
-                    groundingKey(), [this]() {
-                        cache::Sized<logic::GroundedIndex> out;
-                        out.value =
-                            std::make_shared<logic::GroundedIndex>(
-                                logic::buildGroundedIndex(
-                                    university_->kb));
-                        out.bytes = out.value->graphBytes();
-                        return out;
-                    });
-    }
-    // Per-run mutable neuron state; the shared index stays const.
-    gs.bounds = gs.handle->initialBounds;
+    PhaseScope symbolic(Phase::Symbolic, "lnn/grounding");
+    gs.index = logic::buildGroundedIndex(university_->kb);
+    gs.bounds = gs.index.initialBounds;
 
     // Account the grounded formula graph as symbolic working-set
-    // memory (it is the LNN's intermediate state) — on hits as well
-    // as builds, so logical peaks match the uncached run exactly.
-    gs.graphBytes = gs.handle->graphBytes();
-    {
-        PhaseScope symbolic(Phase::Symbolic, "lnn/grounding");
-        core::globalProfiler().recordAlloc(gs.graphBytes);
-    }
+    // memory (it is the LNN's intermediate state).
+    gs.graphBytes = gs.index.graphBytes();
+    core::globalProfiler().recordAlloc(gs.graphBytes);
     return gs;
 }
 
 double
 LnnWorkload::inferAndScore(GroundState &gs)
 {
-    const logic::GroundedIndex &g = *gs.handle;
+    const logic::GroundedIndex &g = gs.index;
     std::vector<TruthBounds> &bounds = gs.bounds;
     uint64_t graph_bytes = gs.graphBytes;
 

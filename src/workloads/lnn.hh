@@ -21,7 +21,6 @@
 #include <set>
 #include <vector>
 
-#include "cache/precompute.hh"
 #include "core/workload.hh"
 #include "data/kbgen.hh"
 #include "logic/bounds.hh"
@@ -77,23 +76,19 @@ class LnnWorkload : public core::Workload
 
   private:
     LnnConfig config_;
-    uint64_t seed_ = 0;
-
-    /** Precompute-cache key of the grounded formula graph. */
-    std::string groundingKey() const;
 
     /**
-     * Grounding output carried into the inference stage: the shared
-     * immutable index plus this episode's mutable neuron state.
+     * Grounding output carried into the inference stage: the index
+     * plus this episode's mutable neuron state.
      */
     struct GroundState
     {
-        cache::CacheHandle<logic::GroundedIndex> handle;
+        logic::GroundedIndex index;
         std::vector<logic::TruthBounds> bounds;
         uint64_t graphBytes = 0;
     };
 
-    /** Symbolic grounding: builds (or cache-serves) the index. */
+    /** Symbolic grounding: builds the index. */
     GroundState groundKb();
 
     /** Bidirectional passes over @p gs, then recall x precision. */

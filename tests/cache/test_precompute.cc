@@ -1,21 +1,28 @@
 /**
  * @file
  * Precompute-cache tests: build-once semantics, disabled-mode
- * pass-through, byte-budget eviction, failed-build retry, and
- * concurrent single-flight builds.
+ * pass-through, byte-budget eviction, failed-build retry, concurrent
+ * single-flight builds, and that memoizing setUp never changes the
+ * op stream a workload's run() is characterized by.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cache/config.hh"
 #include "cache/precompute.hh"
+#include "core/profiler.hh"
+#include "serve/presets.hh"
+#include "util/threadpool.hh"
+#include "workloads/register.hh"
 
 namespace
 {
@@ -172,6 +179,51 @@ TEST_F(CachePrecompute, ClearDropsEntriesButNotHandles)
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().residentBytes, 0u);
     EXPECT_EQ(*handle, 3);
+}
+
+/** Invocations, FLOPs and bytes of every (op, phase) of one run(). */
+using OpCounts =
+    std::map<std::string, std::tuple<uint64_t, double, double>>;
+
+OpCounts
+profiledRun(core::Workload &workload)
+{
+    util::ThreadPool::SerialScope serial;
+    core::Profiler profiler;
+    core::Profiler::ThreadTargetScope target(profiler);
+    profiler.reset(); // Makes this thread the owner: ops apply inline.
+    workload.run();
+    core::Profiler::flushThisThread();
+    OpCounts counts;
+    for (const auto &op : profiler.opsByTime())
+        counts[op.name + "/" + std::string(core::phaseName(op.phase))] =
+            {op.stats.invocations, op.stats.flops, op.stats.bytes()};
+    return counts;
+}
+
+TEST_F(CachePrecompute, RepeatRunsKeepEveryWorkloadsOpStream)
+{
+    // The cache may only memoize setUp structures: a repeat run with
+    // caching on must do exactly the work of an uncached run.
+    workloads::registerAllWorkloads();
+    for (const std::string &name :
+         core::WorkloadRegistry::global().names()) {
+        cache::setEnabled(false);
+        auto plain = serve::serveFactory(name);
+        plain->setUp(7);
+        plain->reseedEpisodes(22);
+        OpCounts expected = profiledRun(*plain);
+
+        cache::setEnabled(true);
+        PrecomputeCache::global().clear();
+        auto cached = serve::serveFactory(name);
+        cached->setUp(7);
+        cached->reseedEpisodes(21);
+        profiledRun(*cached);
+        cached->reseedEpisodes(22);
+        EXPECT_EQ(profiledRun(*cached), expected) << name;
+    }
+    PrecomputeCache::global().clear();
 }
 
 } // namespace

@@ -263,7 +263,7 @@ TEST_F(Chaos, ExactlyOnceUnderTransientRunFaults)
     EXPECT_GT(metrics.retries, 0u);
     EXPECT_EQ(metrics.completed + metrics.failed +
                   metrics.expired + metrics.rejected(),
-              metrics.offered);
+              metrics.offered());
 }
 
 TEST_F(Chaos, ExactlyOnceUnderMixedFaultSchedule)

@@ -70,7 +70,7 @@ routerOptions(const std::vector<std::unique_ptr<Backend>> &backends)
     net::RouterOptions options;
     for (const auto &backend : backends)
         options.backends.push_back(backend->endpoint());
-    options.retryDownSeconds = 0.2;
+    options.breaker.openSeconds = 0.2;
     return options;
 }
 
@@ -260,7 +260,7 @@ TEST_F(NetRouter, RecoversAfterBackendComesBack)
     std::vector<std::unique_ptr<Backend>> backends;
     backends.push_back(makeBackend({"LNN"}));
     net::RouterOptions options = routerOptions(backends);
-    options.retryDownSeconds = 0.05;
+    options.breaker.openSeconds = 0.05;
     net::Router router(options);
     net::Client client(clientFor(router.port()));
 

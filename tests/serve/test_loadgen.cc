@@ -77,6 +77,63 @@ TEST(ServeLoadgen, ClosedLoopDrainsEveryAdmittedRequest)
     EXPECT_EQ(report.rejected, 0u);
 }
 
+/**
+ * A target that admits every request and then answers it with a
+ * rejection through the callback — what a remote server's queue-full
+ * verdict looks like behind net::RemoteTarget, whose submit returns
+ * Ok once the frame is sent.
+ */
+class RejectingTarget : public serve::LoadTarget
+{
+  public:
+    std::vector<std::string>
+    servedWorkloads() const override
+    {
+        return {"Fake"};
+    }
+
+    serve::RequestStatus
+    submit(const std::string &, uint64_t, serve::Callback done,
+           serve::TimePoint) override
+    {
+        done(rejection());
+        return serve::RequestStatus::Ok;
+    }
+
+    serve::Response
+    call(const std::string &, uint64_t, serve::TimePoint) override
+    {
+        return rejection();
+    }
+
+  private:
+    static serve::Response
+    rejection()
+    {
+        serve::Response response;
+        response.status = serve::RequestStatus::RejectedQueueFull;
+        return response;
+    }
+};
+
+TEST(ServeLoadgen, CallbackRejectionsCountAsRejectedInBothLoops)
+{
+    RejectingTarget target;
+    serve::LoadgenOptions options;
+    options.rateHz = 500.0;
+    options.clients = 2;
+    options.durationSeconds = 0.05;
+    for (bool open_loop : {true, false}) {
+        options.openLoop = open_loop;
+        serve::LoadgenReport report = serve::runLoadgen(target, options);
+        EXPECT_GT(report.submitted, 0u);
+        EXPECT_EQ(report.rejected, report.submitted) << open_loop;
+        EXPECT_EQ(report.admitted, 0u) << open_loop;
+        EXPECT_EQ(report.expired, 0u) << open_loop;
+        expectClosedAccounting(report);
+    }
+}
+
 TEST(ServeLoadgen, SeedUniverseBoundsTheSeedsRequested)
 {
     FakeCounters counters;

@@ -303,13 +303,13 @@ TEST(ServeServer, OfferedLoadCountsRejectionsSeparately)
     server.shutdown();
 
     serve::WorkloadMetrics m = server.metrics().workload("Fake");
-    EXPECT_EQ(m.offered, 10u);
-    EXPECT_EQ(m.offered, m.submitted + m.rejected());
+    EXPECT_EQ(m.offered(), 10u);
+    EXPECT_EQ(m.offered(), m.submitted + m.rejected());
     EXPECT_EQ(m.submitted, admitted);
     EXPECT_EQ(m.rejected(), rejected);
     EXPECT_EQ(m.completed, admitted);
     serve::WorkloadMetrics t = server.metrics().total();
-    EXPECT_EQ(t.offered, 10u);
+    EXPECT_EQ(t.offered(), 10u);
 }
 
 TEST(ServeServer, MetricsAccountEveryOutcome)

@@ -717,8 +717,8 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 return 2;
             }
         } else if (arg == "--retry-down") {
-            cli->router.retryDownSeconds = std::atof(next());
-            if (cli->router.retryDownSeconds <= 0.0) {
+            cli->router.breaker.openSeconds = std::atof(next());
+            if (cli->router.breaker.openSeconds <= 0.0) {
                 std::cerr << "--retry-down must be positive\n";
                 return 2;
             }
@@ -825,23 +825,6 @@ printLoadReport(const serve::LoadgenReport &report)
               << util::humanSeconds(report.wallSeconds) << "\n";
 }
 
-/** The counters every mode's --json payload shares. */
-std::string
-loadReportJson(const std::string &mode,
-               const serve::LoadgenReport &report)
-{
-    std::ostringstream json;
-    json << "\"mode\":\"" << mode
-         << "\",\"submitted\":" << report.submitted
-         << ",\"completed\":" << report.completed
-         << ",\"expired\":" << report.expired
-         << ",\"failed\":" << report.failed
-         << ",\"rejected\":" << report.rejected
-         << ",\"offered_rate\":" << report.offeredRate
-         << ",\"throughput\":" << report.throughput();
-    return json.str();
-}
-
 /**
  * `serve --listen`: exposes the server over TCP for the configured
  * window (--duration; the loadgen default applies) and prints the
@@ -883,18 +866,7 @@ runListenServe(ServeCli &cli, int argc, char **argv)
     if (!cli.csv)
         printFailpointsLine();
 
-    serve::NetStats net_stats = server.metrics().netStats();
-    serve::WorkloadMetrics totals = server.metrics().total();
-    std::ostringstream json;
-    json << "{\"mode\":\"serve_listen\",\"completed\":"
-         << totals.completed
-         << ",\"conns\":" << net_stats.connectionsAccepted
-         << ",\"frames_in\":" << net_stats.framesIn
-         << ",\"frames_out\":" << net_stats.framesOut
-         << ",\"malformed\":" << net_stats.malformedFrames
-         << ",\"canceled\":" << totals.canceled
-         << ",\"soj_shed\":" << totals.sojournSheds << "}";
-    bench::writeBenchJson(argc, argv, json.str());
+    bench::writeBenchJson(argc, argv, tcp.json());
     return 0;
 }
 
@@ -951,14 +923,8 @@ runRemoteLoadgen(ServeCli &cli, int argc, char **argv,
         printFailpointsLine();
     }
 
-    std::ostringstream json;
-    json << "{" << loadReportJson("loadgen_remote", report)
-         << ",\"connects\":" << stats.connects
-         << ",\"disconnects\":" << stats.disconnects
-         << ",\"orphaned\":" << stats.orphaned
-         << ",\"cancels\":" << stats.cancelsSent
-         << ",\"call_timeouts\":" << stats.callTimeouts << "}";
-    bench::writeBenchJson(argc, argv, json.str());
+    bench::writeBenchJson(argc, argv,
+                          net::remoteLoadgenJson(report, stats));
     return report.completed > 0 ? 0 : 1;
 }
 
@@ -1038,18 +1004,10 @@ cmdServe(int argc, char **argv, bool open_loop)
             std::cout << "\n";
         printTable(server.metrics().resilienceTable(), csv);
     }
-    {
-        serve::WorkloadMetrics totals = server.metrics().total();
-        std::ostringstream json;
-        json << "{"
-             << loadReportJson(load_options.openLoop ? "loadgen"
-                                                     : "serve",
-                               report)
-             << ",\"p50_ms\":" << totals.latency.p50() * 1e3
-             << ",\"p95_ms\":" << totals.latency.p95() * 1e3
-             << ",\"p99_ms\":" << totals.latency.p99() * 1e3 << "}";
-        bench::writeBenchJson(argc, argv, json.str());
-    }
+    bench::writeBenchJson(
+        argc, argv,
+        serve::loadgenJson(load_options.openLoop ? "loadgen" : "serve",
+                           report, server.metrics()));
     if (!csv) {
         printLoadReport(report);
         printFailpointsLine();
@@ -1115,7 +1073,7 @@ cmdRoute(int argc, char **argv)
         cli.load.durationSeconds));
     router.shutdown();
 
-    if (router.metrics().total().offered > 0) {
+    if (router.metrics().total().offered() > 0) {
         printTable(router.metrics().table(), cli.csv);
         if (!cli.csv)
             std::cout << "\n";
@@ -1136,25 +1094,7 @@ cmdRoute(int argc, char **argv)
         printFailpointsLine();
     }
 
-    serve::WorkloadMetrics totals = router.metrics().total();
-    uint64_t forwarded = 0;
-    std::ostringstream shards;
-    bool first = true;
-    for (const net::BackendStats &backend : router.backendStats()) {
-        forwarded += backend.forwarded;
-        shards << (first ? "" : ",") << backend.forwarded;
-        first = false;
-    }
-    std::ostringstream json;
-    json << "{\"mode\":\"route\",\"completed\":" << totals.completed
-         << ",\"forwarded\":" << forwarded << ",\"per_backend\":["
-         << shards.str() << "],\"shed\":" << totals.rejected()
-         << ",\"hedges_sent\":" << hedges.hedgesSent
-         << ",\"hedges_won\":" << hedges.hedgesWon
-         << ",\"hedges_denied\":" << hedges.hedgesDenied
-         << ",\"cancels\":" << hedges.cancelsSent
-         << ",\"backends\":" << router.backendJson() << "}";
-    bench::writeBenchJson(argc, argv, json.str());
+    bench::writeBenchJson(argc, argv, router.json());
     return 0;
 }
 
