@@ -1,13 +1,15 @@
 /**
  * @file
  * Internal helpers shared by the op implementation files. Not part of
- * the public API.
+ * the public API. The element-wise map frame is public, in
+ * tensor/fused.hh, because vsa/ uses it too.
  */
 
 #ifndef NSBENCH_TENSOR_OPS_COMMON_HH
 #define NSBENCH_TENSOR_OPS_COMMON_HH
 
 #include <algorithm>
+#include <vector>
 
 #include "core/profiler.hh"
 #include "tensor/tensor.hh"
@@ -20,164 +22,42 @@ namespace nsbench::tensor::detail
 
 inline constexpr double elemBytes = sizeof(float);
 
-/** Span kernel signatures from the SIMD backend (util/simd.hh). */
-using BinaryKernel = void (*)(const float *, const float *, float *,
-                              int64_t);
-using UnaryKernel = void (*)(const float *, float *, int64_t);
-
 /**
- * Runs a deterministic chunked reduction: [0, items) is cut into
- * fixed chunks of `grain` iterations, `partial` fills slot c from its
- * chunk (in parallel), and `combine` folds the slots in chunk order on
- * the calling thread. Because the chunk grid depends only on the
- * grain, the result is identical at every thread count.
+ * The frame behind every full reduction (sum, max, argmax, dot): one
+ * ScopedOp over a deterministic chunked reduction of [0, n). The range
+ * is cut into fixed chunks of grainFor(flops_per_elem) items,
+ * `partial(lo, hi)` reduces each chunk (in parallel), and `combine`
+ * folds the partials into `init` in chunk order on the calling thread.
+ * Because the chunk grid depends only on the grain, the result is
+ * identical at every thread count. Recorded as `operands` inputs read
+ * once and one element written.
  */
-template <typename Partial, typename Combine>
-void
-chunkedReduce(int64_t items, int64_t grain, Partial partial,
-              Combine combine)
+template <typename Acc, typename Partial, typename Combine>
+Acc
+reduceAll(const char *name, core::OpCategory category, int64_t n,
+          int operands, double flops_per_elem, Acc init,
+          Partial partial, Combine combine)
 {
-    grain = std::max<int64_t>(1, grain);
-    int64_t chunks = (items + grain - 1) / grain;
-    util::parallelFor(0, chunks, 1, [&](int64_t c0, int64_t c1) {
-        for (int64_t c = c0; c < c1; c++) {
-            int64_t lo = c * grain;
-            int64_t hi = std::min(items, lo + grain);
-            partial(c, lo, hi);
-        }
-    });
-    for (int64_t c = 0; c < chunks; c++)
-        combine(c);
-}
-
-/** Applies f element-wise over two same-shape tensors. */
-template <typename F>
-Tensor
-ewBinary(const char *name, const Tensor &a, const Tensor &b, F f,
-         double flops_per_elem = 1.0)
-{
-    util::panicIf(a.shape() != b.shape(),
-                  std::string(name) + ": shape mismatch " +
-                      shapeStr(a.shape()) + " vs " +
-                      shapeStr(b.shape()));
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; i++)
-                              po[static_cast<size_t>(i)] =
-                                  f(pa[static_cast<size_t>(i)],
-                                    pb[static_cast<size_t>(i)]);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(2.0 * static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/** Applies f element-wise over one tensor. */
-template <typename F>
-Tensor
-ewUnary(const char *name, const Tensor &a, F f,
-        double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; i++)
-                              po[static_cast<size_t>(i)] =
-                                  f(pa[static_cast<size_t>(i)]);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/**
- * Applies a SIMD span kernel element-wise over two same-shape tensors.
- * The kernel runs once per ThreadPool chunk, so the result is the
- * same at every thread count for a fixed backend.
- */
-inline Tensor
-ewBinaryKernel(const char *name, const Tensor &a, const Tensor &b,
-               BinaryKernel kernel, double flops_per_elem = 1.0)
-{
-    util::panicIf(a.shape() != b.shape(),
-                  std::string(name) + ": shape mismatch " +
-                      shapeStr(a.shape()) + " vs " +
-                      shapeStr(b.shape()));
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, pb.data() + lo,
-                                 po.data() + lo, hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(2.0 * static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/** Applies a SIMD (tensor, scalar) span kernel element-wise. */
-inline Tensor
-ewScalarKernel(const char *name, const Tensor &a, float s,
-               void (*kernel)(const float *, float, float *, int64_t),
-               double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, s, po.data() + lo,
-                                 hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/** Applies a SIMD span kernel element-wise over one tensor. */
-inline Tensor
-ewUnaryKernel(const char *name, const Tensor &a, UnaryKernel kernel,
-              double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, po.data() + lo,
-                                 hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
+    core::ScopedOp op(name, category);
+    int64_t grain = util::grainFor(flops_per_elem);
+    std::vector<decltype(partial(n, n))> partials(
+        static_cast<size_t>((n + grain - 1) / grain));
+    util::parallelFor(
+        0, static_cast<int64_t>(partials.size()), 1,
+        [&](int64_t c0, int64_t c1) {
+            for (int64_t c = c0; c < c1; c++) {
+                partials[static_cast<size_t>(c)] =
+                    partial(c * grain, std::min(n, (c + 1) * grain));
+            }
+        });
+    Acc acc = init;
+    for (const auto &p : partials)
+        acc = combine(acc, p);
+    auto elems = static_cast<double>(n);
+    op.setFlops(elems * flops_per_elem);
+    op.setBytesRead(operands * elems * elemBytes);
+    op.setBytesWritten(elemBytes);
+    return acc;
 }
 
 } // namespace nsbench::tensor::detail

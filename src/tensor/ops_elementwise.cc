@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
+#include "tensor/fused.hh"
 #include "tensor/ops.hh"
 #include "tensor/ops_common.hh"
 
@@ -9,204 +11,184 @@ namespace nsbench::tensor
 {
 
 using detail::elemBytes;
-using detail::ewBinary;
-using detail::ewBinaryKernel;
-using detail::ewUnary;
-using detail::ewUnaryKernel;
 
 namespace simd = nsbench::util::simd;
+
+namespace
+{
+
+/** Span form of a per-element function, for maps with no simd kernel. */
+template <typename F>
+auto
+perElement(F f)
+{
+    return [f](const float *a, float *out, int64_t n) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = f(a[i]);
+    };
+}
+
+} // namespace
 
 Tensor
 add(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("add", a, b, simd::add);
+    return fusedMap("add", a, b, 1.0, simd::add);
 }
 
 Tensor
 sub(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("sub", a, b, simd::sub);
+    return fusedMap("sub", a, b, 1.0, simd::sub);
 }
 
 Tensor
 mul(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("mul", a, b, simd::mul);
+    return fusedMap("mul", a, b, 1.0, simd::mul);
 }
 
 Tensor
 div(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("div", a, b, simd::div);
+    return fusedMap("div", a, b, 1.0, simd::div);
 }
 
 Tensor
 minimum(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("minimum", a, b, simd::minimum);
+    return fusedMap("minimum", a, b, 1.0, simd::minimum);
 }
 
 Tensor
 maximum(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("maximum", a, b, simd::maximum);
+    return fusedMap("maximum", a, b, 1.0, simd::maximum);
 }
 
 Tensor
 addScalar(const Tensor &a, float s)
 {
-    return detail::ewScalarKernel("add_scalar", a, s,
-                                  simd::addScalar);
+    return fusedMapUnary("add_scalar", a, 1.0,
+                         [s](const float *pa, float *po, int64_t n) {
+                             simd::addScalar(pa, s, po, n);
+                         });
 }
 
 Tensor
 mulScalar(const Tensor &a, float s)
 {
-    return detail::ewScalarKernel("mul_scalar", a, s,
-                                  simd::mulScalar);
+    return fusedMapUnary("mul_scalar", a, 1.0,
+                         [s](const float *pa, float *po, int64_t n) {
+                             simd::mulScalar(pa, s, po, n);
+                         });
 }
 
 Tensor
 relu(const Tensor &a)
 {
-    return ewUnaryKernel("relu", a, simd::relu);
+    return fusedMapUnary("relu", a, 1.0, simd::relu);
 }
 
 Tensor
 sigmoid(const Tensor &a)
 {
-    return ewUnary(
-        "sigmoid", a,
-        [](float x) { return 1.0f / (1.0f + std::exp(-x)); }, 4.0);
+    return fusedMapUnary(
+        "sigmoid", a, 4.0,
+        perElement([](float x) { return 1.0f / (1.0f + std::exp(-x)); }));
 }
 
 Tensor
 tanhOp(const Tensor &a)
 {
-    return ewUnary("tanh", a, [](float x) { return std::tanh(x); },
-                   4.0);
+    return fusedMapUnary("tanh", a, 4.0,
+                         perElement([](float x) { return std::tanh(x); }));
 }
 
 Tensor
 expOp(const Tensor &a)
 {
-    return ewUnary("exp", a, [](float x) { return std::exp(x); }, 2.0);
+    return fusedMapUnary("exp", a, 2.0,
+                         perElement([](float x) { return std::exp(x); }));
 }
 
 Tensor
 logOp(const Tensor &a)
 {
-    return ewUnary("log", a, [](float x) { return std::log(x); }, 2.0);
+    return fusedMapUnary("log", a, 2.0,
+                         perElement([](float x) { return std::log(x); }));
 }
 
 Tensor
 sqrtOp(const Tensor &a)
 {
-    return ewUnary("sqrt", a, [](float x) { return std::sqrt(x); },
-                   2.0);
+    return fusedMapUnary("sqrt", a, 2.0,
+                         perElement([](float x) { return std::sqrt(x); }));
 }
 
 Tensor
 neg(const Tensor &a)
 {
-    return ewUnaryKernel("neg", a, simd::negate);
+    return fusedMapUnary("neg", a, 1.0, simd::negate);
 }
 
 Tensor
 absOp(const Tensor &a)
 {
-    return ewUnaryKernel("abs", a, simd::absolute);
+    return fusedMapUnary("abs", a, 1.0, simd::absolute);
 }
 
 Tensor
 sign(const Tensor &a)
 {
-    return ewUnary("sign", a, [](float x) {
+    return fusedMapUnary("sign", a, 1.0, perElement([](float x) {
         return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-    });
+    }));
 }
 
 Tensor
 clamp(const Tensor &a, float lo, float hi)
 {
-    core::ScopedOp op("clamp", core::OpCategory::VectorElementwise);
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(1.0),
-                      [&](int64_t l, int64_t h) {
-                          simd::clampRange(pa.data() + l, lo, hi,
-                                           po.data() + l, h - l);
-                      });
-    op.setFlops(static_cast<double>(n));
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
+    return fusedMapUnary("clamp", a, 1.0,
+                         [lo, hi](const float *pa, float *po,
+                                  int64_t n) {
+                             simd::clampRange(pa, lo, hi, po, n);
+                         });
 }
 
 Tensor
 powOp(const Tensor &a, float exponent)
 {
-    return ewUnary("pow", a, [exponent](float x) {
+    return fusedMapUnary("pow", a, 4.0, perElement([exponent](float x) {
         return std::pow(x, exponent);
-    }, 4.0);
+    }));
 }
 
 float
 sumAll(const Tensor &a)
 {
-    core::ScopedOp op("sum", core::OpCategory::VectorElementwise);
-    auto data = a.data();
-    auto count = static_cast<int64_t>(data.size());
-    int64_t grain = nsbench::util::grainFor(1.0);
-    std::vector<double> partials(
-        static_cast<size_t>((count + grain - 1) / grain), 0.0);
-    double acc = 0.0;
-    // Chunked double-precision partial sums combined in chunk order:
-    // the value depends only on the grain, not the thread count.
-    detail::chunkedReduce(
-        count, grain,
-        [&](int64_t c, int64_t lo, int64_t hi) {
-            partials[static_cast<size_t>(c)] =
-                nsbench::util::simd::sumChunk(data.data() + lo,
-                                              hi - lo);
+    const float *pa = a.data().data();
+    return static_cast<float>(detail::reduceAll(
+        "sum", core::OpCategory::VectorElementwise, a.numel(), 1, 1.0,
+        0.0,
+        [pa](int64_t lo, int64_t hi) {
+            return simd::sumChunk(pa + lo, hi - lo);
         },
-        [&](int64_t c) { acc += partials[static_cast<size_t>(c)]; });
-    auto n = static_cast<double>(a.numel());
-    op.setFlops(n);
-    op.setBytesRead(n * elemBytes);
-    op.setBytesWritten(elemBytes);
-    return static_cast<float>(acc);
+        std::plus<>()));
 }
 
 float
 maxAll(const Tensor &a)
 {
     util::panicIf(a.numel() == 0, "maxAll: empty tensor");
-    core::ScopedOp op("max", core::OpCategory::VectorElementwise);
-    auto data = a.data();
-    auto count = static_cast<int64_t>(data.size());
-    int64_t grain = nsbench::util::grainFor(1.0);
-    std::vector<float> partials(
-        static_cast<size_t>((count + grain - 1) / grain),
-        -std::numeric_limits<float>::infinity());
-    float best = data[0];
-    detail::chunkedReduce(
-        count, grain,
-        [&](int64_t c, int64_t lo, int64_t hi) {
-            partials[static_cast<size_t>(c)] =
-                nsbench::util::simd::maxChunk(data.data() + lo,
-                                              hi - lo);
+    const float *pa = a.data().data();
+    return detail::reduceAll(
+        "max", core::OpCategory::VectorElementwise, a.numel(), 1, 1.0,
+        pa[0],
+        [pa](int64_t lo, int64_t hi) {
+            return simd::maxChunk(pa + lo, hi - lo);
         },
-        [&](int64_t c) {
-            best = std::max(best, partials[static_cast<size_t>(c)]);
-        });
-    auto n = static_cast<double>(a.numel());
-    op.setFlops(n);
-    op.setBytesRead(n * elemBytes);
-    op.setBytesWritten(elemBytes);
-    return best;
+        [](float best, float p) { return std::max(best, p); });
 }
 
 float
@@ -220,34 +202,18 @@ int64_t
 argmaxAll(const Tensor &a)
 {
     util::panicIf(a.numel() == 0, "argmaxAll: empty tensor");
-    core::ScopedOp op("argmax", core::OpCategory::VectorElementwise);
-    auto data = a.data();
-    auto count = static_cast<int64_t>(data.size());
-    int64_t grain = nsbench::util::grainFor(1.0);
-    std::vector<int64_t> partials(
-        static_cast<size_t>((count + grain - 1) / grain), 0);
-    int64_t best = 0;
+    const float *pa = a.data().data();
     // Per-chunk first-strict-maximum, combined in chunk order with a
     // strict comparison: exactly the serial earliest-argmax rule.
-    detail::chunkedReduce(
-        count, grain,
-        [&](int64_t c, int64_t lo, int64_t hi) {
-            partials[static_cast<size_t>(c)] =
-                lo + nsbench::util::simd::argmaxChunk(
-                         data.data() + lo, hi - lo);
+    return detail::reduceAll(
+        "argmax", core::OpCategory::VectorElementwise, a.numel(), 1,
+        1.0, int64_t{0},
+        [pa](int64_t lo, int64_t hi) {
+            return lo + simd::argmaxChunk(pa + lo, hi - lo);
         },
-        [&](int64_t c) {
-            int64_t b = partials[static_cast<size_t>(c)];
-            if (data[static_cast<size_t>(b)] >
-                data[static_cast<size_t>(best)]) {
-                best = b;
-            }
+        [pa](int64_t best, int64_t b) {
+            return pa[b] > pa[best] ? b : best;
         });
-    auto n = static_cast<double>(a.numel());
-    op.setFlops(n);
-    op.setBytesRead(n * elemBytes);
-    op.setBytesWritten(elemBytes);
-    return best;
 }
 
 namespace

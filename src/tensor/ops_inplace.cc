@@ -9,7 +9,9 @@
  * out == dst (exact aliasing, which the kernel contract permits), so
  * results are bit-identical to the allocating counterparts.
  *
- * Profiler attribution matches the allocating ops' stream model
+ * Each runs through the one element-wise map frame (fusedMap in
+ * tensor/fused.hh) with its destination as both input and output, so
+ * profiler attribution matches the allocating ops' stream model
  * (inputs read once, output written once); only the op names differ
  * ("add_inplace", ...) so characterization can tell the paths apart.
  */
@@ -17,136 +19,74 @@
 #include "tensor/ops.hh"
 
 #include "tensor/fused.hh"
-#include "tensor/ops_common.hh"
+#include "util/simd.hh"
 
 namespace nsbench::tensor
 {
 
 namespace simd = nsbench::util::simd;
 
-namespace
-{
-
-/** Shared frame for dst = kernel(dst, src). */
-void
-ewBinaryInPlace(const char *name, Tensor &dst, const Tensor &src,
-                detail::BinaryKernel kernel,
-                double flops_per_elem = 1.0)
-{
-    util::panicIf(dst.shape() != src.shape(),
-                  std::string(name) + ": shape mismatch " +
-                      shapeStr(dst.shape()) + " vs " +
-                      shapeStr(src.shape()));
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    auto pd = dst.data();
-    auto ps = src.data();
-    auto n = static_cast<int64_t>(pd.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pd.data() + lo, ps.data() + lo,
-                                 pd.data() + lo, hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(2.0 * static_cast<double>(n) *
-                    detail::elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * detail::elemBytes);
-}
-
-/** Shared frame for dst = kernel(dst, s). */
-void
-ewScalarInPlace(const char *name, Tensor &dst, float s,
-                void (*kernel)(const float *, float, float *, int64_t),
-                double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    auto pd = dst.data();
-    auto n = static_cast<int64_t>(pd.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pd.data() + lo, s, pd.data() + lo,
-                                 hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * detail::elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * detail::elemBytes);
-}
-
-} // namespace
-
 void
 addInPlace(Tensor &dst, const Tensor &src)
 {
-    ewBinaryInPlace("add_inplace", dst, src, simd::add);
+    fusedMap("add_inplace", dst, dst, src, 1.0, simd::add);
 }
 
 void
 subInPlace(Tensor &dst, const Tensor &src)
 {
-    ewBinaryInPlace("sub_inplace", dst, src, simd::sub);
+    fusedMap("sub_inplace", dst, dst, src, 1.0, simd::sub);
 }
 
 void
 mulInPlace(Tensor &dst, const Tensor &src)
 {
-    ewBinaryInPlace("mul_inplace", dst, src, simd::mul);
+    fusedMap("mul_inplace", dst, dst, src, 1.0, simd::mul);
 }
 
 void
 minimumInPlace(Tensor &dst, const Tensor &src)
 {
-    ewBinaryInPlace("minimum_inplace", dst, src, simd::minimum);
+    fusedMap("minimum_inplace", dst, dst, src, 1.0, simd::minimum);
 }
 
 void
 maximumInPlace(Tensor &dst, const Tensor &src)
 {
-    ewBinaryInPlace("maximum_inplace", dst, src, simd::maximum);
+    fusedMap("maximum_inplace", dst, dst, src, 1.0, simd::maximum);
 }
 
 void
 addScalarInPlace(Tensor &dst, float s)
 {
-    ewScalarInPlace("add_scalar_inplace", dst, s, simd::addScalar);
+    fusedMapUnary("add_scalar_inplace", dst, dst, 1.0,
+                  [s](const float *pa, float *po, int64_t n) {
+                      simd::addScalar(pa, s, po, n);
+                  });
 }
 
 void
 mulScalarInPlace(Tensor &dst, float s)
 {
-    ewScalarInPlace("mul_scalar_inplace", dst, s, simd::mulScalar);
+    fusedMapUnary("mul_scalar_inplace", dst, dst, 1.0,
+                  [s](const float *pa, float *po, int64_t n) {
+                      simd::mulScalar(pa, s, po, n);
+                  });
 }
 
 void
 reluInPlace(Tensor &dst)
 {
-    core::ScopedOp op("relu_inplace",
-                      core::OpCategory::VectorElementwise);
-    auto pd = dst.data();
-    auto n = static_cast<int64_t>(pd.size());
-    util::parallelFor(0, n, util::grainFor(1.0),
-                      [&](int64_t lo, int64_t hi) {
-                          simd::relu(pd.data() + lo, pd.data() + lo,
-                                     hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n));
-    op.setBytesRead(static_cast<double>(n) * detail::elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * detail::elemBytes);
+    fusedMapUnary("relu_inplace", dst, dst, 1.0, simd::relu);
 }
 
 void
 clampInPlace(Tensor &dst, float lo, float hi)
 {
-    core::ScopedOp op("clamp_inplace",
-                      core::OpCategory::VectorElementwise);
-    auto pd = dst.data();
-    auto n = static_cast<int64_t>(pd.size());
-    util::parallelFor(0, n, util::grainFor(1.0),
-                      [&](int64_t l, int64_t h) {
-                          simd::clampRange(pd.data() + l, lo, hi,
-                                           pd.data() + l, h - l);
-                      });
-    op.setFlops(static_cast<double>(n));
-    op.setBytesRead(static_cast<double>(n) * detail::elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * detail::elemBytes);
+    fusedMapUnary("clamp_inplace", dst, dst, 1.0,
+                  [lo, hi](const float *pa, float *po, int64_t n) {
+                      simd::clampRange(pa, lo, hi, po, n);
+                  });
 }
 
 void

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 
 #include "tensor/ops.hh"
 #include "tensor/ops_common.hh"
@@ -101,29 +102,14 @@ dot(const Tensor &a, const Tensor &b)
     util::panicIf(a.dim() != 1 || b.dim() != 1 ||
                       a.size(0) != b.size(0),
                   "dot: rank-1 equal-length tensors required");
-    core::ScopedOp op("dot", core::OpCategory::MatMul);
-    auto pa = a.data();
-    auto pb = b.data();
-    auto n = static_cast<int64_t>(pa.size());
-    int64_t grain = util::grainFor(2.0);
-    std::vector<double> partials(
-        static_cast<size_t>((n + grain - 1) / std::max<int64_t>(
-                                                  grain, 1)),
-        0.0);
-    double acc = 0.0;
-    detail::chunkedReduce(
-        n, grain,
-        [&](int64_t c, int64_t lo, int64_t hi) {
-            partials[static_cast<size_t>(c)] =
-                util::simd::dotChunk(pa.data() + lo, pb.data() + lo,
-                                     hi - lo);
+    const float *pa = a.data().data();
+    const float *pb = b.data().data();
+    return static_cast<float>(detail::reduceAll(
+        "dot", core::OpCategory::MatMul, a.numel(), 2, 2.0, 0.0,
+        [pa, pb](int64_t lo, int64_t hi) {
+            return util::simd::dotChunk(pa + lo, pb + lo, hi - lo);
         },
-        [&](int64_t c) { acc += partials[static_cast<size_t>(c)]; });
-    auto dn = static_cast<double>(a.numel());
-    op.setFlops(2.0 * dn);
-    op.setBytesRead(2.0 * dn * elemBytes);
-    op.setBytesWritten(elemBytes);
-    return static_cast<float>(acc);
+        std::plus<>()));
 }
 
 } // namespace nsbench::tensor

@@ -431,8 +431,7 @@ NSBENCH_TGT void
 minimum(const float *a, const float *b, float *out, int64_t n)
 {
     int64_t i = 0;
-    // minps(a, b) returns b on ties, matching std::min(a, b) for every
-    // non-NaN input except the sign of a +/-0 tie.
+    // minps(b, a) is `b < a ? b : a`, std::min(a, b) to the bit.
     for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i,
                          _mm256_min_ps(_mm256_loadu_ps(b + i),
@@ -445,6 +444,7 @@ NSBENCH_TGT void
 maximum(const float *a, const float *b, float *out, int64_t n)
 {
     int64_t i = 0;
+    // maxps(b, a) is `b > a ? b : a`, std::max(a, b) to the bit.
     for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i,
                          _mm256_max_ps(_mm256_loadu_ps(b + i),
@@ -523,11 +523,14 @@ clampRange(const float *a, float lo, float hi, float *out, int64_t n)
     __m256 vlo = _mm256_set1_ps(lo);
     __m256 vhi = _mm256_set1_ps(hi);
     int64_t i = 0;
+    // minps/maxps return their second operand on NaN and on a +/-0
+    // tie, so v goes second in the inner max and hi first in the
+    // outer min: exactly std::clamp's `v < lo ? lo : hi < v ? hi : v`.
     for (; i + 8 <= n; i += 8) {
         __m256 v = _mm256_loadu_ps(a + i);
         _mm256_storeu_ps(
             out + i,
-            _mm256_min_ps(_mm256_max_ps(v, vlo), vhi));
+            _mm256_min_ps(vhi, _mm256_max_ps(vlo, v)));
     }
     for (; i < n; i++)
         out[i] = std::clamp(a[i], lo, hi);

@@ -89,6 +89,13 @@ const char *activeBackendName();
 
 /// @name Element-wise float maps over [0, n). Out must not partially
 /// alias the inputs (out == a or out == b exactly is allowed).
+///
+/// minimum, maximum and clampRange return std::min(a[i], b[i]),
+/// std::max(a[i], b[i]) and std::clamp(a[i], lo, hi) bit for bit on
+/// both backends, NaN and signed-zero ties included. MINPS and MAXPS
+/// return their second operand on NaN and on a +/-0 tie, so the AVX2
+/// twins fix the operand order: minps(b, a), maxps(b, a) and
+/// minps(hi, maxps(lo, v)).
 /// @{
 void add(const float *a, const float *b, float *out, int64_t n);
 void sub(const float *a, const float *b, float *out, int64_t n);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/profiler.hh"
+#include "tensor/fused.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/threadpool.hh"
@@ -44,36 +45,14 @@ Tensor
 bind(const Tensor &a, const Tensor &b)
 {
     checkSameDim("vsa_bind", a, b);
-    ScopedOp op("vsa_bind", OpCategory::VectorElementwise);
-    Tensor out = Tensor::uninitialized({a.size(0)});
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    util::simd::mul(pa.data(), pb.data(), po.data(),
-                    static_cast<int64_t>(pa.size()));
-    auto n = static_cast<double>(a.numel());
-    op.setFlops(n);
-    op.setBytesRead(2.0 * n * elemBytes);
-    op.setBytesWritten(n * elemBytes);
-    return out;
+    return tensor::fusedMap("vsa_bind", a, b, 1.0, util::simd::mul);
 }
 
 Tensor
 unbind(const Tensor &a, const Tensor &b)
 {
     checkSameDim("vsa_unbind", a, b);
-    ScopedOp op("vsa_unbind", OpCategory::VectorElementwise);
-    Tensor out = Tensor::uninitialized({a.size(0)});
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    util::simd::mul(pa.data(), pb.data(), po.data(),
-                    static_cast<int64_t>(pa.size()));
-    auto n = static_cast<double>(a.numel());
-    op.setFlops(n);
-    op.setBytesRead(2.0 * n * elemBytes);
-    op.setBytesWritten(n * elemBytes);
-    return out;
+    return tensor::fusedMap("vsa_unbind", a, b, 1.0, util::simd::mul);
 }
 
 Tensor
@@ -111,16 +90,9 @@ Tensor
 bundleMajority(const std::vector<Tensor> &vectors)
 {
     Tensor sum = bundle(vectors);
-    ScopedOp op("vsa_majority", OpCategory::VectorElementwise);
-    auto ps = sum.data();
-    // Threshold the bundle sum in place (exact self-aliasing is
-    // allowed by the kernel contract); the sum is dead afterwards.
-    util::simd::signBipolar(ps.data(), ps.data(),
-                            static_cast<int64_t>(ps.size()));
-    auto n = static_cast<double>(sum.numel());
-    op.setFlops(n);
-    op.setBytesRead(n * elemBytes);
-    op.setBytesWritten(n * elemBytes);
+    // Threshold the bundle sum in place; it is dead afterwards.
+    tensor::fusedMapUnary("vsa_majority", sum, sum, 1.0,
+                          util::simd::signBipolar);
     return sum;
 }
 

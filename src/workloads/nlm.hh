@@ -17,7 +17,6 @@
 #ifndef NSBENCH_WORKLOADS_NLM_HH
 #define NSBENCH_WORKLOADS_NLM_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/workload.hh"
@@ -52,19 +51,14 @@ struct NlmConfig
 /**
  * One family graph's base predicate tensors — the unary [N,1] and
  * parent-relation binary [N,N,1] groups the NLM program starts
- * from. Pure in (config, model seed, episode index): the graph
- * sampler consumes a deterministic RNG stream, so graph i's tensors
- * are reproducible bit-for-bit. The conversion is uninstrumented, so
- * memoizing it leaves the profiled operator stream untouched; the
- * target tensor stays per-run (it is consumed once, in scoring).
+ * from, converted once per graph at setUp. The conversion is
+ * uninstrumented; the target tensor stays per-run (it is consumed
+ * once, in scoring).
  */
 struct NlmBasePredicates
 {
     tensor::Tensor unary;
     tensor::Tensor binary;
-
-    /** Resident bytes of both tensors. */
-    uint64_t bytes() const;
 };
 
 /**
@@ -110,10 +104,9 @@ class NlmWorkload : public core::Workload
 
   private:
     NlmConfig config_;
-    uint64_t seed_ = 0;
     std::vector<data::FamilyGraph> graphs_;
-    /** Shared immutable base predicates per graph (cache-served). */
-    std::vector<std::shared_ptr<const NlmBasePredicates>> bases_;
+    /** Base predicates per graph, built at setUp. */
+    std::vector<NlmBasePredicates> bases_;
 
     /** One NLM layer's constructed MLP parameters. */
     struct LayerWeights

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "core/sparsity.hh"
 #include "tensor/ops.hh"
@@ -24,14 +23,14 @@ namespace
 {
 
 /** Enumerates the full rule tables for one grid size. */
-std::shared_ptr<const PraeRuleTables>
+PraeRuleTables
 buildRuleTables(int grid)
 {
-    auto tables = std::make_shared<PraeRuleTables>();
+    PraeRuleTables tables;
     for (size_t a = 0; a < data::numAttributes; a++) {
         int domain =
             data::attributeDomain(data::allAttributes[a], grid);
-        PraeRuleTables::Table &table = tables->tables[a];
+        PraeRuleTables::Table &table = tables.tables[a];
         table.domain = domain;
         table.rules = data::enumerateRules(domain);
         table.apply.resize(table.rules.size());
@@ -53,18 +52,6 @@ buildRuleTables(int grid)
 
 } // namespace
 
-uint64_t
-PraeRuleTables::bytes() const
-{
-    uint64_t total = 0;
-    for (const auto &table : tables) {
-        total += table.rules.size() * sizeof(data::AttributeRule);
-        for (const auto &map : table.apply)
-            total += map.size() * sizeof(int);
-    }
-    return total;
-}
-
 void
 PraeWorkload::setUp(uint64_t seed)
 {
@@ -74,20 +61,7 @@ PraeWorkload::setUp(uint64_t seed)
                                                     seed ^ 0x9999);
 
     // Pre-compute the rule tables the abduction engine enumerates.
-    // They depend on the grid alone — no seed — so every replica at
-    // the same grid shares one memoized copy when the cache is on.
-    int grid = config_.grid;
-    ruleTables_ =
-        cache::PrecomputeCache::global()
-            .getOrBuild<PraeRuleTables>(
-                "prae/tables/g" + std::to_string(grid),
-                [grid]() {
-                    cache::Sized<PraeRuleTables> out;
-                    out.value = buildRuleTables(grid);
-                    out.bytes = out.value->bytes();
-                    return out;
-                })
-            .value;
+    ruleTables_ = buildRuleTables(config_.grid);
 }
 
 void
@@ -103,11 +77,9 @@ uint64_t
 PraeWorkload::storageBytes() const
 {
     uint64_t bytes = perception_ ? perception_->storageBytes() : 0;
-    if (ruleTables_) {
-        for (const auto &table : ruleTables_->tables) {
-            for (const auto &map : table.apply)
-                bytes += map.size() * sizeof(int);
-        }
+    for (const auto &table : ruleTables_.tables) {
+        for (const auto &map : table.apply)
+            bytes += map.size() * sizeof(int);
     }
     return bytes;
 }
@@ -194,8 +166,7 @@ PraeWorkload::reasonPuzzle(PerceivedPuzzle &perceived)
     {
         PhaseScope symbolic(Phase::Symbolic, "prae/abduction");
         for (size_t a = 0; a < data::numAttributes; a++) {
-            const PraeRuleTables::Table &table =
-                ruleTables_->tables[a];
+            const PraeRuleTables::Table &table = ruleTables_.tables[a];
             int domain = table.domain;
             posteriors[a].assign(table.rules.size(), 0.0);
 
@@ -268,8 +239,7 @@ PraeWorkload::reasonPuzzle(PerceivedPuzzle &perceived)
     {
         PhaseScope symbolic(Phase::Symbolic, "prae/execution");
         for (size_t a = 0; a < data::numAttributes; a++) {
-            const PraeRuleTables::Table &table =
-                ruleTables_->tables[a];
+            const PraeRuleTables::Table &table = ruleTables_.tables[a];
             int domain = table.domain;
             predicted[a] = Tensor({domain});
 

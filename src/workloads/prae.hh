@@ -36,9 +36,7 @@ struct PraeConfig
 /**
  * The abduction engine's enumerated rule tables: candidate rules
  * plus predicted-value maps per attribute. Pure in the grid size
- * alone (no seed enters their construction), so one instance is
- * shareable read-only across every replica and seed via the
- * precompute cache.
+ * alone (no seed enters their construction); built at setUp.
  */
 struct PraeRuleTables
 {
@@ -50,9 +48,6 @@ struct PraeRuleTables
         int domain = 0;
     };
     std::array<Table, data::numAttributes> tables;
-
-    /** Resident bytes of the apply maps. */
-    uint64_t bytes() const;
 };
 
 /**
@@ -95,8 +90,8 @@ class PraeWorkload : public core::Workload
     PraeConfig config_;
     std::unique_ptr<data::RavenGenerator> generator_;
     std::unique_ptr<RavenPerception> perception_;
-    /** Shared immutable rule tables (possibly cache-served). */
-    std::shared_ptr<const PraeRuleTables> ruleTables_;
+    /** Rule tables for the configured grid, built at setUp. */
+    PraeRuleTables ruleTables_;
 
     /** Perception output for one puzzle, carried between stages. */
     struct PerceivedPuzzle

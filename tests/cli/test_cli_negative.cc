@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
+#include <vector>
 
 namespace
 {
@@ -104,6 +106,53 @@ TEST(CliNegative, BadMixWeightIsRejectedBeforeServing)
             << result.output;
         EXPECT_EQ(result.output.find("serving:"), std::string::npos)
             << result.output;
+    }
+}
+
+TEST(CliNegative, MalformedNumbersAreRejected)
+{
+    // Every numeric flag parses its whole value: atoi and strtoull
+    // read "2x" as 2 and "abc" as 0, and the command ran anyway.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        table = {
+            {"run LNN",
+             {"--seed", "--runs", "--threads", "--cache-mb"}},
+            {"serve --duration 0.1",
+             {"--workers", "--queue", "--model-seed", "--cache-mb",
+              "--rate", "--clients", "--duration", "--seed",
+              "--seed-universe", "--zipf", "--deadline-ms",
+              "--threads", "--retries", "--retry-backoff-us",
+              "--target-sojourn-us", "--sojourn-grace-us"}},
+        };
+    for (const auto &[command, flags] : table) {
+        for (const std::string &flag : flags) {
+            for (const char *text : {"2x", "abc"}) {
+                CliResult result =
+                    runCli(command + " " + flag + " " + text);
+                EXPECT_EQ(result.exitCode, 2) << command << " " << flag
+                                              << " " << text;
+                EXPECT_NE(result.output.find(flag +
+                                             " must be a number, got '" +
+                                             text + "'"),
+                          std::string::npos)
+                    << result.output;
+                EXPECT_EQ(result.output.find("serving:"),
+                          std::string::npos)
+                    << result.output;
+            }
+        }
+    }
+    // A zero budget would leave the caches nothing to hold, and 2^44
+    // MiB wraps to 0 bytes.
+    for (const std::string command : {"run LNN", "serve --duration 0.1"}) {
+        for (const char *mb : {"0", "17592186044416"}) {
+            CliResult result = runCli(command + " --cache-mb " + mb);
+            EXPECT_EQ(result.exitCode, 2) << command << " " << mb;
+            EXPECT_NE(result.output.find("--cache-mb must be at least 1 "
+                                         "and at most 17592186044415"),
+                      std::string::npos)
+                << result.output;
+        }
     }
 }
 

@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.hh"
@@ -94,14 +96,17 @@ class SimdEquivalence : public testing::Test
         ThreadPool::setGlobalThreads(0);
     }
 
+    /** Compares bit patterns, so NaN and the sign of zero count. */
     void
     expectBitEqual(const std::function<Tensor()> &fn)
     {
         compareBackends(fn, [](const Tensor &got, const Tensor &expect,
                                int width) {
             for (int64_t i = 0; i < got.numel(); i++)
-                ASSERT_EQ(got.flat(i), expect.flat(i))
-                    << "width " << width << " elem " << i;
+                ASSERT_EQ(std::bit_cast<uint32_t>(got.flat(i)),
+                          std::bit_cast<uint32_t>(expect.flat(i)))
+                    << "width " << width << " elem " << i << ": got "
+                    << got.flat(i) << " want " << expect.flat(i);
         });
     }
 
@@ -204,6 +209,21 @@ TEST_F(SimdEquivalence, ElementwiseUnaryBitExact)
         expectBitEqual([&] { return tensor::addScalar(a, s); });
         expectBitEqual([&] { return tensor::mulScalar(a, s); });
         expectBitEqual([&] { return tensor::clamp(a, -0.5f, 0.5f); });
+    }
+
+    // std::clamp's rule for NaN and signed-zero ties. Each value fills
+    // one 8-lane block, so the AVX2 vector loop sees every case.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> values = {nan,  0.0f,  -0.0f, 1.0f,
+                                       -1.0f, 0.5f, 2.0f,  -2.0f,
+                                       inf,  -inf,  1e-45f, -1e-45f};
+    Tensor v({static_cast<int64_t>(values.size()) * 8});
+    for (int64_t i = 0; i < v.numel(); i++)
+        v.flat(i) = values[static_cast<size_t>(i / 8)];
+    for (float lo : {0.0f, -0.0f, -1.0f}) {
+        for (float hi : {1.0f, 0.0f, -0.0f})
+            expectBitEqual([&] { return tensor::clamp(v, lo, hi); });
     }
 }
 

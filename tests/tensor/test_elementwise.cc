@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "core/profiler.hh"
+#include "tensor/fused.hh"
 #include "tensor/ops.hh"
+#include "vsa/ops.hh"
 
 namespace
 {
@@ -150,6 +155,17 @@ TEST(Elementwise, NormalizeL2)
     EXPECT_NEAR(n(0, 1), 0.8f, 1e-5);
 }
 
+/** One op call and the attribution it must record. */
+struct OpPin
+{
+    const char *name;
+    OpCategory category;
+    double flops;
+    double bytesRead;
+    double bytesWritten;
+    std::function<void()> call;
+};
+
 TEST(Elementwise, ProfilerAccounting)
 {
     auto &prof = globalProfiler();
@@ -167,6 +183,87 @@ TEST(Elementwise, ProfilerAccounting)
     EXPECT_DOUBLE_EQ(stats.flops, 100.0);
     EXPECT_DOUBLE_EQ(stats.bytesRead, 800.0);
     EXPECT_DOUBLE_EQ(stats.bytesWritten, 400.0);
+
+    // Pins name, category, invocations, FLOPs and bytes of every
+    // element-wise map and full reduction on an operand longer than
+    // two fused tiles plus a tail.
+    constexpr int64_t n = 2 * kFuseTile + 37;
+    constexpr double e = static_cast<double>(n);
+    constexpr double f = sizeof(float);
+    Tensor a = Tensor::full({n}, 0.5f);
+    Tensor b = Tensor::full({n}, 2.0f);
+    Tensor dst = Tensor::full({n}, 1.5f);
+    constexpr auto ew = OpCategory::VectorElementwise;
+    const std::vector<OpPin> pins = {
+        {"add", ew, e, 2 * e * f, e * f, [&] { add(a, b); }},
+        {"sub", ew, e, 2 * e * f, e * f, [&] { sub(a, b); }},
+        {"mul", ew, e, 2 * e * f, e * f, [&] { mul(a, b); }},
+        {"div", ew, e, 2 * e * f, e * f, [&] { div(a, b); }},
+        {"minimum", ew, e, 2 * e * f, e * f, [&] { minimum(a, b); }},
+        {"maximum", ew, e, 2 * e * f, e * f, [&] { maximum(a, b); }},
+        {"add_scalar", ew, e, e * f, e * f, [&] { addScalar(a, 1); }},
+        {"mul_scalar", ew, e, e * f, e * f, [&] { mulScalar(a, 2); }},
+        {"relu", ew, e, e * f, e * f, [&] { relu(a); }},
+        {"sigmoid", ew, 4 * e, e * f, e * f, [&] { sigmoid(a); }},
+        {"tanh", ew, 4 * e, e * f, e * f, [&] { tanhOp(a); }},
+        {"exp", ew, 2 * e, e * f, e * f, [&] { expOp(a); }},
+        {"log", ew, 2 * e, e * f, e * f, [&] { logOp(a); }},
+        {"sqrt", ew, 2 * e, e * f, e * f, [&] { sqrtOp(a); }},
+        {"neg", ew, e, e * f, e * f, [&] { neg(a); }},
+        {"abs", ew, e, e * f, e * f, [&] { absOp(a); }},
+        {"sign", ew, e, e * f, e * f, [&] { sign(a); }},
+        {"clamp", ew, e, e * f, e * f, [&] { clamp(a, 0, 1); }},
+        {"pow", ew, 4 * e, e * f, e * f, [&] { powOp(a, 1.5f); }},
+        {"add_inplace", ew, e, 2 * e * f, e * f,
+         [&] { addInPlace(dst, a); }},
+        {"sub_inplace", ew, e, 2 * e * f, e * f,
+         [&] { subInPlace(dst, a); }},
+        {"mul_inplace", ew, e, 2 * e * f, e * f,
+         [&] { mulInPlace(dst, a); }},
+        {"minimum_inplace", ew, e, 2 * e * f, e * f,
+         [&] { minimumInPlace(dst, a); }},
+        {"maximum_inplace", ew, e, 2 * e * f, e * f,
+         [&] { maximumInPlace(dst, a); }},
+        {"add_scalar_inplace", ew, e, e * f, e * f,
+         [&] { addScalarInPlace(dst, 1); }},
+        {"mul_scalar_inplace", ew, e, e * f, e * f,
+         [&] { mulScalarInPlace(dst, 2); }},
+        {"relu_inplace", ew, e, e * f, e * f, [&] { reluInPlace(dst); }},
+        {"clamp_inplace", ew, e, e * f, e * f,
+         [&] { clampInPlace(dst, 0, 1); }},
+        {"sub_scaled_inplace", ew, 2 * e, 2 * e * f, e * f,
+         [&] { subScaledInPlace(dst, a, 0.5f); }},
+        {"vsa_bind", ew, e, 2 * e * f, e * f,
+         [&] { nsbench::vsa::bind(a, b); }},
+        {"vsa_unbind", ew, e, 2 * e * f, e * f,
+         [&] { nsbench::vsa::unbind(a, b); }},
+        {"vsa_majority", ew, e, e * f, e * f,
+         [&] { nsbench::vsa::bundleMajority({a, b, dst}); }},
+        {"sum", ew, e, e * f, f, [&] { sumAll(a); }},
+        {"max", ew, e, e * f, f, [&] { maxAll(a); }},
+        {"argmax", ew, e, e * f, f, [&] { argmaxAll(a); }},
+        {"dot", OpCategory::MatMul, 2 * e, 2 * e * f, f,
+         [&] { dot(a, b); }},
+    };
+    for (const OpPin &pin : pins) {
+        prof.reset();
+        {
+            nsbench::core::PhaseScope scope(Phase::Symbolic, "pin");
+            pin.call();
+        }
+        auto ops = prof.opsByTime(Phase::Symbolic);
+        auto it = std::find_if(ops.begin(), ops.end(), [&](auto &op) {
+            return op.name == pin.name;
+        });
+        ASSERT_NE(it, ops.end()) << pin.name;
+        EXPECT_EQ(it->category, pin.category) << pin.name;
+        EXPECT_EQ(it->stats.invocations, 1u) << pin.name;
+        EXPECT_DOUBLE_EQ(it->stats.flops, pin.flops) << pin.name;
+        EXPECT_DOUBLE_EQ(it->stats.bytesRead, pin.bytesRead)
+            << pin.name;
+        EXPECT_DOUBLE_EQ(it->stats.bytesWritten, pin.bytesWritten)
+            << pin.name;
+    }
     prof.reset();
 }
 

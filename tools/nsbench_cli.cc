@@ -56,13 +56,16 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,6 +147,52 @@ printTable(const util::Table &table, bool csv)
 }
 
 /**
+ * The one number rule for the command line: @p text must be one
+ * finite number with nothing after it. atoi and strtoull read "2x" as
+ * 2 and "abc" as 0.
+ */
+template <typename T>
+bool
+parseWhole(const std::string &text, T *value)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+    if constexpr (std::is_floating_point_v<T>) {
+        if (ec == std::errc() && !std::isfinite(*value))
+            return false;
+    }
+    return ec == std::errc() && ptr == end;
+}
+
+/** parseWhole for the value of @p flag; exits 2 on bad input. */
+template <typename T>
+T
+numberArg(const std::string &flag, const std::string &text)
+{
+    T value{};
+    if (!parseWhole(text, &value)) {
+        std::cerr << flag << " must be a number, got '" << text
+                  << "'\n";
+        std::exit(2);
+    }
+    return value;
+}
+
+/** --cache-mb N as a byte budget; exits 2 unless 1 <= N < 2^44. */
+uint64_t
+cacheBytesArg(const char *text)
+{
+    constexpr uint64_t max_mb = UINT64_MAX >> 20; // mb << 20 fits.
+    uint64_t mb = numberArg<uint64_t>("--cache-mb", text);
+    if (mb < 1 || mb > max_mb) {
+        std::cerr << "--cache-mb must be at least 1 and at most "
+                  << max_mb << "\n";
+        std::exit(2);
+    }
+    return mb << 20;
+}
+
+/**
  * Parses `--pipeline` / `--pipeline=D` into a queue depth (bare form
  * means 2); returns false when @p arg is some other option. Exits
  * with a usage error on a non-positive depth.
@@ -158,7 +207,7 @@ parsePipelineArg(const std::string &arg, int *depth)
     const std::string prefix = "--pipeline=";
     if (arg.rfind(prefix, 0) != 0)
         return false;
-    *depth = std::atoi(arg.c_str() + prefix.size());
+    *depth = numberArg<int>("--pipeline", arg.substr(prefix.size()));
     if (*depth < 1) {
         std::cerr << "--pipeline depth must be positive\n";
         std::exit(2);
@@ -327,11 +376,11 @@ cmdRun(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = numberArg<uint64_t>(arg, next());
         } else if (arg == "--runs") {
-            runs = std::atoi(next());
+            runs = numberArg<int>(arg, next());
         } else if (arg == "--threads") {
-            int threads = std::atoi(next());
+            int threads = numberArg<int>(arg, next());
             if (threads < 1) {
                 std::cerr << "--threads must be positive\n";
                 return 2;
@@ -357,8 +406,8 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--cache") {
             parseCacheMode(next());
         } else if (arg == "--cache-mb") {
-            uint64_t mb = std::strtoull(next(), nullptr, 10);
-            cache::PrecomputeCache::global().setMaxBytes(mb << 20);
+            cache::PrecomputeCache::global().setMaxBytes(
+                cacheBytesArg(next()));
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--device") {
@@ -515,7 +564,7 @@ parseListenSpec(const std::string &spec)
         options.host = spec.substr(0, colon);
         port_part = spec.substr(colon + 1);
     }
-    int port = std::atoi(port_part.c_str());
+    int port = numberArg<int>("--listen", port_part);
     if (port < 1 || port > 65535) {
         std::cerr << "--listen needs [HOST:]PORT with port 1..65535\n";
         std::exit(2);
@@ -532,7 +581,7 @@ parseConnectSpec(const std::string &spec)
     size_t colon = spec.rfind(':');
     int port = colon == std::string::npos
                    ? 0
-                   : std::atoi(spec.c_str() + colon + 1);
+                   : numberArg<int>("--connect", spec.substr(colon + 1));
     if (colon == std::string::npos || colon == 0 || port < 1 ||
         port > 65535) {
         std::cerr << "--connect needs HOST:PORT\n";
@@ -565,25 +614,24 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
         if (arg == "--workloads") {
             server_options.workloads = splitList(next());
         } else if (arg == "--workers") {
-            server_options.workers = std::atoi(next());
+            server_options.workers = numberArg<int>(arg, next());
         } else if (arg == "--queue") {
             // Checked before the size_t cast: a negative count would
             // wrap into an effectively unbounded queue.
-            long long queue = std::atoll(next());
+            auto queue = numberArg<int64_t>(arg, next());
             if (queue < 1) {
                 std::cerr << "--queue must be positive\n";
                 return 2;
             }
             server_options.queueCapacity = static_cast<size_t>(queue);
         } else if (arg == "--model-seed") {
-            server_options.modelSeed =
-                std::strtoull(next(), nullptr, 10);
+            server_options.modelSeed = numberArg<uint64_t>(arg, next());
         } else if (arg == "--cache") {
             server_options.resultCache = parseCacheMode(next());
         } else if (arg == "--cache-mb") {
-            uint64_t mb = std::strtoull(next(), nullptr, 10);
-            server_options.cacheBytes = mb << 20;
-            cache::PrecomputeCache::global().setMaxBytes(mb << 20);
+            server_options.cacheBytes = cacheBytesArg(next());
+            cache::PrecomputeCache::global().setMaxBytes(
+                server_options.cacheBytes);
         } else if (arg == "--preset") {
             std::string mode = next();
             if (mode == "serve") {
@@ -599,20 +647,19 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
         } else if (arg == "--closed") {
             load_options.openLoop = false;
         } else if (arg == "--rate") {
-            load_options.rateHz = std::atof(next());
+            load_options.rateHz = numberArg<double>(arg, next());
         } else if (arg == "--clients") {
-            load_options.clients = std::atoi(next());
+            load_options.clients = numberArg<int>(arg, next());
         } else if (arg == "--duration") {
-            load_options.durationSeconds = std::atof(next());
+            load_options.durationSeconds = numberArg<double>(arg, next());
         } else if (arg == "--seed") {
-            load_options.seed = std::strtoull(next(), nullptr, 10);
+            load_options.seed = numberArg<uint64_t>(arg, next());
         } else if (arg == "--seed-universe") {
-            load_options.seedUniverse =
-                std::strtoull(next(), nullptr, 10);
+            load_options.seedUniverse = numberArg<uint64_t>(arg, next());
         } else if (arg == "--zipf") {
-            load_options.zipfExponent = std::atof(next());
+            load_options.zipfExponent = numberArg<double>(arg, next());
         } else if (arg == "--deadline-ms") {
-            load_options.deadlineMs = std::atof(next());
+            load_options.deadlineMs = numberArg<double>(arg, next());
         } else if (arg == "--mix") {
             load_options.mix.clear();
             for (const auto &entry : splitList(next())) {
@@ -620,13 +667,8 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 std::string name = entry.substr(0, eq);
                 double weight = 1.0;
                 if (eq != std::string::npos) {
-                    // Whole-string parse: atof would read "abc" as 0
-                    // and "2x" as 2.
-                    const char *text = entry.c_str() + eq + 1;
-                    char *end = nullptr;
-                    weight = std::strtod(text, &end);
-                    if (end == text || *end != '\0' ||
-                        !std::isfinite(weight) || weight <= 0.0) {
+                    std::string text = entry.substr(eq + 1);
+                    if (!parseWhole(text, &weight) || weight <= 0.0) {
                         std::cerr << "--mix weight for '" << name
                                   << "' must be a positive number, "
                                      "got '"
@@ -637,7 +679,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 load_options.mix.emplace_back(name, weight);
             }
         } else if (arg == "--threads") {
-            int threads = std::atoi(next());
+            int threads = numberArg<int>(arg, next());
             if (threads < 1) {
                 std::cerr << "--threads must be positive\n";
                 return 2;
@@ -651,25 +693,28 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 return 2;
             }
         } else if (arg == "--retries") {
-            server_options.maxRetries = std::atoi(next());
+            server_options.maxRetries = numberArg<int>(arg, next());
             if (server_options.maxRetries < 0) {
                 std::cerr << "--retries must be >= 0\n";
                 return 2;
             }
         } else if (arg == "--retry-backoff-us") {
-            server_options.retryBackoffUs = std::atoll(next());
+            server_options.retryBackoffUs =
+                numberArg<int64_t>(arg, next());
             if (server_options.retryBackoffUs < 0) {
                 std::cerr << "--retry-backoff-us must be >= 0\n";
                 return 2;
             }
         } else if (arg == "--target-sojourn-us") {
-            server_options.targetSojournUs = std::atoll(next());
+            server_options.targetSojournUs =
+                numberArg<int64_t>(arg, next());
             if (server_options.targetSojournUs < 0) {
                 std::cerr << "--target-sojourn-us must be >= 0\n";
                 return 2;
             }
         } else if (arg == "--sojourn-grace-us") {
-            server_options.sojournGraceUs = std::atoll(next());
+            server_options.sojournGraceUs =
+                numberArg<int64_t>(arg, next());
             if (server_options.sojournGraceUs < 0) {
                 std::cerr << "--sojourn-grace-us must be >= 0\n";
                 return 2;
@@ -677,14 +722,14 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
         } else if (arg == "--no-hedging") {
             cli->router.hedging = false;
         } else if (arg == "--hedge-budget") {
-            cli->router.hedgeBudget = std::atof(next());
+            cli->router.hedgeBudget = numberArg<double>(arg, next());
             if (cli->router.hedgeBudget < 0.0 ||
                 cli->router.hedgeBudget > 1.0) {
                 std::cerr << "--hedge-budget must be in [0, 1]\n";
                 return 2;
             }
         } else if (arg == "--hedge-min-delay-us") {
-            long long us = std::atoll(next());
+            auto us = numberArg<int64_t>(arg, next());
             if (us <= 0) {
                 std::cerr << "--hedge-min-delay-us must be "
                              "positive\n";
@@ -693,7 +738,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             cli->router.hedgeMinDelaySeconds =
                 static_cast<double>(us) * 1e-6;
         } else if (arg == "--hedge-max-delay-us") {
-            long long us = std::atoll(next());
+            auto us = numberArg<int64_t>(arg, next());
             if (us <= 0) {
                 std::cerr << "--hedge-max-delay-us must be "
                              "positive\n";
@@ -702,7 +747,8 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             cli->router.hedgeMaxDelaySeconds =
                 static_cast<double>(us) * 1e-6;
         } else if (arg == "--breaker-error-rate") {
-            cli->router.breaker.errorThreshold = std::atof(next());
+            cli->router.breaker.errorThreshold =
+                numberArg<double>(arg, next());
             if (cli->router.breaker.errorThreshold <= 0.0 ||
                 cli->router.breaker.errorThreshold > 1.0) {
                 std::cerr
@@ -710,14 +756,16 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 return 2;
             }
         } else if (arg == "--breaker-latency-factor") {
-            cli->router.breaker.latencyFactor = std::atof(next());
+            cli->router.breaker.latencyFactor =
+                numberArg<double>(arg, next());
             if (cli->router.breaker.latencyFactor <= 1.0) {
                 std::cerr
                     << "--breaker-latency-factor must be > 1\n";
                 return 2;
             }
         } else if (arg == "--retry-down") {
-            cli->router.breaker.openSeconds = std::atof(next());
+            cli->router.breaker.openSeconds =
+                numberArg<double>(arg, next());
             if (cli->router.breaker.openSeconds <= 0.0) {
                 std::cerr << "--retry-down must be positive\n";
                 return 2;
