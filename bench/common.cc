@@ -93,6 +93,12 @@ writeBenchJson(int argc, char **argv, const std::string &json)
             break;
         }
     }
+    writeBenchJson(path, json);
+}
+
+void
+writeBenchJson(const std::string &path, const std::string &json)
+{
     if (path.empty())
         return;
     // Inject provenance as the payload's first field; a non-object

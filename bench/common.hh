@@ -51,12 +51,18 @@ void printHeader(const std::string &title, const std::string &paper_ref);
 std::string runMetadataJson();
 
 /**
- * Machine-readable result emission: when the bench was invoked with
- * `--json <path>` (or `--json=<path>`), writes @p json — the same
- * payload the bench prints on its BENCH_JSON stdout line — to that
- * file, with runMetadataJson() injected as a leading "meta" field so
- * archived results carry their provenance. Without the flag this is
- * a no-op, so benches call it unconditionally.
+ * Machine-readable result emission: writes @p json to @p path with
+ * runMetadataJson() injected as a leading "meta" field, so archived
+ * results carry their provenance. An empty @p path is a no-op.
+ */
+void writeBenchJson(const std::string &path, const std::string &json);
+
+/**
+ * The bench-main form: when the bench was invoked with `--json <path>`
+ * (or `--json=<path>`), writes @p json — the same payload the bench
+ * prints on its BENCH_JSON stdout line — to that file. @p argv[0] is
+ * the program name. Without the flag this is a no-op, so benches call
+ * it unconditionally.
  */
 void writeBenchJson(int argc, char **argv, const std::string &json);
 

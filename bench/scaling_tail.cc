@@ -101,14 +101,14 @@ class DelayedWorkload : public core::Workload
         return inner_->taskDescription();
     }
     void setUp(uint64_t seed) override { inner_->setUp(seed); }
-    double
-    run() override
+    void
+    runStage(int, core::EpisodeState &state) override
     {
         // Latency only, never the score — the stall decides when
         // the answer arrives, not what it is.
         std::this_thread::sleep_for(
             std::chrono::microseconds(kSlowDelayUs));
-        return inner_->run();
+        state.score = inner_->run();
     }
     void
     reseedEpisodes(uint64_t seed) override

@@ -58,8 +58,8 @@ class MyHybridWorkload : public core::Workload
         batch_ = Tensor::rand({8, 1, 16, 16}, *rng_);
     }
 
-    double
-    run() override
+    void
+    runStage(int, core::EpisodeState &state) override
     {
         Tensor probs;
         {
@@ -78,7 +78,7 @@ class MyHybridWorkload : public core::Workload
             sat = logic::pMean(
                 std::span<const float>(confidence.data()), 4.0f);
         }
-        return sat;
+        state.score = sat;
     }
 
     core::OpGraph

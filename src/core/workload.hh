@@ -26,11 +26,12 @@ namespace nsbench::core
  * Mutable per-episode state handed between pipeline stages.
  *
  * One EpisodeState corresponds to one full inference episode (one
- * run() invocation worth of work). The pipeline executor fills in
- * seed/index, calls runStage(0..stageCount()-1, state) in order, and
- * reads the score after the final stage. Staged workloads thread
- * intermediate results (e.g. perception beliefs) through @c scratch;
- * the type behind the shared_ptr is private to the workload.
+ * run() invocation worth of work). run() and the pipeline executor
+ * both call runStage(0..stageCount()-1, state) in order and read the
+ * score after the final stage; the executor also fills in seed/index.
+ * Staged workloads thread intermediate results (e.g. perception
+ * beliefs) through @c scratch; the type behind the shared_ptr is
+ * private to the workload.
  */
 struct EpisodeState
 {
@@ -75,14 +76,22 @@ class Workload
     virtual void setUp(uint64_t seed) = 0;
 
     /**
-     * Runs one profiled end-to-end inference episode. All tensor and
-     * symbolic ops report to the global profiler.
+     * Runs one profiled end-to-end inference episode: the stage chain
+     * runStage(0 .. stageCount()-1) on one EpisodeState. All tensor
+     * and symbolic ops report to the global profiler.
      *
      * @return A task-quality score in [0, 1] (e.g. accuracy over the
      *         episode) so integration tests can check the model works,
      *         not just that it spends time.
      */
-    virtual double run() = 0;
+    double
+    run()
+    {
+        EpisodeState state;
+        for (int stage = 0; stage < stageCount(); stage++)
+            runStage(stage, state);
+        return state.score;
+    }
 
     /**
      * Re-seeds the per-run episode stream (data generators, episode
@@ -112,13 +121,11 @@ class Workload
     virtual bool seedSensitive() const { return true; }
 
     /**
-     * Number of pipeline stages this workload can be split into.
-     *
-     * The default is one fused stage, which keeps every workload
-     * correct unchanged: runStage(0) simply calls run(). Staged
-     * workloads override this together with stageSpec()/runStage()
-     * to expose their neural/symbolic phases as separate stages the
-     * exec::PipelineExecutor can overlap across episodes.
+     * Number of pipeline stages this workload is split into. The
+     * default is one fused stage; staged workloads override this
+     * together with stageSpec() to expose their neural/symbolic
+     * phases as separate stages the exec::PipelineExecutor can
+     * overlap across episodes.
      */
     virtual int stageCount() const { return 1; }
 
@@ -131,7 +138,8 @@ class Workload
     }
 
     /**
-     * Runs one pipeline stage of one episode.
+     * Runs one pipeline stage of one episode: the only place a
+     * workload writes its episode.
      *
      * Contract (what makes pipelined scores byte-identical to serial
      * run() loops):
@@ -145,16 +153,8 @@ class Workload
      *    i+1, so any mutable member may only be touched by a single
      *    stage index;
      *  - the final stage writes state.score.
-     *
-     * The default delegates to run(), so unstaged workloads behave
-     * exactly as before.
      */
-    virtual void
-    runStage(int stage, EpisodeState &state)
-    {
-        (void)stage;
-        state.score = run();
-    }
+    virtual void runStage(int stage, EpisodeState &state) = 0;
 
     /**
      * Coarse stage dataflow for Fig. 4. Stage durations are zero;
@@ -171,8 +171,8 @@ using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 
 /**
  * Global name -> factory table for the seven workloads. The workloads
- * library registers its models at static-init time through the
- * RegisterWorkload helper.
+ * library registers its models explicitly through
+ * workloads::registerAllWorkloads(); see workloads/register.hh.
  */
 class WorkloadRegistry
 {
@@ -194,21 +194,6 @@ class WorkloadRegistry
 
   private:
     std::vector<std::pair<std::string, WorkloadFactory>> entries_;
-};
-
-/**
- * Static-init registration helper:
- * @code
- * static RegisterWorkload reg("NVSA", [] { return
- *     std::make_unique<NvsaWorkload>(); });
- * @endcode
- */
-struct RegisterWorkload
-{
-    RegisterWorkload(const std::string &name, WorkloadFactory factory)
-    {
-        WorkloadRegistry::global().add(name, std::move(factory));
-    }
 };
 
 } // namespace nsbench::core

@@ -269,14 +269,6 @@ LnnWorkload::inferAndScore(GroundState &gs)
     return expected.empty() ? 1.0 : recall * precision;
 }
 
-double
-LnnWorkload::run()
-{
-    util::panicIf(!university_, "LNN: setUp() not called");
-    GroundState gs = groundKb();
-    return inferAndScore(gs);
-}
-
 core::StageSpec
 LnnWorkload::stageSpec(int stage) const
 {

@@ -61,7 +61,6 @@ class LnnWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** run() re-evaluates the KB built at setUp(); nothing to reseed. */
     void reseedEpisodes(uint64_t) override {}
     bool seedSensitive() const override { return false; }

@@ -272,18 +272,6 @@ LtnWorkload::evalAxioms(const QueryGrounding &grounding)
     return sat / static_cast<double>(axiom_truths.size());
 }
 
-double
-LtnWorkload::run()
-{
-    util::panicIf(!model_, "LTN: setUp() not called");
-    double satisfaction_sum = 0.0;
-    for (int q = 0; q < config_.queries; q++) {
-        QueryGrounding grounding = groundQuery();
-        satisfaction_sum += evalAxioms(grounding);
-    }
-    return satisfaction_sum / static_cast<double>(config_.queries);
-}
-
 core::StageSpec
 LtnWorkload::stageSpec(int stage) const
 {
@@ -295,7 +283,7 @@ LtnWorkload::stageSpec(int stage) const
 void
 LtnWorkload::runStage(int stage, core::EpisodeState &state)
 {
-    // LTN is seed-insensitive and run() consumes no RNG: both stages
+    // LTN is seed-insensitive and consumes no RNG: both stages
     // are pure in the immutable model bundle, so any cross-episode
     // interleaving yields the serial scores.
     if (stage == 0) {

@@ -79,7 +79,6 @@ class LtnWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** run() re-evaluates the fixed theory; nothing to reseed. */
     void reseedEpisodes(uint64_t) override {}
     bool seedSensitive() const override { return false; }

@@ -282,26 +282,6 @@ NlmWorkload::scoreGraph(const data::FamilyGraph &graph,
     return iou_sum / 3.0;
 }
 
-double
-NlmWorkload::evaluateGraph(const data::FamilyGraph &graph,
-                           const NlmBasePredicates &base)
-{
-    Tensor binary = baseBinary(base);
-    for (const auto &layer : layers_)
-        binary = evaluateLayer(base.unary, binary, layer);
-    return scoreGraph(graph, binary);
-}
-
-double
-NlmWorkload::run()
-{
-    util::panicIf(graphs_.empty(), "NLM: setUp() not called");
-    double total = 0.0;
-    for (size_t i = 0; i < graphs_.size(); i++)
-        total += evaluateGraph(graphs_[i], bases_[i]);
-    return total / static_cast<double>(graphs_.size());
-}
-
 core::StageSpec
 NlmWorkload::stageSpec(int stage) const
 {
@@ -315,7 +295,7 @@ NlmWorkload::stageSpec(int stage) const
 void
 NlmWorkload::runStage(int stage, core::EpisodeState &state)
 {
-    // NLM is seed-insensitive and run() consumes no RNG: both stages
+    // NLM is seed-insensitive and consumes no RNG: both stages
     // are pure in the fixed graphs/weights plus the handed-off
     // binary groups.
     if (stage == 0) {

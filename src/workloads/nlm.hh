@@ -84,7 +84,6 @@ class NlmWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** run() re-evaluates the graphs built at setUp(); nothing to reseed. */
     void reseedEpisodes(uint64_t) override {}
     bool seedSensitive() const override { return false; }
@@ -133,10 +132,6 @@ class NlmWorkload : public core::Workload
     /** Mean IoU of the derived relations against the target. */
     double scoreGraph(const data::FamilyGraph &graph,
                       const tensor::Tensor &binary);
-
-    /** Evaluates the two-layer program on one graph; returns IoU. */
-    double evaluateGraph(const data::FamilyGraph &graph,
-                         const NlmBasePredicates &base);
 };
 
 } // namespace nsbench::workloads

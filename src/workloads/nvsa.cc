@@ -1,7 +1,6 @@
 #include "workloads/nvsa.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cache/precompute.hh"
 #include "core/profiler.hh"
@@ -215,36 +214,6 @@ NvsaWorkload::encodePanel(const PanelBelief &belief,
     return hvs;
 }
 
-NvsaWorkload::PerceivedPuzzle
-NvsaWorkload::perceivePuzzle(const data::RpmPuzzle &puzzle)
-{
-    // ---- Neural frontend: perceive context and candidate panels.
-    PerceivedPuzzle perceived;
-    perceived.answerIndex = puzzle.answerIndex;
-    perceived.candidates.resize(8);
-    {
-        PhaseScope neural(Phase::Neural, "nvsa/perception");
-        std::vector<Tensor> images;
-        images.reserve(16);
-        for (int i = 0; i < 8; i++) {
-            images.push_back(generator_->render(
-                puzzle.context[static_cast<size_t>(i)]));
-        }
-        for (int i = 0; i < 8; i++) {
-            images.push_back(generator_->render(
-                puzzle.candidates[static_cast<size_t>(i)]));
-        }
-        auto beliefs = perception_->perceiveBatch(images);
-        for (int i = 0; i < 8; i++)
-            perceived.context[static_cast<size_t>(i)] =
-                std::move(beliefs[static_cast<size_t>(i)]);
-        for (int i = 0; i < 8; i++)
-            perceived.candidates[static_cast<size_t>(i)] =
-                std::move(beliefs[static_cast<size_t>(i + 8)]);
-    }
-    return perceived;
-}
-
 bool
 NvsaWorkload::reasonPuzzle(const PerceivedPuzzle &perceived)
 {
@@ -452,50 +421,9 @@ NvsaWorkload::reasonPuzzle(const PerceivedPuzzle &perceived)
     }
 
     // Answer selection: probabilistic match of each candidate's
-    // perceived PMFs against the predicted PMFs, plus a combination-
-    // codebook verification of the winner.
-    int best_candidate = 0;
-    {
-        PhaseScope symbolic(Phase::Symbolic, "nvsa/answer_select");
-        float best_score = -1e30f;
-        for (int c = 0; c < 8; c++) {
-            float score = 0.0f;
-            for (size_t a = 0; a < data::numAttributes; a++) {
-                float match = tensor::dot(
-                    answer_pmfs[a],
-                    candidate_beliefs[static_cast<size_t>(c)]
-                        .pmfs[a]);
-                score += std::log(match + 1e-6f);
-            }
-            if (score > best_score) {
-                best_score = score;
-                best_candidate = c;
-            }
-        }
-
-    }
-
-    return best_candidate == perceived.answerIndex;
-}
-
-bool
-NvsaWorkload::solvePuzzle(const data::RpmPuzzle &puzzle)
-{
-    return reasonPuzzle(perceivePuzzle(puzzle));
-}
-
-double
-NvsaWorkload::run()
-{
-    util::panicIf(!generator_, "NVSA: setUp() not called");
-    int correct = 0;
-    for (int e = 0; e < config_.episodes; e++) {
-        data::RpmPuzzle puzzle = generator_->generate();
-        if (solvePuzzle(puzzle))
-            correct++;
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(config_.episodes);
+    // perceived PMFs against the predicted PMFs.
+    return selectAnswer(answer_pmfs, candidate_beliefs,
+                        "nvsa/answer_select") == perceived.answerIndex;
 }
 
 core::StageSpec
@@ -512,7 +440,7 @@ NvsaWorkload::runStage(int stage, core::EpisodeState &state)
     // Stage 0 consumes the whole episode RNG stream (puzzle
     // generation + rendering), so stage 1 is a pure function of the
     // perceived beliefs plus the immutable codebooks — the property
-    // that makes cross-episode overlap byte-identical to run().
+    // that makes cross-episode overlap byte-identical to serial runs.
     if (stage == 0) {
         util::panicIf(!generator_, "NVSA: setUp() not called");
         auto scratch = std::make_shared<EpisodeScratch>();
@@ -520,7 +448,8 @@ NvsaWorkload::runStage(int stage, core::EpisodeState &state)
             static_cast<size_t>(config_.episodes));
         for (int e = 0; e < config_.episodes; e++) {
             data::RpmPuzzle puzzle = generator_->generate();
-            scratch->puzzles.push_back(perceivePuzzle(puzzle));
+            scratch->puzzles.push_back(perceivePuzzle(
+                puzzle, *generator_, *perception_, "nvsa/perception"));
         }
         state.scratch = std::move(scratch);
         return;

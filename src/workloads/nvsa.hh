@@ -86,7 +86,6 @@ class NvsaWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** Resets the puzzle generator only; codebooks and weights stay. */
     void reseedEpisodes(uint64_t seed) override;
     /** Two stages: neural perception, then symbolic reasoning. */
@@ -106,17 +105,6 @@ class NvsaWorkload : public core::Workload
     /** Shared immutable codebook bundle (possibly cache-served). */
     std::shared_ptr<const NvsaCodebooks> books_;
 
-    /**
-     * Perception output for one puzzle: the neural stage's product,
-     * carried to the symbolic stage together with the answer key.
-     */
-    struct PerceivedPuzzle
-    {
-        std::array<PanelBelief, 8> context;
-        std::vector<PanelBelief> candidates;
-        int answerIndex = 0;
-    };
-
     /** Pipeline handoff: all of one episode's perceived puzzles. */
     struct EpisodeScratch
     {
@@ -127,14 +115,8 @@ class NvsaWorkload : public core::Workload
     std::array<tensor::Tensor, data::numAttributes>
     encodePanel(const PanelBelief &belief, bool record_sparsity);
 
-    /** Neural frontend: renders and perceives one puzzle's panels. */
-    PerceivedPuzzle perceivePuzzle(const data::RpmPuzzle &puzzle);
-
     /** Symbolic backend over perceived beliefs; true when correct. */
     bool reasonPuzzle(const PerceivedPuzzle &perceived);
-
-    /** Solves one puzzle; returns true when the answer is correct. */
-    bool solvePuzzle(const data::RpmPuzzle &puzzle);
 };
 
 } // namespace nsbench::workloads

@@ -11,6 +11,8 @@ namespace nsbench::workloads
 {
 
 using core::OpCategory;
+using core::Phase;
+using core::PhaseScope;
 using core::ScopedOp;
 using data::AttributeId;
 using tensor::Tensor;
@@ -287,6 +289,54 @@ RavenPerception::estimate(const Tensor &image)
         color_domain - 1);
     belief.pmfs[3] = peakedPmf(color_domain, color_est);
     return belief;
+}
+
+PerceivedPuzzle
+perceivePuzzle(const data::RpmPuzzle &puzzle,
+               const data::RavenGenerator &renderer,
+               RavenPerception &perception, const std::string &region)
+{
+    PerceivedPuzzle perceived;
+    perceived.answerIndex = puzzle.answerIndex;
+    perceived.candidates.resize(8);
+    PhaseScope neural(Phase::Neural, region);
+    std::vector<Tensor> images;
+    images.reserve(16);
+    for (const data::PanelSpec &panel : puzzle.context)
+        images.push_back(renderer.render(panel));
+    for (size_t i = 0; i < 8; i++)
+        images.push_back(renderer.render(puzzle.candidates[i]));
+    auto beliefs = perception.perceiveBatch(images);
+    for (size_t i = 0; i < 8; i++) {
+        perceived.context[i] = std::move(beliefs[i]);
+        perceived.candidates[i] = std::move(beliefs[i + 8]);
+    }
+    return perceived;
+}
+
+int
+selectAnswer(
+    const std::array<Tensor, data::numAttributes> &predicted,
+    const std::vector<PanelBelief> &candidates,
+    const std::string &region)
+{
+    PhaseScope symbolic(Phase::Symbolic, region);
+    int best_candidate = 0;
+    float best_score = -1e30f;
+    for (int c = 0; c < 8; c++) {
+        float score = 0.0f;
+        for (size_t a = 0; a < data::numAttributes; a++) {
+            float match = tensor::dot(
+                predicted[a],
+                candidates[static_cast<size_t>(c)].pmfs[a]);
+            score += std::log(match + 1e-6f);
+        }
+        if (score > best_score) {
+            best_score = score;
+            best_candidate = c;
+        }
+    }
+    return best_candidate;
 }
 
 } // namespace nsbench::workloads

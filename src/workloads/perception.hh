@@ -8,7 +8,9 @@
  * pass — providing the paper's neural compute profile — with (b) a
  * template-matching estimator that extracts the attributes from the
  * rendered image and calibrates the PMFs, standing in for the trained
- * network's accuracy (see DESIGN.md, substitutions).
+ * network's accuracy (see DESIGN.md, substitutions). The two
+ * workloads also share the per-puzzle perception step and the final
+ * answer selection defined at the bottom of this file.
  */
 
 #ifndef NSBENCH_WORKLOADS_PERCEPTION_HH
@@ -17,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/raven.hh"
@@ -112,6 +115,38 @@ class RavenPerception
     /** Template-path estimation for one image (no trunk forward). */
     PanelBelief estimate(const tensor::Tensor &image);
 };
+
+/**
+ * Perception output for one RPM puzzle: the neural stage's product,
+ * carried to the symbolic stage together with the answer key.
+ */
+struct PerceivedPuzzle
+{
+    std::array<PanelBelief, 8> context;
+    std::vector<PanelBelief> candidates;
+    int answerIndex = 0;
+};
+
+/**
+ * Neural frontend for one puzzle, inside a neural PhaseScope labeled
+ * @p region: renders the 8 context and then the 8 candidate panels
+ * with @p renderer and perceives all 16 in one perceiveBatch call.
+ */
+PerceivedPuzzle perceivePuzzle(const data::RpmPuzzle &puzzle,
+                               const data::RavenGenerator &renderer,
+                               RavenPerception &perception,
+                               const std::string &region);
+
+/**
+ * Answer selection by probabilistic matching, inside a symbolic
+ * PhaseScope labeled @p region: the candidate maximizing the sum over
+ * attributes of log(dot(predicted[a], candidate.pmfs[a]) + 1e-6). The
+ * first candidate wins a tie.
+ */
+int selectAnswer(
+    const std::array<tensor::Tensor, data::numAttributes> &predicted,
+    const std::vector<PanelBelief> &candidates,
+    const std::string &region);
 
 } // namespace nsbench::workloads
 

@@ -84,36 +84,6 @@ PraeWorkload::storageBytes() const
     return bytes;
 }
 
-PraeWorkload::PerceivedPuzzle
-PraeWorkload::perceivePuzzle(const data::RpmPuzzle &puzzle)
-{
-    // ---- Neural frontend (shared with NVSA).
-    PerceivedPuzzle perceived;
-    perceived.answerIndex = puzzle.answerIndex;
-    perceived.candidates.resize(8);
-    {
-        PhaseScope neural(Phase::Neural, "prae/perception");
-        std::vector<Tensor> images;
-        images.reserve(16);
-        for (int i = 0; i < 8; i++) {
-            images.push_back(generator_->render(
-                puzzle.context[static_cast<size_t>(i)]));
-        }
-        for (int i = 0; i < 8; i++) {
-            images.push_back(generator_->render(
-                puzzle.candidates[static_cast<size_t>(i)]));
-        }
-        auto beliefs = perception_->perceiveBatch(images);
-        for (int i = 0; i < 8; i++)
-            perceived.context[static_cast<size_t>(i)] =
-                std::move(beliefs[static_cast<size_t>(i)]);
-        for (int i = 0; i < 8; i++)
-            perceived.candidates[static_cast<size_t>(i)] =
-                std::move(beliefs[static_cast<size_t>(i + 8)]);
-    }
-    return perceived;
-}
-
 bool
 PraeWorkload::reasonPuzzle(PerceivedPuzzle &perceived)
 {
@@ -281,46 +251,8 @@ PraeWorkload::reasonPuzzle(PerceivedPuzzle &perceived)
     }
 
     // ---- Answer selection by probabilistic matching.
-    int best_candidate = 0;
-    {
-        PhaseScope symbolic(Phase::Symbolic, "prae/answer_select");
-        float best_score = -1e30f;
-        for (int c = 0; c < 8; c++) {
-            float score = 0.0f;
-            for (size_t a = 0; a < data::numAttributes; a++) {
-                float match = tensor::dot(
-                    predicted[a],
-                    candidates[static_cast<size_t>(c)].pmfs[a]);
-                score += std::log(match + 1e-6f);
-            }
-            if (score > best_score) {
-                best_score = score;
-                best_candidate = c;
-            }
-        }
-    }
-    return best_candidate == perceived.answerIndex;
-}
-
-bool
-PraeWorkload::solvePuzzle(const data::RpmPuzzle &puzzle)
-{
-    PerceivedPuzzle perceived = perceivePuzzle(puzzle);
-    return reasonPuzzle(perceived);
-}
-
-double
-PraeWorkload::run()
-{
-    util::panicIf(!generator_, "PrAE: setUp() not called");
-    int correct = 0;
-    for (int e = 0; e < config_.episodes; e++) {
-        data::RpmPuzzle puzzle = generator_->generate();
-        if (solvePuzzle(puzzle))
-            correct++;
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(config_.episodes);
+    return selectAnswer(predicted, candidates, "prae/answer_select") ==
+           perceived.answerIndex;
 }
 
 core::StageSpec
@@ -345,7 +277,8 @@ PraeWorkload::runStage(int stage, core::EpisodeState &state)
             static_cast<size_t>(config_.episodes));
         for (int e = 0; e < config_.episodes; e++) {
             data::RpmPuzzle puzzle = generator_->generate();
-            scratch->puzzles.push_back(perceivePuzzle(puzzle));
+            scratch->puzzles.push_back(perceivePuzzle(
+                puzzle, *generator_, *perception_, "prae/perception"));
         }
         state.scratch = std::move(scratch);
         return;

@@ -74,7 +74,6 @@ class PraeWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** Resets the puzzle generator only; rule tables stay. */
     void reseedEpisodes(uint64_t seed) override;
     /** Two stages: neural perception, then symbolic abduction. */
@@ -93,30 +92,17 @@ class PraeWorkload : public core::Workload
     /** Rule tables for the configured grid, built at setUp. */
     PraeRuleTables ruleTables_;
 
-    /** Perception output for one puzzle, carried between stages. */
-    struct PerceivedPuzzle
-    {
-        std::array<PanelBelief, 8> context;
-        std::vector<PanelBelief> candidates;
-        int answerIndex = 0;
-    };
-
     /** Pipeline handoff: all of one episode's perceived puzzles. */
     struct EpisodeScratch
     {
         std::vector<PerceivedPuzzle> puzzles;
     };
 
-    /** Neural frontend: renders and perceives one puzzle's panels. */
-    PerceivedPuzzle perceivePuzzle(const data::RpmPuzzle &puzzle);
-
     /**
      * Symbolic backend (mutates the beliefs during scene inference);
      * true when the selected candidate is the answer.
      */
     bool reasonPuzzle(PerceivedPuzzle &perceived);
-
-    bool solvePuzzle(const data::RpmPuzzle &puzzle);
 };
 
 } // namespace nsbench::workloads

@@ -213,14 +213,14 @@ VsaitWorkload::translateOnce()
                      static_cast<double>(matches.size());
 }
 
-double
-VsaitWorkload::run()
+void
+VsaitWorkload::runStage(int, core::EpisodeState &state)
 {
     util::panicIf(!rng_, "VSAIT: setUp() not called");
     double total = 0.0;
     for (int e = 0; e < config_.episodes; e++)
         total += translateOnce();
-    return total / static_cast<double>(config_.episodes);
+    state.score = total / static_cast<double>(config_.episodes);
 }
 
 OpGraph

@@ -62,9 +62,10 @@ class VsaitWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** Resets the episode RNG only; convs and projection stay. */
     void reseedEpisodes(uint64_t seed) override;
+    /** One fused stage: translate the episode's image pairs. */
+    void runStage(int stage, core::EpisodeState &state) override;
     core::OpGraph opGraph() const override;
     uint64_t storageBytes() const override;
 

@@ -277,8 +277,8 @@ ZerocWorkload::classifyScene(const Tensor &scene)
     return best_concept;
 }
 
-double
-ZerocWorkload::run()
+void
+ZerocWorkload::runStage(int, core::EpisodeState &state)
 {
     util::panicIf(!rng_, "ZeroC: setUp() not called");
     int correct = 0;
@@ -291,8 +291,8 @@ ZerocWorkload::run()
             correct++;
         }
     }
-    return static_cast<double>(correct) /
-           static_cast<double>(config_.episodes);
+    state.score = static_cast<double>(correct) /
+                  static_cast<double>(config_.episodes);
 }
 
 OpGraph

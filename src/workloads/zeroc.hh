@@ -59,9 +59,10 @@ class ZerocWorkload : public core::Workload
     }
 
     void setUp(uint64_t seed) override;
-    double run() override;
     /** Resets the scene RNG only; energy models and net stay. */
     void reseedEpisodes(uint64_t seed) override;
+    /** One fused stage: generate and classify the episode's scenes. */
+    void runStage(int stage, core::EpisodeState &state) override;
     core::OpGraph opGraph() const override;
     uint64_t storageBytes() const override;
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Negative-path tests for the `nsbench serve`/`loadgen` CLI.
+ * Negative-path tests for the `nsbench run`/`serve`/`loadgen` CLI.
  *
  * Each case runs the real binary (path baked in via NSBENCH_CLI_PATH)
  * with an invalid invocation and asserts the contract the chaos tier
@@ -51,6 +51,16 @@ runCli(const std::string &args, const std::string &env = "")
     if (WIFEXITED(status))
         result.exitCode = WEXITSTATUS(status);
     return result;
+}
+
+TEST(CliNegative, UnknownDeviceIsRejectedBeforeRunning)
+{
+    CliResult result = runCli("run LNN --device bogus");
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_NE(result.output.find("unknown device"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("workload:"), std::string::npos)
+        << result.output;
 }
 
 TEST(CliNegative, UnknownWorkloadFailsFast)

@@ -6,7 +6,8 @@
  * `loadgen`, and over loopback `serve --listen`, `route` and
  * `loadgen --connect`. Dashboards and scripts parse these names, so a
  * refactor of how the reports render may add keys but never rename or
- * drop one.
+ * drop one. Each payload must land wherever `--json` sits on the
+ * command line, and must parse as JSON.
  *
  * The payloads come from the real binary (path baked in via
  * NSBENCH_CLI_PATH). The loopback processes listen on ports the
@@ -23,8 +24,10 @@
 #include <unistd.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -80,22 +83,126 @@ jsonPath(const std::string &name)
            std::to_string(::getpid()) + "_" + name + ".json";
 }
 
-/** Every `"key":` in the file at @p path (nested objects too). */
-std::set<std::string>
-keysOf(const std::string &path)
+/** The contents of the file at @p path, which is then removed. */
+std::string
+consume(const std::string &path)
 {
     std::ifstream in(path);
     std::stringstream text;
     text << in.rdbuf();
-    std::string json = text.str();
+    std::remove(path.c_str());
+    return text.str();
+}
+
+/** Every `"key":` in the file at @p path (nested objects too). */
+std::set<std::string>
+keysOf(const std::string &path)
+{
+    std::string json = consume(path);
     std::set<std::string> keys;
     std::regex key("\"([A-Za-z0-9_%]+)\":");
     for (auto it = std::sregex_iterator(json.begin(), json.end(), key);
          it != std::sregex_iterator(); ++it)
         keys.insert((*it)[1]);
-    std::remove(path.c_str());
     return keys;
 }
+
+/**
+ * Recursive-descent JSON syntax check: true when the text is exactly
+ * one JSON value, up to surrounding whitespace.
+ */
+class JsonSyntax
+{
+  public:
+    explicit JsonSyntax(std::string text) : text_(std::move(text)) {}
+
+    bool
+    valid()
+    {
+        bool ok = value();
+        skipSpace();
+        return ok && pos_ == text_.size();
+    }
+
+  private:
+    std::string text_;
+    size_t pos_ = 0;
+
+    void
+    skipSpace()
+    {
+        while (pos_ < text_.size() &&
+               std::isspace(static_cast<unsigned char>(text_[pos_])))
+            pos_++;
+    }
+
+    bool
+    take(char c)
+    {
+        skipSpace();
+        if (pos_ < text_.size() && text_[pos_] == c) {
+            pos_++;
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    string()
+    {
+        if (!take('"'))
+            return false;
+        while (pos_ < text_.size() && text_[pos_] != '"') {
+            auto c = static_cast<unsigned char>(text_[pos_++]);
+            if (c < 0x20)
+                return false;
+            if (c == '\\') {
+                char escape = pos_ < text_.size() ? text_[pos_++] : '\0';
+                if (escape == '\0' ||
+                    std::strchr("\"\\/bfnrtu", escape) == nullptr)
+                    return false;
+            }
+        }
+        return take('"');
+    }
+
+    bool
+    value()
+    {
+        skipSpace();
+        if (take('{')) {
+            if (take('}'))
+                return true;
+            do {
+                skipSpace();
+                if (!string() || !take(':') || !value())
+                    return false;
+            } while (take(','));
+            return take('}');
+        }
+        if (take('[')) {
+            if (take(']'))
+                return true;
+            do {
+                if (!value())
+                    return false;
+            } while (take(','));
+            return take(']');
+        }
+        if (pos_ < text_.size() && text_[pos_] == '"')
+            return string();
+        static const std::regex scalar(
+            R"(true|false|null|-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+        std::smatch m;
+        if (!std::regex_search(
+                text_.cbegin() + static_cast<std::ptrdiff_t>(pos_),
+                text_.cend(), m, scalar,
+                std::regex_constants::match_continuous))
+            return false;
+        pos_ += static_cast<size_t>(m.length(0));
+        return true;
+    }
+};
 
 void
 expectKeys(const std::set<std::string> &keys,
@@ -235,6 +342,38 @@ TEST(ReportSurface, NetJsonPayloadsKeepTheirKeys)
     keys.insert(keys.end(), {"connects", "disconnects", "orphaned",
                              "cancels", "call_timeouts"});
     expectKeys(keysOf(remote), keys, "loadgen --connect");
+}
+
+TEST(ReportSurface, JsonFirstAfterSubcommandStillWritesThePayload)
+{
+    // `--json PATH` right after the subcommand is the spelling most
+    // likely to be lost by a parser that rescans argv.
+    std::string loadgen = jsonPath("first_loadgen");
+    std::string listen = jsonPath("first_listen");
+    std::string route = jsonPath("first_route");
+
+    ASSERT_EQ(run("loadgen --json " + loadgen +
+                  " --workloads ZeroC --rate 50 --duration 0.2"),
+              0);
+    std::string server_port = freePort();
+    Background server("serve --json " + listen +
+                      " --listen 127.0.0.1:" + server_port +
+                      " --workloads ZeroC --workers 1 --duration 1");
+    ASSERT_TRUE(server.ready());
+    std::string router_port = freePort();
+    Background router("route --json " + route + " --listen 127.0.0.1:" +
+                      router_port + " --backends 127.0.0.1:" +
+                      server_port + " --duration 0.3");
+    ASSERT_TRUE(router.ready());
+    EXPECT_EQ(router.wait(), 0);
+    EXPECT_EQ(server.wait(), 0);
+
+    for (const std::string &path : {loadgen, listen, route}) {
+        std::string json = consume(path);
+        EXPECT_FALSE(json.empty()) << "no payload at " << path;
+        EXPECT_TRUE(JsonSyntax(json).valid())
+            << path << " does not parse:\n" << json;
+    }
 }
 
 } // namespace

@@ -19,7 +19,11 @@ class DummyWorkload : public Workload
     }
     std::string taskDescription() const override { return "noop"; }
     void setUp(uint64_t seed) override { seed_ = seed; }
-    double run() override { return 1.0; }
+    void
+    runStage(int, EpisodeState &state) override
+    {
+        state.score = 1.0;
+    }
     OpGraph
     opGraph() const override
     {

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -62,15 +64,6 @@ class ToyStaged : public core::Workload
     }
     void setUp(uint64_t seed) override { model_ = seed | 1; }
     void reseedEpisodes(uint64_t seed) override { episode_ = seed; }
-    double
-    run() override
-    {
-        core::EpisodeState state;
-        state.seed = episode_;
-        runStage(0, state);
-        runStage(1, state);
-        return state.score;
-    }
     int stageCount() const override { return 2; }
     core::StageSpec
     stageSpec(int stage) const override
@@ -147,10 +140,38 @@ TEST(Pipeline, ByteIdenticalToSerialAcrossWorkloadsAndDepths)
     }
 }
 
+TEST(Pipeline, ByteIdenticalToSerialAtCharacterizationConfigs)
+{
+    // The registry configs are the characterization sizes the serve
+    // presets shrink: NVSA solves three puzzles per episode at hvDim
+    // 2048 and PrAE six, so stage 0 hands several perceived puzzles
+    // to stage 1 per episode.
+    workloads::registerAllWorkloads();
+    for (const char *name : {"LNN", "LTN", "NVSA", "NLM", "PrAE"}) {
+        auto workload = core::WorkloadRegistry::global().create(name);
+        ASSERT_EQ(workload->stageCount(), 2) << name;
+        workload->setUp(7);
+        auto seeds = seedTrain(2);
+        std::vector<double> serial =
+            exec::runSerialEpisodes(*workload, seeds);
+        exec::PipelineOptions options;
+        options.depth = 2;
+        options.collectProfiles = false;
+        exec::PipelineResult piped =
+            exec::runPipelined(*workload, seeds, options);
+        ASSERT_EQ(piped.scores.size(), serial.size()) << name;
+        for (size_t i = 0; i < serial.size(); i++) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(piped.scores[i]),
+                      std::bit_cast<uint64_t>(serial[i]))
+                << name << " episode " << i;
+        }
+    }
+}
+
 TEST(Pipeline, SingleStageWorkloadDegeneratesToSerial)
 {
-    // VSAIT never overrode the staged interface, so it exercises the
-    // default fused-stage path: one worker, scores still identical.
+    // VSAIT is a one-stage workload, so it exercises the fused-stage
+    // path: one worker, scores still identical.
     auto workload = serve::serveFactory("VSAIT");
     workload->setUp(7);
     ASSERT_EQ(workload->stageCount(), 1);

@@ -63,8 +63,8 @@ class FakeWorkload : public core::Workload
 
     bool seedSensitive() const override { return seedSensitive_; }
 
-    double
-    run() override
+    void
+    runStage(int, core::EpisodeState &state) override
     {
         counters_.runs.fetch_add(1);
         if (sleepMs_ > 0)
@@ -74,7 +74,7 @@ class FakeWorkload : public core::Workload
         // ignore the episode seed like their real counterparts.
         uint64_t mix = modelSeed_ * 1000003ULL +
                        (seedSensitive_ ? episodeSeed_ * 97ULL : 0);
-        return static_cast<double>(mix % 100000) / 100000.0;
+        state.score = static_cast<double>(mix % 100000) / 100000.0;
     }
 
     core::OpGraph opGraph() const override { return {}; }

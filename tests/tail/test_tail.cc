@@ -115,12 +115,12 @@ class DelayedWorkload : public core::Workload
         return inner_->taskDescription();
     }
     void setUp(uint64_t seed) override { inner_->setUp(seed); }
-    double
-    run() override
+    void
+    runStage(int, core::EpisodeState &state) override
     {
         std::this_thread::sleep_for(
             std::chrono::microseconds(delayUs_));
-        return inner_->run();
+        state.score = inner_->run();
     }
     void
     reseedEpisodes(uint64_t seed) override

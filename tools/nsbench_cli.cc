@@ -364,7 +364,8 @@ cmdRun(int argc, char **argv)
     int runs = 1;
     int pipeline_depth = 0;
     bool csv = false;
-    std::string device_name;
+    // --device targets, resolved before the workload is built.
+    std::vector<const sim::DeviceSpec *> devices;
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -411,7 +412,17 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--device") {
-            device_name = next();
+            std::string device_name = next();
+            devices.clear();
+            for (const auto &d : sim::allDevices()) {
+                if (device_name == "all" || d.name == device_name)
+                    devices.push_back(&d);
+            }
+            if (devices.empty()) {
+                std::cerr << "unknown device '" << device_name
+                          << "'; try `nsbench devices`\n";
+                return 1;
+            }
         } else if (parsePipelineArg(arg, &pipeline_depth)) {
             // depth captured by the parser
         } else {
@@ -485,30 +496,17 @@ cmdRun(int argc, char **argv)
         printTable(core::sparsityTable(prof), csv);
     }
 
-    auto project = [&](const sim::DeviceSpec &device) {
-        auto proj = sim::projectProfile(device, prof);
-        std::cout << device.name << ": "
+    if (!devices.empty())
+        std::cout << "\n";
+    for (const sim::DeviceSpec *device : devices) {
+        auto proj = sim::projectProfile(*device, prof);
+        std::cout << device->name << ": "
                   << util::humanSeconds(proj.totalSeconds)
                   << " projected (neural "
                   << util::percentStr(proj.neuralFraction())
                   << ", symbolic "
                   << util::percentStr(proj.symbolicFraction())
                   << ")\n";
-    };
-    if (!device_name.empty()) {
-        std::cout << "\n";
-        bool found = false;
-        for (const auto &d : sim::allDevices()) {
-            if (device_name == "all" || d.name == device_name) {
-                project(d);
-                found = true;
-            }
-        }
-        if (!found) {
-            std::cerr << "unknown device '" << device_name
-                      << "'; try `nsbench devices`\n";
-            return 1;
-        }
     }
     return 0;
 }
@@ -540,6 +538,7 @@ struct ServeCli
     std::string connect;  ///< --connect HOST:PORT (remote loadgen).
     std::vector<std::string> backends; ///< --backends (route only).
     std::string jsonPath; ///< --json PATH (bench-style emission).
+    bool workloadsGiven = false; ///< --workloads appeared.
     /** Router tail-tolerance knobs (route only); listen/backends
      *  are filled from the fields above by cmdRoute. */
     net::RouterOptions router;
@@ -613,6 +612,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
         };
         if (arg == "--workloads") {
             server_options.workloads = splitList(next());
+            cli->workloadsGiven = true;
         } else if (arg == "--workers") {
             server_options.workers = numberArg<int>(arg, next());
         } else if (arg == "--queue") {
@@ -879,7 +879,7 @@ printLoadReport(const serve::LoadgenReport &report)
  * transport + serving metrics when the window closes.
  */
 int
-runListenServe(ServeCli &cli, int argc, char **argv)
+runListenServe(ServeCli &cli)
 {
     net::FrameServerOptions bind = parseListenSpec(cli.listen);
     if (cli.load.durationSeconds <= 0.0) {
@@ -914,7 +914,7 @@ runListenServe(ServeCli &cli, int argc, char **argv)
     if (!cli.csv)
         printFailpointsLine();
 
-    bench::writeBenchJson(argc, argv, tcp.json());
+    bench::writeBenchJson(cli.jsonPath, tcp.json());
     return 0;
 }
 
@@ -924,10 +924,9 @@ runListenServe(ServeCli &cli, int argc, char **argv)
  * completed, so scripted smoke tests gate on the exit code.
  */
 int
-runRemoteLoadgen(ServeCli &cli, int argc, char **argv,
-                 bool workloads_given)
+runRemoteLoadgen(ServeCli &cli)
 {
-    if (!workloads_given) {
+    if (!cli.workloadsGiven) {
         std::cerr << "--connect needs an explicit --workloads list "
                      "(a remote client cannot query the server's "
                      "registry)\n";
@@ -971,7 +970,7 @@ runRemoteLoadgen(ServeCli &cli, int argc, char **argv,
         printFailpointsLine();
     }
 
-    bench::writeBenchJson(argc, argv,
+    bench::writeBenchJson(cli.jsonPath,
                           net::remoteLoadgenJson(report, stats));
     return report.completed > 0 ? 0 : 1;
 }
@@ -984,10 +983,6 @@ cmdServe(int argc, char **argv, bool open_loop)
     int rc = parseServeArgs(argc, argv, &cli);
     if (rc >= 0)
         return rc;
-    bool workloads_given = false;
-    for (int i = 0; i < argc; i++)
-        if (std::string(argv[i]) == "--workloads")
-            workloads_given = true;
     if (!cli.listen.empty() && !cli.connect.empty()) {
         std::cerr << "--listen and --connect are exclusive\n";
         return 2;
@@ -1000,7 +995,7 @@ cmdServe(int argc, char **argv, bool open_loop)
         cli.server.factory = serve::serveFactory;
 
     if (!cli.connect.empty())
-        return runRemoteLoadgen(cli, argc, argv, workloads_given);
+        return runRemoteLoadgen(cli);
 
     rc = validateWorkloads(cli.server.workloads);
     if (rc >= 0)
@@ -1010,7 +1005,7 @@ cmdServe(int argc, char **argv, bool open_loop)
         return 2;
     }
     if (!cli.listen.empty())
-        return runListenServe(cli, argc, argv);
+        return runListenServe(cli);
     rc = validateLoadOptions(cli.load, cli.server.workloads);
     if (rc >= 0)
         return rc;
@@ -1053,7 +1048,7 @@ cmdServe(int argc, char **argv, bool open_loop)
         printTable(server.metrics().resilienceTable(), csv);
     }
     bench::writeBenchJson(
-        argc, argv,
+        cli.jsonPath,
         serve::loadgenJson(load_options.openLoop ? "loadgen" : "serve",
                            report, server.metrics()));
     if (!csv) {
@@ -1142,7 +1137,7 @@ cmdRoute(int argc, char **argv)
         printFailpointsLine();
     }
 
-    bench::writeBenchJson(argc, argv, router.json());
+    bench::writeBenchJson(cli.jsonPath, router.json());
     return 0;
 }
 
