@@ -66,9 +66,10 @@ main()
     std::cout << "forward chaining derived " << derived
               << " new facts:\n";
     for (PredId p : {predator_of, apex}) {
-        for (const auto &fact : kb.facts(p)) {
+        FactRows facts = kb.facts(p);
+        for (size_t row = 0; row < facts.size(); row++) {
             std::cout << "  " << kb.predicateName(p) << "("
-                      << kb.constantName(fact.args[0]) << ")\n";
+                      << kb.constantName(facts[row][0]) << ")\n";
         }
     }
 

@@ -1,9 +1,7 @@
 #include "logic/grounding.hh"
 
-#include <set>
-#include <utility>
-
 #include "core/profiler.hh"
+#include "util/logging.hh"
 
 namespace nsbench::logic
 {
@@ -15,58 +13,64 @@ uint64_t
 GroundedIndex::graphBytes() const
 {
     uint64_t bytes = initialBounds.size() * sizeof(TruthBounds);
-    for (const auto &group : byRule) {
-        for (const auto &inst : group)
-            bytes += (inst.body.size() + 1) * sizeof(int64_t);
-    }
+    for (const auto &group : byRule)
+        bytes += group.ids.size() * sizeof(int64_t);
     return bytes;
 }
 
 GroundedIndex
 buildGroundedIndex(const KnowledgeBase &kb)
 {
-    // Saturate a scratch copy so the caller's KB stays at its base
-    // facts; remember those base facts to seed the truth bounds.
-    KnowledgeBase scratch = kb;
-    std::set<GroundAtom> base_facts;
-    for (size_t p = 0; p < scratch.numPredicates(); p++) {
-        for (const auto &fact :
-             scratch.facts(static_cast<PredId>(p))) {
-            base_facts.insert(fact);
-        }
-    }
-
+    // Saturate a copy of the facts so the caller's KB stays at its
+    // base facts. Saturation only appends rows, so a row below the
+    // caller's row count is a base fact.
     GroundedIndex g;
-    scratch.forwardChain();
+    g.facts = kb.factStore();
+    kb.forwardChain(g.facts);
 
-    auto atom_id = [&](const GroundAtom &atom) -> int64_t {
-        auto it = g.atomIds.find(atom);
-        if (it != g.atomIds.end())
-            return static_cast<int64_t>(it->second);
-        size_t id = g.initialBounds.size();
-        g.atomIds.emplace(atom, id);
-        g.initialBounds.push_back(base_facts.count(atom)
-                                      ? TruthBounds::certainTrue()
-                                      : TruthBounds::unknown());
-        return static_cast<int64_t>(id);
+    // Atom id per fact row, -1 until the atom first appears.
+    std::vector<std::vector<int32_t>> ids(kb.numPredicates());
+    for (size_t p = 0; p < ids.size(); p++)
+        ids[p].assign(g.facts.rows(static_cast<PredId>(p)).size(), -1);
+    auto atom_id = [&](PredId pred, int32_t row) -> int64_t {
+        auto p = static_cast<size_t>(pred);
+        int32_t &id = ids[p][static_cast<size_t>(row)];
+        if (id < 0) {
+            id = static_cast<int32_t>(g.atoms.size());
+            g.atoms.push_back({pred, row});
+            g.initialBounds.push_back(
+                static_cast<size_t>(row) < kb.facts(pred).size()
+                    ? TruthBounds::certainTrue()
+                    : TruthBounds::unknown());
+        }
+        return id;
     };
 
-    for (const auto &rule : scratch.rules()) {
+    for (size_t r = 0; r < kb.numRules(); r++) {
         ScopedOp op("formula_grounding", OpCategory::Other);
-        auto instances = scratch.enumerateGroundings(rule);
-        std::vector<GroundedIndex::Instance> group;
-        group.reserve(instances.size());
-        for (const auto &inst : instances) {
-            GroundedIndex::Instance gi;
-            for (const auto &atom : inst.body)
-                gi.body.push_back(atom_id(atom));
-            gi.head = atom_id(inst.head);
-            group.push_back(std::move(gi));
-        }
-        op.setFlops(static_cast<double>(group.size()) *
+        const Rule &rule = kb.rules()[r];
+        GroundedIndex::Group group{rule.body.size(), {}};
+        kb.join(r, g.facts,
+                [&](std::span<const ConstId> head,
+                    std::span<const int32_t> rows) {
+                    for (size_t j = 0; j < rows.size(); j++)
+                        group.ids.push_back(
+                            atom_id(rule.body[j].predicate, rows[j]));
+                    int64_t head_row =
+                        g.facts.find(rule.head.predicate, head);
+                    util::panicIf(head_row < 0,
+                                  "buildGroundedIndex: a head is not "
+                                  "a fact after saturation");
+                    group.ids.push_back(atom_id(
+                        rule.head.predicate,
+                        static_cast<int32_t>(head_row)));
+                });
+        auto instances = static_cast<double>(
+            group.ids.size() / (rule.body.size() + 1));
+        op.setFlops(instances *
                     static_cast<double>(rule.body.size() + 1));
-        op.setBytesRead(static_cast<double>(group.size()) * 32.0);
-        op.setBytesWritten(static_cast<double>(group.size()) * 16.0);
+        op.setBytesRead(instances * 32.0);
+        op.setBytesWritten(instances * 16.0);
         g.byRule.push_back(std::move(group));
     }
     return g;

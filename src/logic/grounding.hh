@@ -13,7 +13,7 @@
 #define NSBENCH_LOGIC_GROUNDING_HH
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "logic/bounds.hh"
@@ -25,25 +25,28 @@ namespace nsbench::logic
 /** The grounded formula graph: atoms, initial bounds, rule instances. */
 struct GroundedIndex
 {
-    /** Atom id per distinct ground atom. */
-    std::map<GroundAtom, size_t> atomIds;
+    /** The saturated fact store the atoms are rows of. */
+    FactStore facts;
+    /** (predicate, row) of each atom id, in first-appearance order. */
+    std::vector<std::pair<PredId, int32_t>> atoms;
     /** Truth bounds at atom creation: certainTrue for base facts. */
     std::vector<TruthBounds> initialBounds;
-    /** Body atom ids + head atom id per rule instance. */
-    struct Instance
+    /** One rule's instances, flat. */
+    struct Group
     {
-        std::vector<int64_t> body;
-        int64_t head = 0;
+        size_t bodySize = 0;
+        /** Per instance: bodySize body atom ids, then the head's. */
+        std::vector<int64_t> ids;
     };
     /** Instances grouped by rule, in rule order. */
-    std::vector<std::vector<Instance>> byRule;
+    std::vector<Group> byRule;
 
     /** Logical bytes of the graph (bounds + instance id lists). */
     uint64_t graphBytes() const;
 };
 
 /**
- * Builds the grounded index: saturates a scratch copy of @p kb, then
+ * Builds the grounded index: saturates a copy of @p kb's facts, then
  * grounds every rule into formula-graph instances. Instrumented as
  * forward chaining's per-rule ops plus one "formula_grounding" op per
  * rule. Run it inside the caller's symbolic phase scope.

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,20 +54,6 @@ struct GroundAtom
 {
     PredId predicate = 0;
     std::vector<ConstId> args;
-
-    bool
-    operator<(const GroundAtom &other) const
-    {
-        if (predicate != other.predicate)
-            return predicate < other.predicate;
-        return args < other.args;
-    }
-
-    bool
-    operator==(const GroundAtom &other) const
-    {
-        return predicate == other.predicate && args == other.args;
-    }
 };
 
 /** A Horn rule: head :- body_1, ..., body_n. */
@@ -78,11 +64,72 @@ struct Rule
     std::string name; ///< Optional label for reports.
 };
 
-/** One fully ground instantiation of a rule. */
-struct RuleInstance
+/** One predicate's facts: packed argument rows in insertion order. */
+struct FactRows
 {
-    std::vector<GroundAtom> body;
-    GroundAtom head;
+    const ConstId *args = nullptr;
+    size_t arity = 0;
+    size_t count = 0;
+
+    /** Number of facts. */
+    size_t size() const { return count; }
+    /** The arguments of the fact in row @p row. */
+    std::span<const ConstId>
+    operator[](size_t row) const
+    {
+        return {args + row * arity, arity};
+    }
+};
+
+/**
+ * Every predicate's facts, packed with arity stride, plus an
+ * open-addressed membership table of (predicate, row) slots. Rows are
+ * only appended, so a row number names a fact for good.
+ */
+class FactStore
+{
+  public:
+    /** Adds the next predicate id, with no facts. */
+    void
+    addPredicate(int arity)
+    {
+        buckets_.push_back({static_cast<size_t>(arity), 0, {}});
+    }
+
+    /** Appends a new fact (arity unchecked); false when it is known. */
+    bool insert(PredId pred, std::span<const ConstId> args);
+
+    /** The row of a fact, or -1 (also for a bad predicate or arity). */
+    int64_t find(PredId pred, std::span<const ConstId> args) const;
+
+    /** One predicate's facts. */
+    FactRows
+    rows(PredId pred) const
+    {
+        const Bucket &bucket = buckets_.at(static_cast<size_t>(pred));
+        return {bucket.args.data(), bucket.arity, bucket.rows};
+    }
+
+  private:
+    struct Bucket
+    {
+        size_t arity = 0;
+        size_t rows = 0; ///< Kept apart: arity 0 packs no arguments.
+        std::vector<ConstId> args;
+    };
+    /** One membership slot; pred < 0 marks it empty. */
+    struct Slot
+    {
+        PredId pred = -1;
+        int32_t row = 0;
+    };
+
+    /** The fact's slot, else the empty slot ending its probe run. */
+    size_t probe(PredId pred, std::span<const ConstId> args) const;
+
+    std::vector<Bucket> buckets_;
+    std::vector<Slot> slots_ = std::vector<Slot>(16); ///< Power of 2.
+    size_t count_ = 0;
 };
 
 /**
@@ -99,13 +146,17 @@ class KnowledgeBase
     ConstId addConstant(const std::string &name);
 
     /** Number of registered predicates. */
-    size_t numPredicates() const { return predicates_.size(); }
+    size_t numPredicates() const { return predicateNames_.size(); }
 
     /** Number of registered constants. */
     size_t numConstants() const { return constants_.size(); }
 
     /** Declared arity of a predicate. */
-    int arity(PredId pred) const;
+    int
+    arity(PredId pred) const
+    {
+        return static_cast<int>(facts(pred).arity);
+    }
 
     /** Predicate name lookup. */
     const std::string &predicateName(PredId pred) const;
@@ -117,16 +168,20 @@ class KnowledgeBase
      * Asserts a fact. Returns true when the fact is new. The arity
      * must match the predicate declaration.
      */
-    bool addFact(GroundAtom fact);
+    bool addFact(const GroundAtom &fact);
 
     /** True when the fact is currently known. */
-    bool hasFact(const GroundAtom &fact) const;
+    bool
+    hasFact(const GroundAtom &fact) const
+    {
+        return facts_.find(fact.predicate, fact.args) >= 0;
+    }
 
     /** All known facts of one predicate. */
-    const std::vector<GroundAtom> &facts(PredId pred) const;
+    FactRows facts(PredId pred) const { return facts_.rows(pred); }
 
-    /** Total known facts. */
-    size_t numFacts() const { return factCount_; }
+    /** The fact store; forwardChain(FactStore &) saturates a copy. */
+    const FactStore &factStore() const { return facts_; }
 
     /** Adds a Horn rule. Head variables must appear in the body. */
     void addRule(Rule rule);
@@ -141,15 +196,24 @@ class KnowledgeBase
      * @param max_rounds Safety cap on fixpoint iterations.
      * @return Number of newly derived facts.
      */
-    size_t forwardChain(size_t max_rounds = 64);
+    size_t
+    forwardChain(size_t max_rounds = 64)
+    {
+        return forwardChain(facts_, max_rounds);
+    }
+
+    /** Saturates @p facts, a copy of factStore(), likewise. */
+    size_t forwardChain(FactStore &facts, size_t max_rounds = 64) const;
 
     /**
-     * Enumerates every ground instantiation of one rule whose body
-     * atoms are all currently known facts. Used by LNN to build its
-     * grounded formula graph after saturation.
+     * Runs one rule's nested-loop join over @p facts: body atoms left
+     * to right, rows in insertion order. Calls visit(head, rows) per
+     * match with the head's arguments and each body atom's row.
+     * @return The rows scanned: the unification attempts.
      */
-    std::vector<RuleInstance> enumerateGroundings(const Rule &rule)
-        const;
+    template <class Visit>
+    size_t join(size_t rule, const FactStore &facts,
+                Visit &&visit) const;
 
     /** The rule set, in addition order. */
     const std::vector<Rule> &rules() const { return rules_; }
@@ -158,38 +222,78 @@ class KnowledgeBase
     uint64_t factBytes() const;
 
   private:
-    struct PredicateInfo
+    /**
+     * A rule compiled for the join: one slot per variable and per
+     * constant. A variable's first mention binds its slot from the
+     * row, and later ones (in the same atom too) check the row. Which
+     * slots are bound at each atom is fixed, so no undo is needed.
+     */
+    struct CompiledRule
     {
-        std::string name;
-        int arity;
+        struct Arg
+        {
+            bool bind = false;
+            uint32_t slot = 0;
+        };
+        /** One body atom, with one Arg per column. */
+        struct Step
+        {
+            PredId predicate = 0;
+            std::vector<Arg> args;
+        };
+        std::vector<Step> body;
+        PredId head = 0;
+        std::vector<uint32_t> headSlots;
+        std::vector<ConstId> slots; ///< Initial values: the constants.
     };
 
-    std::vector<PredicateInfo> predicates_;
-    std::map<std::string, PredId> predicateIds_;
+    std::vector<std::string> predicateNames_;
     std::vector<std::string> constants_;
     std::map<std::string, ConstId> constantIds_;
-
-    /** Facts bucketed by predicate, plus a membership index. */
-    std::vector<std::vector<GroundAtom>> factsByPred_;
-    std::map<GroundAtom, bool> factIndex_;
-    size_t factCount_ = 0;
-
+    FactStore facts_;
     std::vector<Rule> rules_;
-
-    /**
-     * Matches rule body atoms from @p next on, extending the variable
-     * binding; emits every ground head into @p derived. Returns the
-     * number of unification attempts made (for instrumentation).
-     */
-    size_t matchBody(const Rule &rule, size_t next,
-                     std::map<VarId, ConstId> &binding,
-                     std::vector<GroundAtom> &derived) const;
-
-    /** Grounds an atom under a complete binding. */
-    std::optional<GroundAtom>
-    groundAtom(const Atom &atom,
-               const std::map<VarId, ConstId> &binding) const;
+    std::vector<CompiledRule> compiled_;
 };
+
+template <class Visit>
+size_t
+KnowledgeBase::join(size_t rule, const FactStore &facts,
+                    Visit &&visit) const
+{
+    const CompiledRule &c = compiled_.at(rule);
+    std::vector<ConstId> slots = c.slots, head(c.headSlots.size());
+    std::vector<int32_t> rows(c.body.size());
+    // Depth-first over the body atoms; no allocation per attempt.
+    auto from = [&](auto &self, size_t depth) -> size_t {
+        if (depth == c.body.size()) {
+            for (size_t i = 0; i < head.size(); i++)
+                head[i] = slots[c.headSlots[i]];
+            visit(std::span<const ConstId>(head),
+                  std::span<const int32_t>(rows));
+            return 0;
+        }
+        const CompiledRule::Step &step = c.body[depth];
+        FactRows facts_in = facts.rows(step.predicate);
+        size_t attempts = facts_in.size();
+        for (size_t r = 0; r < facts_in.size(); r++) {
+            std::span<const ConstId> fact = facts_in[r];
+            bool match = true;
+            for (size_t i = 0; match && i < fact.size(); i++) {
+                const CompiledRule::Arg &arg = step.args[i];
+                if (arg.bind)
+                    slots[arg.slot] = fact[i];
+                else
+                    match = slots[arg.slot] == fact[i];
+            }
+            if (match) {
+                rows[depth] = static_cast<int32_t>(r);
+                attempts += self(self, depth + 1);
+            }
+        }
+        return attempts;
+    };
+    return from(from, 0);
+}
 
 } // namespace nsbench::logic
 

@@ -5,6 +5,7 @@
 
 #include "net/translate.hh"
 #include "util/fields.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace nsbench::net
@@ -15,6 +16,7 @@ namespace
 
 using util::bump;
 using util::fatal;
+using util::fmix64;
 using util::load;
 
 constexpr int kVirtualNodes = 64;             ///< Ring points per backend.
@@ -31,25 +33,6 @@ fnv1a(const void *data, size_t size,
         hash ^= bytes[i];
         hash *= 1099511628211ULL;
     }
-    return hash;
-}
-
-/**
- * MurmurHash3's 64-bit finalizer: each input bit flips every output
- * bit with probability about 1/2. FNV-1a alone does not do that for
- * ring points: "host:port#0" .. "host:port#63" differ only in their
- * last bytes, which reach the low and middle bits of the hash but
- * barely the high ones, so a backend's points bunched together on the
- * ring and one of two backends could own almost all of it.
- */
-uint64_t
-fmix64(uint64_t hash)
-{
-    hash ^= hash >> 33;
-    hash *= 0xff51afd7ed558ccdULL;
-    hash ^= hash >> 33;
-    hash *= 0xc4ceb9fe1a85ec53ULL;
-    hash ^= hash >> 33;
     return hash;
 }
 
@@ -147,6 +130,10 @@ Router::Router(const RouterOptions &options) : options_(options)
         backend->client = std::make_unique<Client>(client);
         backends_.push_back(std::move(backend));
 
+        // FNV-1a alone bunches the points: "host:port#0" ..
+        // "host:port#63" differ only in their last bytes, which barely
+        // reach the high bits, so one of two backends could own almost
+        // all of the ring. fmix64 spreads them.
         for (int v = 0; v < kVirtualNodes; ++v) {
             std::string point =
                 options_.backends[i] + "#" + std::to_string(v);

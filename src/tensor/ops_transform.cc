@@ -195,9 +195,8 @@ gatherRows(const Tensor &a, const std::vector<int64_t> &rows)
         int64_t row = rows[r];
         util::panicIf(row < 0 || row >= a.size(0),
                       "gatherRows: row index out of range");
-        std::copy(&src[static_cast<size_t>(row * cols)],
-                  &src[static_cast<size_t>((row + 1) * cols)],
-                  &dst[r * static_cast<size_t>(cols)]);
+        std::copy(src.data() + row * cols, src.data() + (row + 1) * cols,
+                  dst.data() + r * static_cast<size_t>(cols));
     }
     auto numel = static_cast<double>(out.numel());
     op.setBytesRead(numel * elemBytes +

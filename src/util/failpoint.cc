@@ -1,6 +1,8 @@
 #include "util/failpoint.hh"
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <random>
@@ -78,7 +80,10 @@ parseValue(const std::string &site, const std::string &value,
     } catch (...) {
         return "failpoint '" + site + "': probability is not a number";
     }
-    if (out->probability < 0.0 || out->probability > 1.0)
+    // stod accepts "nan", and a NaN probability fails no comparison,
+    // so the site would fire on every evaluation.
+    if (!std::isfinite(out->probability) || out->probability < 0.0 ||
+        out->probability > 1.0)
         return "failpoint '" + site +
                "': probability must be in [0, 1]";
     while (pos < value.size()) {
@@ -86,10 +91,11 @@ parseValue(const std::string &site, const std::string &value,
         size_t used = 0;
         uint64_t number = 0;
         try {
-            // stoull accepts a leading '-' and wraps it into a huge
-            // unsigned value; every field here is a count, so a sign
-            // is malformed, not modular arithmetic.
-            if (pos < value.size() && value[pos] != '-')
+            // stoull skips leading spaces and takes a sign, wrapping
+            // '-' into a huge unsigned value; every field here is a
+            // count, so a digit must follow the tag.
+            if (pos < value.size() &&
+                std::isdigit(static_cast<unsigned char>(value[pos])))
                 number = std::stoull(value.substr(pos), &used);
         } catch (...) {
             used = 0;

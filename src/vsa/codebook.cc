@@ -61,8 +61,9 @@ Codebook::atom(int64_t index) const
     auto src = atoms_.data();
     auto dst = out.data();
     auto d = static_cast<size_t>(dim());
-    std::copy(&src[static_cast<size_t>(index) * d],
-              &src[static_cast<size_t>(index + 1) * d], dst.begin());
+    std::copy(src.data() + static_cast<size_t>(index) * d,
+              src.data() + static_cast<size_t>(index + 1) * d,
+              dst.begin());
     return out;
 }
 

@@ -1,7 +1,6 @@
 #include "workloads/lnn.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "core/profiler.hh"
 #include "logic/grounding.hh"
@@ -18,7 +17,6 @@ using core::OpGraph;
 using core::Phase;
 using core::PhaseScope;
 using core::ScopedOp;
-using logic::GroundAtom;
 using logic::TruthBounds;
 using tensor::Tensor;
 
@@ -32,11 +30,8 @@ LnnWorkload::setUp(uint64_t seed)
                                config_.coursesPerProf, seed));
     // Ground truth from classical saturation on a scratch copy,
     // computed here so run() spends no unattributed time on scoring.
-    logic::KnowledgeBase truth = university_->kb;
-    truth.forwardChain();
-    expectedSenior_ = {
-        truth.facts(university_->seniorStudent).begin(),
-        truth.facts(university_->seniorStudent).end()};
+    truth_ = university_->kb.factStore();
+    university_->kb.forwardChain(truth_);
 }
 
 uint64_t
@@ -92,10 +87,14 @@ LnnWorkload::inferAndScore(GroundState &gs)
         }
 
         for (const auto &group : g.byRule) {
-            if (group.empty())
+            if (group.ids.empty())
                 continue;
-            auto k = static_cast<int64_t>(group[0].body.size());
-            auto inst_n = static_cast<int64_t>(group.size());
+            auto k = static_cast<int64_t>(group.bodySize);
+            auto inst_n = static_cast<int64_t>(group.ids.size()) / (k + 1);
+            // Instance i's ids: k body atoms, then the head.
+            auto id = [&](int64_t i, int64_t j) {
+                return group.ids[static_cast<size_t>(i * (k + 1) + j)];
+            };
 
             // ---- Neural: vectorized weighted-Lukasiewicz AND over
             // every instance of this rule (upward direction).
@@ -107,9 +106,8 @@ LnnWorkload::inferAndScore(GroundState &gs)
                 for (int64_t j = 0; j < k; j++) {
                     std::vector<int64_t> rows;
                     rows.reserve(static_cast<size_t>(inst_n));
-                    for (const auto &inst : group)
-                        rows.push_back(
-                            inst.body[static_cast<size_t>(j)]);
+                    for (int64_t i = 0; i < inst_n; i++)
+                        rows.push_back(id(i, j));
                     lo_cols.push_back(tensor::gatherRows(lower, rows));
                     hi_cols.push_back(tensor::gatherRows(upper, rows));
                 }
@@ -147,8 +145,8 @@ LnnWorkload::inferAndScore(GroundState &gs)
                     ScopedOp op("bound_update", OpCategory::Other);
                     int64_t c1 = std::min(c0 + chunk, inst_n);
                     for (int64_t i = c0; i < c1; i++) {
-                        auto &head = bounds[static_cast<size_t>(
-                            group[static_cast<size_t>(i)].head)];
+                        auto &head =
+                            bounds[static_cast<size_t>(id(i, k))];
                         float new_lower =
                             std::max(head.lower, and_lower.flat(i));
                         max_change = std::max(
@@ -175,8 +173,8 @@ LnnWorkload::inferAndScore(GroundState &gs)
                                   "lnn/downward_eval");
                 std::vector<int64_t> heads;
                 heads.reserve(static_cast<size_t>(inst_n));
-                for (const auto &inst : group)
-                    heads.push_back(inst.head);
+                for (int64_t i = 0; i < inst_n; i++)
+                    heads.push_back(id(i, k));
                 Tensor head_upper = tensor::gatherRows(upper, heads);
                 Tensor sum_lower =
                     tensor::sumAxis(body_lower_mat, 1)
@@ -215,9 +213,8 @@ LnnWorkload::inferAndScore(GroundState &gs)
                     int64_t c1 = std::min(c0 + chunk, inst_n);
                     for (int64_t i = c0; i < c1; i++) {
                         for (int64_t j = 0; j < k; j++) {
-                            auto &atom = bounds[static_cast<size_t>(
-                                group[static_cast<size_t>(i)]
-                                    .body[static_cast<size_t>(j)])];
+                            auto &atom =
+                                bounds[static_cast<size_t>(id(i, j))];
                             float new_upper = std::min(
                                 atom.upper, cand_all(i, j));
                             // Base facts are observations; keep them.
@@ -245,28 +242,28 @@ LnnWorkload::inferAndScore(GroundState &gs)
     core::globalProfiler().recordFree(graph_bytes);
 
     // ---- Score: recall x precision of proven seniorStudent facts.
-    const std::set<GroundAtom> &expected = expectedSenior_;
+    logic::PredId senior = university_->seniorStudent;
+    size_t expected = truth_.rows(senior).size();
 
     size_t proven = 0, proven_correct = 0;
-    for (const auto &[atom, id] : g.atomIds) {
-        if (atom.predicate != university_->seniorStudent)
+    for (size_t id = 0; id < g.atoms.size(); id++) {
+        auto [pred, row] = g.atoms[id];
+        if (pred != senior || !bounds[id].isTrue())
             continue;
-        if (bounds[id].isTrue()) {
-            proven++;
-            if (expected.count(atom))
-                proven_correct++;
-        }
+        proven++;
+        auto args = g.facts.rows(senior)[static_cast<size_t>(row)];
+        if (truth_.find(senior, args) >= 0)
+            proven_correct++;
     }
-    double recall =
-        expected.empty()
-            ? 1.0
-            : static_cast<double>(proven_correct) /
-                  static_cast<double>(expected.size());
+    double recall = expected == 0
+                        ? 1.0
+                        : static_cast<double>(proven_correct) /
+                              static_cast<double>(expected);
     double precision =
         proven == 0 ? 0.0
                     : static_cast<double>(proven_correct) /
                           static_cast<double>(proven);
-    return expected.empty() ? 1.0 : recall * precision;
+    return expected == 0 ? 1.0 : recall * precision;
 }
 
 core::StageSpec

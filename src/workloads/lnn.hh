@@ -16,9 +16,7 @@
 #ifndef NSBENCH_WORKLOADS_LNN_HH
 #define NSBENCH_WORKLOADS_LNN_HH
 
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/workload.hh"
@@ -94,7 +92,8 @@ class LnnWorkload : public core::Workload
     double inferAndScore(GroundState &gs);
 
     std::unique_ptr<data::UniversityKb> university_;
-    std::set<logic::GroundAtom> expectedSenior_;
+    /** The KB's facts saturated at setUp(): what a proof must find. */
+    logic::FactStore truth_;
 };
 
 } // namespace nsbench::workloads

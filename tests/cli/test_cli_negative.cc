@@ -197,6 +197,15 @@ TEST(CliNegative, MalformedFaultSpecIsRejected)
     EXPECT_EQ(result.exitCode, 2);
     EXPECT_NE(result.output.find("--faults:"), std::string::npos)
         << result.output;
+    // A field tag must be followed by a digit: no space, no sign.
+    for (const char *limit : {"x 3", "x+3"}) {
+        result = runCli("serve --faults 'serve.worker.run=0.5" +
+                        std::string(limit) + "' --duration 0.1");
+        EXPECT_EQ(result.exitCode, 2) << limit;
+        EXPECT_NE(result.output.find("'x' needs a number"),
+                  std::string::npos)
+            << result.output;
+    }
 }
 
 TEST(CliNegative, UnknownFailpointSiteIsRejected)
@@ -211,11 +220,14 @@ TEST(CliNegative, UnknownFailpointSiteIsRejected)
 
 TEST(CliNegative, OutOfRangeProbabilityIsRejected)
 {
-    CliResult result =
-        runCli("serve --faults serve.worker.run=1.5 --duration 0.1");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find("probability"), std::string::npos)
-        << result.output;
+    for (const char *probability : {"1.5", "nan", "-nan", "inf"}) {
+        CliResult result = runCli("serve --faults serve.worker.run=" +
+                                  std::string(probability) +
+                                  " --duration 0.1");
+        EXPECT_EQ(result.exitCode, 2) << probability;
+        EXPECT_NE(result.output.find("probability"), std::string::npos)
+            << result.output;
+    }
 }
 
 TEST(CliNegative, NegativeRetriesIsRejected)

@@ -49,6 +49,15 @@ TEST_F(AnimalKb, ForwardChainDerivesHead)
     EXPECT_FALSE(kb.hasFact({hypos, {rock}}));
 }
 
+TEST_F(AnimalKb, HasFactIsFalseForUnknownPredicateOrWrongArity)
+{
+    EXPECT_TRUE(kb.hasFact({animal, {dog}}));
+    EXPECT_FALSE(kb.hasFact({hypos + 1, {dog}}));
+    EXPECT_FALSE(kb.hasFact({-1, {dog}}));
+    EXPECT_FALSE(kb.hasFact({animal, {}}));
+    EXPECT_FALSE(kb.hasFact({animal, {dog, dog}}));
+}
+
 TEST_F(AnimalKb, ChainIsIdempotent)
 {
     kb.forwardChain();
