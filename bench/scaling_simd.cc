@@ -6,7 +6,8 @@
  * again under the AVX2 backend, reporting wall time and speedup while
  * checking that the two backends agree (<= 1e-5 relative for float
  * reductions and fused kernels; exactly equal checksums for the
- * order-preserving circular_conv and conv2d kernels). A
+ * order-preserving circular_conv and conv2d kernels and the tanh, exp
+ * and sigmoid twins). A
  * third column times the AVX2 backend at the full default pool width,
  * showing how vectorization composes with the thread runtime. The
  * final BENCH_JSON line is machine-readable so the perf trajectory of
@@ -117,6 +118,7 @@ main(int argc, char **argv)
     Tensor conv_x = Tensor::randn({1, 8, 48, 48}, rng);
     Tensor conv_w = Tensor::randn({16, 8, 3, 3}, rng);
     Tensor conv_bias = Tensor::randn({16}, rng);
+    Tensor tr_x = tensor::mulScalar(Tensor::randn({4096}, rng), 2.0f);
 
     std::vector<Kernel> kernels = {
         {"matmul_512",
@@ -155,6 +157,12 @@ main(int argc, char **argv)
                  tensor::conv2d(conv_x, conv_w, conv_bias, 1, 1));
          },
          true},
+        {"tanh_4096", [&] { return orderedSum(tensor::tanhOp(tr_x)); },
+         true},
+        {"exp_4096", [&] { return orderedSum(tensor::expOp(tr_x)); },
+         true},
+        {"sigmoid_4096",
+         [&] { return orderedSum(tensor::sigmoid(tr_x)); }, true},
     };
 
     core::globalProfiler().setEnabled(false);

@@ -93,23 +93,19 @@ relu(const Tensor &a)
 Tensor
 sigmoid(const Tensor &a)
 {
-    return fusedMapUnary(
-        "sigmoid", a, 4.0,
-        perElement([](float x) { return 1.0f / (1.0f + std::exp(-x)); }));
+    return fusedMapUnary("sigmoid", a, 4.0, simd::sigmoid);
 }
 
 Tensor
 tanhOp(const Tensor &a)
 {
-    return fusedMapUnary("tanh", a, 4.0,
-                         perElement([](float x) { return std::tanh(x); }));
+    return fusedMapUnary("tanh", a, 4.0, simd::tanh);
 }
 
 Tensor
 expOp(const Tensor &a)
 {
-    return fusedMapUnary("exp", a, 2.0,
-                         perElement([](float x) { return std::exp(x); }));
+    return fusedMapUnary("exp", a, 2.0, simd::exp);
 }
 
 Tensor
@@ -306,6 +302,17 @@ meanAxis(const Tensor &a, int64_t axis)
 namespace
 {
 
+/** dst[i] = exp(src[i] - mx) over one row; returns mx = max(src). */
+float
+expMinusMax(std::span<const float> src, std::span<float> dst)
+{
+    float mx = *std::max_element(src.begin(), src.end());
+    for (size_t i = 0; i < src.size(); i++)
+        dst[i] = src[i] - mx;
+    simd::exp(dst.data(), dst.data(), static_cast<int64_t>(dst.size()));
+    return mx;
+}
+
 /** Applies a row-wise transform over the last dimension. */
 template <typename RowFn>
 Tensor
@@ -347,12 +354,10 @@ softmax(const Tensor &a)
     return lastDimTransform(
         "softmax", a,
         [](std::span<const float> src, std::span<float> dst) {
-            float mx = *std::max_element(src.begin(), src.end());
+            expMinusMax(src, dst);
             float sum = 0.0f;
-            for (size_t i = 0; i < src.size(); i++) {
-                dst[i] = std::exp(src[i] - mx);
-                sum += dst[i];
-            }
+            for (float v : dst)
+                sum += v;
             for (float &v : dst)
                 v /= sum;
         },
@@ -365,10 +370,10 @@ logSoftmax(const Tensor &a)
     return lastDimTransform(
         "log_softmax", a,
         [](std::span<const float> src, std::span<float> dst) {
-            float mx = *std::max_element(src.begin(), src.end());
+            float mx = expMinusMax(src, dst);
             float sum = 0.0f;
-            for (float v : src)
-                sum += std::exp(v - mx);
+            for (float v : dst)
+                sum += v;
             float log_sum = std::log(sum) + mx;
             for (size_t i = 0; i < src.size(); i++)
                 dst[i] = src[i] - log_sum;

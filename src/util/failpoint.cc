@@ -1,6 +1,6 @@
 #include "util/failpoint.hh"
 
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -74,56 +74,40 @@ std::string
 parseValue(const std::string &site, const std::string &value,
            SiteSpec *out)
 {
-    size_t pos = 0;
-    try {
-        out->probability = std::stod(value, &pos);
-    } catch (...) {
+    // Numbers follow the command line's rule (util::parseWhole):
+    // std::from_chars, so no leading space, sign or hex form, and a
+    // denormal probability is a number.
+    const char *p = value.data();
+    const char *end = p + value.size();
+    auto [after, ec] = std::from_chars(p, end, out->probability);
+    if (ec != std::errc())
         return "failpoint '" + site + "': probability is not a number";
-    }
-    // stod accepts "nan", and a NaN probability fails no comparison,
-    // so the site would fire on every evaluation.
+    // from_chars accepts "nan", and a NaN probability fails no
+    // comparison, so the site would fire on every evaluation.
     if (!std::isfinite(out->probability) || out->probability < 0.0 ||
         out->probability > 1.0)
         return "failpoint '" + site +
                "': probability must be in [0, 1]";
-    while (pos < value.size()) {
-        char tag = value[pos++];
-        size_t used = 0;
-        uint64_t number = 0;
-        try {
-            // stoull skips leading spaces and takes a sign, wrapping
-            // '-' into a huge unsigned value; every field here is a
-            // count, so a digit must follow the tag.
-            if (pos < value.size() &&
-                std::isdigit(static_cast<unsigned char>(value[pos])))
-                number = std::stoull(value.substr(pos), &used);
-        } catch (...) {
-            used = 0;
-        }
-        if (used == 0)
-            return "failpoint '" + site + "': '" + tag +
-                   "' needs a number";
-        pos += used;
-        switch (tag) {
-        case '@':
-            out->seed = number;
-            break;
-        case 'x':
-            out->limit = number;
-            break;
-        case 's':
-            out->skip = number;
-            break;
-        case '~':
-            if (number == 0)
-                return "failpoint '" + site +
-                       "': '~' delay must be positive";
-            out->delayUs = number;
-            break;
-        default:
+    for (p = after; p < end;) {
+        char tag = *p++;
+        uint64_t *field = tag == '@'   ? &out->seed
+                          : tag == 'x' ? &out->limit
+                          : tag == 's' ? &out->skip
+                          : tag == '~' ? &out->delayUs
+                                       : nullptr;
+        if (!field)
             return std::string("failpoint '") + site +
                    "': unknown field '" + tag + "'";
-        }
+        // Every field is a count: digits right after the tag.
+        uint64_t number = 0;
+        auto [next, count_ec] = std::from_chars(p, end, number);
+        if (count_ec != std::errc())
+            return "failpoint '" + site + "': '" + tag +
+                   "' needs a number";
+        p = next;
+        if (tag == '~' && number == 0)
+            return "failpoint '" + site + "': '~' delay must be positive";
+        *field = number;
     }
     if (out->seed == 0)
         out->seed = nameSeed(site);

@@ -1,13 +1,18 @@
 /**
  * @file
- * Human-readable formatting helpers for report output.
+ * Human-readable formatting helpers for report output, and the one
+ * rule for reading numbers back from text.
  */
 
 #ifndef NSBENCH_UTIL_FORMAT_HH
 #define NSBENCH_UTIL_FORMAT_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 namespace nsbench::util
 {
@@ -26,6 +31,24 @@ std::string percentStr(double fraction, int decimals = 1);
 
 /** Formats a double with the given number of decimals. */
 std::string fixedStr(double value, int decimals = 2);
+
+/**
+ * The one number rule for the command line: @p text must be one
+ * finite number with nothing after it. atoi and strtoull read "2x" as
+ * 2 and "abc" as 0.
+ */
+template <typename T>
+bool
+parseWhole(const std::string &text, T *value)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+    if constexpr (std::is_floating_point_v<T>) {
+        if (ec == std::errc() && !std::isfinite(*value))
+            return false;
+    }
+    return ec == std::errc() && ptr == end;
+}
 
 } // namespace nsbench::util
 

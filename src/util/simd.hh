@@ -38,9 +38,16 @@
  * mode, and inside a target("fma") function it would turn a multiply
  * followed by an add into one fused multiply-add that rounds once
  * where the scalar loop rounds twice. A double-precision FMA over two
- * widened floats is the one exception: the product is exact in
- * double, so fusing it changes nothing, and the circular kernels use
- * it on purpose.
+ * widened floats is one exception: the product is exact in double, so
+ * fusing it changes nothing, and the circular kernels use it on
+ * purpose. The exp twin's five FMAs are the other: glibc fuses there.
+ *
+ * The transcendental maps (tanh, exp, sigmoid; simd_exact.cc) are
+ * exact across backends and across hosts: both twins repeat glibc
+ * 2.36's tanhf (fdlibm) and expf (ARM optimized-routines, FMA at
+ * glibc's five points: std::fma in the scalar twin), so they return
+ * that libm's bits on every float input whatever the host's libm or
+ * CPU. tests/util/exhaustive_transcendental_test.cc checks all 2^32.
  *
  * Profiler attribution (FLOPs, bytes, invocations) is computed from
  * operand shapes by the calling ops, so it is exact and identical for
@@ -207,6 +214,19 @@ void circularConvRows(const double *a, const double *bb, float *out,
 /** Circular correlation: as circularConvRows with bb[i + j]. */
 void circularCorrRows(const double *a, const double *bb, float *out,
                       int64_t i0, int64_t i1, int64_t d);
+/// @}
+
+/// @name Float transcendentals: glibc 2.36's bits on every input.
+/// Element-wise maps over [0, n) (out == a is allowed) that return,
+/// bit for bit on all 2^32 float inputs and NaN payloads included,
+/// what glibc 2.36 returns on an x86-64 host with FMA:
+/// tanh(a[i]) = tanhf(a[i]), exp(a[i]) = expf(a[i]) and sigmoid(a[i])
+/// = 1.0f / (1.0f + expf(-a[i])). The bits come from this repository,
+/// not from the host's libm.
+/// @{
+void tanh(const float *a, float *out, int64_t n);
+void exp(const float *a, float *out, int64_t n);
+void sigmoid(const float *a, float *out, int64_t n);
 /// @}
 
 } // namespace nsbench::util::simd

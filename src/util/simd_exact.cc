@@ -12,18 +12,110 @@
  * w)) inside a target("fma") function into a vfmadd, and a scalar
  * border pixel inlined there into a scalar FMA; either rounds once
  * where the scalar twin rounds twice.
+ *
+ * The transcendental maps (tanh, exp, sigmoid) repeat the float
+ * operations of glibc 2.36's tanhf and expf, so both twins return
+ * that libm's bits on every float input:
+ *
+ *  - tanh is fdlibm's __tanhf over __expm1f (Copyright (C) 1993 by Sun
+ *    Microsystems, Inc.; permission to use, copy, modify and
+ *    distribute this software is freely granted, provided that this
+ *    notice is preserved), as glibc builds it for x86-64: float
+ *    arithmetic, no FMA.
+ *  - exp is ARM optimized-routines' expf (Copyright (c) 2017-2018,
+ *    Arm Limited; MIT license), as glibc 2.36 selects it on FMA
+ *    hosts (__expf_fma): double evaluation with a 32-entry table and
+ *    a fused multiply-add at exactly five points. The twins fuse at
+ *    those five points and nowhere else (std::fma in the scalar twin,
+ *    so a host without FMA gets the same bits).
  */
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/simd.hh"
 #include "util/simd_target.hh"
+
+// The scalar exp twin needs std::fma five times per element, a libm
+// call on the baseline ISA; an FMA clone keeps the scalar backend
+// fast on hosts that have the instruction, with the same bits. The
+// clones dispatch through an ifunc resolver, which runs before the
+// sanitizer runtime starts; instrumented for TSan it crashes the
+// program at load, so TSan builds call libm's fma instead.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
+#define NSBENCH_FMA_CLONES [[gnu::target_clones("fma", "default")]]
+#else
+#define NSBENCH_FMA_CLONES
+#endif
 
 namespace nsbench::util::simd
 {
 
 namespace
 {
+
+/** The float with bit pattern @p w. */
+constexpr float
+floatWord(uint32_t w)
+{
+    return std::bit_cast<float>(w);
+}
+
+/** Constants of fdlibm's __expm1f and __tanhf. */
+namespace fdlibm
+{
+constexpr float kLn2Hi = floatWord(0x3f317180);
+constexpr float kLn2Lo = floatWord(0x3717f7d1);
+constexpr float kInvLn2 = floatWord(0x3fb8aa3b);
+constexpr float kQ1 = floatWord(0xbd088889);
+constexpr float kQ2 = floatWord(0x3ad00d01);
+constexpr float kQ3 = floatWord(0xb8a670cd);
+constexpr float kQ4 = floatWord(0x36867e54);
+constexpr float kQ5 = floatWord(0xb457edbb);
+/// Branch words on |x|'s bits: 0.5 ln2, 1.5 ln2 and 2^-25 (expm1f),
+/// 2^-55, 1 and 22 (tanhf).
+constexpr uint32_t kHalfLn2 = 0x3eb17218;
+constexpr uint32_t kThreeHalvesLn2 = 0x3f851592;
+constexpr uint32_t kTwoM25 = 0x33000000;
+constexpr uint32_t kTwoM55 = 0x24000000;
+constexpr uint32_t kOne = 0x3f800000;
+constexpr uint32_t kTwentyTwo = 0x41b00000;
+} // namespace fdlibm
+
+/** Constants of optimized-routines' expf (its exp2f_data). */
+namespace aor
+{
+constexpr double kInvLn2N = std::bit_cast<double>(0x40471547652b82feULL);
+constexpr double kShift = std::bit_cast<double>(0x4338000000000000ULL);
+constexpr double kC0 = std::bit_cast<double>(0x3ebc6af84b912394ULL);
+constexpr double kC1 = std::bit_cast<double>(0x3f2ebfce50fac4f3ULL);
+constexpr double kC2 = std::bit_cast<double>(0x3f962e42ff0c52d6ULL);
+/// 2^(i/32) with the i/32 part of the exponent taken out.
+alignas(64) constexpr uint64_t kTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+/// |x| >= 88 (abstop above this), inf or NaN take the special cases.
+constexpr uint32_t kAbsTop88 = 0x42a;
+/// Above: +inf. Below: +0. Below (and not the former): the least
+/// denormal, glibc's 0x1.4p-75f squared.
+constexpr float kOverflow = floatWord(0x42b17217);
+constexpr float kUnderflow = floatWord(0xc2cff1b4);
+constexpr float kMayUnderflow = floatWord(0xc2ce8ecf);
+} // namespace aor
 
 namespace scalar
 {
@@ -88,6 +180,143 @@ circularRows(const double *a, const double *bb, float *out, int64_t i0,
             acc += a[j] * p[Step * j];
         out[i] = static_cast<float>(acc);
     }
+}
+
+/**
+ * fdlibm's __expm1f on the arguments tanh passes it: 2|x| in [2, 44)
+ * and -2|x| in (-2, -2^-54]. Its other branches (-1 below -27 ln2,
+ * overflow, inf, NaN, k = +1) are unreachable there and left out.
+ */
+[[gnu::always_inline]] inline float
+expm1ForTanh(float x)
+{
+    using namespace fdlibm;
+    uint32_t hx = std::bit_cast<uint32_t>(x) & 0x7fffffff;
+    bool negative = std::signbit(x);
+    int32_t k = 0;
+    float c = 0.0f;
+    if (hx > kHalfLn2) {
+        float hi, lo;
+        if (hx < kThreeHalvesLn2) {
+            // x < 0 on this domain.
+            hi = x + kLn2Hi;
+            lo = -kLn2Lo;
+            k = -1;
+        } else {
+            k = static_cast<int32_t>(kInvLn2 * x +
+                                     (negative ? -0.5f : 0.5f));
+            float t = static_cast<float>(k);
+            hi = x - t * kLn2Hi; // t * ln2_hi is exact here.
+            lo = t * kLn2Lo;
+        }
+        x = hi - lo;
+        c = (hi - x) - lo;
+    } else if (hx < kTwoM25) {
+        return x;
+    }
+    float hfx = 0.5f * x;
+    float hxs = x * hfx;
+    float r1 = 1.0f +
+               hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 +
+                                                          hxs * kQ5))));
+    float t = 3.0f - r1 * hfx;
+    float e = hxs * ((r1 - t) / (6.0f - x * t));
+    if (k == 0)
+        return x - (x * e - hxs);
+    e = (x * (e - c) - c);
+    e -= hxs;
+    if (k == -1)
+        return 0.5f * (x - e) - 0.5f;
+    // Adds k to y's exponent.
+    auto scale = [k](float y) {
+        return std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                                    (static_cast<uint32_t>(k) << 23));
+    };
+    if (k <= -2 || k > 56)
+        return scale(1.0f - (e - x)) - 1.0f;
+    if (k < 23)
+        return scale(floatWord(0x3f800000 - (0x1000000 >> k)) - (e - x));
+    float y = x - (e + floatWord(static_cast<uint32_t>(0x7f - k) << 23));
+    y += 1.0f;
+    return scale(y);
+}
+
+/** fdlibm's __tanhf. */
+[[gnu::always_inline]] inline float
+tanh1(float x)
+{
+    using namespace fdlibm;
+    uint32_t ix = std::bit_cast<uint32_t>(x) & 0x7fffffff;
+    bool negative = std::signbit(x);
+    if (ix >= 0x7f800000) // inf or NaN
+        return negative ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+    float z;
+    if (ix < kTwentyTwo) {
+        if (ix < kTwoM55) // +-0 included
+            return x * (1.0f + x);
+        if (ix >= kOne) {
+            float t = expm1ForTanh(2.0f * std::fabs(x));
+            z = 1.0f - 2.0f / (t + 2.0f);
+        } else {
+            float t = expm1ForTanh(-2.0f * std::fabs(x));
+            z = -t / (t + 2.0f);
+        }
+    } else {
+        z = 1.0f - 1.0e-30f;
+    }
+    return negative ? -z : z;
+}
+
+/** optimized-routines' expf, FMA at glibc's five points. */
+[[gnu::always_inline]] inline float
+exp1(float x)
+{
+    using namespace aor;
+    uint32_t abstop = (std::bit_cast<uint32_t>(x) >> 20) & 0x7ff;
+    if (abstop > kAbsTop88) [[unlikely]] {
+        if (x == -std::numeric_limits<float>::infinity())
+            return 0.0f;
+        if (abstop >= 0x7f8) // inf or NaN
+            return x + x;
+        if (x > kOverflow)
+            return std::numeric_limits<float>::infinity();
+        if (x < kUnderflow)
+            return 0.0f;
+        if (x < kMayUnderflow)
+            return 0x1.4p-75f * 0x1.4p-75f;
+    }
+    double xd = x;
+    double kd = std::fma(kInvLn2N, xd, kShift);
+    uint64_t ki = std::bit_cast<uint64_t>(kd);
+    kd -= kShift;
+    double r = std::fma(kInvLn2N, xd, -kd);
+    double s = std::bit_cast<double>(kTable[ki % 32] + (ki << 47));
+    double z = std::fma(kC0, r, kC1);
+    double r2 = r * r;
+    double y = std::fma(kC2, r, 1.0);
+    y = std::fma(z, r2, y);
+    return static_cast<float>(y * s);
+}
+
+void
+tanh(const float *a, float *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = tanh1(a[i]);
+}
+
+NSBENCH_FMA_CLONES void
+exp(const float *a, float *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = exp1(a[i]);
+}
+
+NSBENCH_FMA_CLONES void
+sigmoid(const float *a, float *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = 1.0f / (1.0f + exp1(-a[i]));
 }
 
 } // namespace scalar
@@ -229,6 +458,216 @@ circularRows(const double *a, const double *bb, float *out, int64_t i0,
     scalar::circularRows<Step>(a, bb, out, i, i1, d);
 }
 
+NSBENCH_TGT inline __m256i
+splat(int32_t v)
+{
+    return _mm256_set1_epi32(v);
+}
+
+NSBENCH_TGT inline __m256
+splat(float v)
+{
+    return _mm256_set1_ps(v);
+}
+
+/** Lanes where the bits @p a (sign clear) are below @p w, as a mask. */
+NSBENCH_TGT inline __m256
+below(__m256i a, uint32_t w)
+{
+    return _mm256_castsi256_ps(
+        _mm256_cmpgt_epi32(splat(static_cast<int32_t>(w)), a));
+}
+
+/**
+ * scalar::tanh1 in eight lanes. Every branch of tanh1 and
+ * expm1ForTanh is computed and the lane picks its own by blends, so
+ * each lane sees exactly its scalar path's operations.
+ */
+[[gnu::always_inline]] NSBENCH_TGT inline __m256
+tanh8(__m256 x)
+{
+    using namespace fdlibm;
+    const __m256 sign_bit = splat(-0.0f);
+    __m256 ax = _mm256_andnot_ps(sign_bit, x);
+    __m256i ix = _mm256_castps_si256(ax);
+    __m256 ge_one = _mm256_cmp_ps(ax, splat(1.0f), _CMP_GE_OQ);
+
+    // expm1's argument: 2|x| when |x| >= 1, else -2|x|.
+    __m256 u = _mm256_mul_ps(splat(2.0f), ax);
+    __m256 a = _mm256_or_ps(u, _mm256_andnot_ps(ge_one, sign_bit));
+    __m256i hu = _mm256_castps_si256(u);
+
+    // k: 0 up to 0.5 ln2, -1 below 1.5 ln2 (a < 0 there, and fdlibm
+    // forces k even where invln2 * a - 0.5 rounds to -2), else
+    // invln2 * a +- 0.5 truncated. t * ln2_hi is exact.
+    __m256 half = _mm256_or_ps(splat(0.5f), _mm256_and_ps(a, sign_bit));
+    __m256i k = _mm256_cvttps_epi32(
+        _mm256_add_ps(_mm256_mul_ps(splat(kInvLn2), a), half));
+    k = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(k), _mm256_castsi256_ps(splat(-1)),
+        below(hu, kThreeHalvesLn2)));
+    k = _mm256_andnot_si256(
+        _mm256_castps_si256(below(hu, kHalfLn2 + 1)), k);
+    __m256 t = _mm256_cvtepi32_ps(k);
+    __m256 hi = _mm256_sub_ps(a, _mm256_mul_ps(t, splat(kLn2Hi)));
+    __m256 lo = _mm256_mul_ps(t, splat(kLn2Lo));
+    __m256 xr = _mm256_sub_ps(hi, lo);
+    __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+    // The primary range, then e folded with c (c = 0 when k = 0).
+    __m256 hfx = _mm256_mul_ps(splat(0.5f), xr);
+    __m256 hxs = _mm256_mul_ps(xr, hfx);
+    __m256 p = _mm256_add_ps(splat(kQ4), _mm256_mul_ps(hxs, splat(kQ5)));
+    p = _mm256_add_ps(splat(kQ3), _mm256_mul_ps(hxs, p));
+    p = _mm256_add_ps(splat(kQ2), _mm256_mul_ps(hxs, p));
+    p = _mm256_add_ps(splat(kQ1), _mm256_mul_ps(hxs, p));
+    __m256 r1 = _mm256_add_ps(splat(1.0f), _mm256_mul_ps(hxs, p));
+    __m256 tt = _mm256_sub_ps(splat(3.0f), _mm256_mul_ps(r1, hfx));
+    __m256 e = _mm256_mul_ps(
+        hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
+                           _mm256_sub_ps(splat(6.0f),
+                                         _mm256_mul_ps(xr, tt))));
+    e = _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c);
+    e = _mm256_sub_ps(e, hxs);
+
+    // The k cases. 0x1000000 >> k is 0 for k < 0 or k >= 32
+    // (vpsrlvd), so `low` is fdlibm's 1 - 2^-k for 2 <= k <= 22 and
+    // its 1 for k <= -2 or k > 56.
+    __m256i k23 = _mm256_slli_epi32(k, 23);
+    __m256 e_minus_x = _mm256_sub_ps(e, xr);
+    __m256 low = _mm256_castsi256_ps(_mm256_sub_epi32(
+        splat(0x3f800000), _mm256_srlv_epi32(splat(0x1000000), k)));
+    low = _mm256_castsi256_ps(_mm256_add_epi32(
+        _mm256_castps_si256(_mm256_sub_ps(low, e_minus_x)), k23));
+    __m256 two_mk = _mm256_castsi256_ps(
+        _mm256_slli_epi32(_mm256_sub_epi32(splat(0x7f), k), 23));
+    __m256 high = _mm256_add_ps(
+        _mm256_sub_ps(xr, _mm256_add_ps(e, two_mk)), splat(1.0f));
+    high = _mm256_castsi256_ps(
+        _mm256_add_epi32(_mm256_castps_si256(high), k23));
+
+    __m256 em = _mm256_sub_ps(xr, e); // k = 0
+    __m256 k_minus_one =
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, splat(-1)));
+    em = _mm256_blendv_ps(
+        em,
+        _mm256_sub_ps(_mm256_mul_ps(splat(0.5f), _mm256_sub_ps(xr, e)),
+                      splat(0.5f)),
+        k_minus_one);
+    em = _mm256_blendv_ps(
+        em, low, _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, splat(1))));
+    em = _mm256_blendv_ps(
+        em, high, _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, splat(22))));
+    __m256 far = _mm256_castsi256_ps(
+        _mm256_or_si256(_mm256_cmpgt_epi32(splat(-1), k),
+                        _mm256_cmpgt_epi32(k, splat(56))));
+    em = _mm256_blendv_ps(em, _mm256_sub_ps(low, splat(1.0f)), far);
+    em = _mm256_blendv_ps(em, a, below(hu, kTwoM25));
+
+    // tanh's cases. Both divisions share the denominator t + 2.
+    __m256 q = _mm256_div_ps(
+        _mm256_blendv_ps(_mm256_xor_ps(em, sign_bit), splat(2.0f),
+                         ge_one),
+        _mm256_add_ps(em, splat(2.0f)));
+    __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(splat(1.0f), q), ge_one);
+    z = _mm256_blendv_ps(z, splat(1.0f),
+                         _mm256_cmp_ps(ax, splat(22.0f), _CMP_NLT_UQ));
+    z = _mm256_xor_ps(z, _mm256_and_ps(x, sign_bit));
+    z = _mm256_blendv_ps(z, x, below(ix, kTwoM55));
+    return _mm256_blendv_ps(z, _mm256_add_ps(x, x),
+                            _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+/** scalar::exp1 on four lanes, in double. */
+NSBENCH_TGT inline __m128
+exp4(__m128 x)
+{
+    using namespace aor;
+    __m256d xd = _mm256_cvtps_pd(x);
+    __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
+    __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, _mm256_set1_pd(kShift));
+    __m256i ki = _mm256_castpd_si256(kd);
+    kd = _mm256_sub_pd(kd, _mm256_set1_pd(kShift));
+    __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+    __m256i t = _mm256_i64gather_epi64(
+        reinterpret_cast<const long long *>(kTable),
+        _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+    __m256d s = _mm256_castsi256_pd(
+        _mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+    __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kC0), r,
+                                _mm256_set1_pd(kC1));
+    __m256d r2 = _mm256_mul_pd(r, r);
+    __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kC2), r,
+                                _mm256_set1_pd(1.0));
+    y = _mm256_fmadd_pd(z, r2, y);
+    return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+/** scalar::exp1 in eight lanes; the special cases by blends. */
+NSBENCH_TGT inline __m256
+exp8(__m256 x)
+{
+    using namespace aor;
+    __m256 y = _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)),
+                               exp4(_mm256_castps256_ps128(x)));
+    __m256i abstop = _mm256_and_si256(
+        _mm256_srli_epi32(_mm256_castps_si256(x), 20), splat(0x7ff));
+    __m256i special =
+        _mm256_cmpgt_epi32(abstop, splat(static_cast<int32_t>(kAbsTop88)));
+    if (_mm256_testz_si256(special, special)) [[likely]]
+        return y;
+    y = _mm256_blendv_ps(y, _mm256_castsi256_ps(splat(1)),
+                         _mm256_cmp_ps(x, splat(kMayUnderflow),
+                                       _CMP_LT_OQ));
+    y = _mm256_blendv_ps(y, _mm256_setzero_ps(),
+                         _mm256_cmp_ps(x, splat(kUnderflow), _CMP_LT_OQ));
+    y = _mm256_blendv_ps(
+        y, splat(std::numeric_limits<float>::infinity()),
+        _mm256_cmp_ps(x, splat(kOverflow), _CMP_GT_OQ));
+    return _mm256_blendv_ps(y, _mm256_add_ps(x, x),
+                            _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+NSBENCH_TGT inline __m256
+sigmoid8(__m256 x)
+{
+    __m256 e = exp8(_mm256_xor_ps(x, splat(-0.0f)));
+    return _mm256_div_ps(splat(1.0f), _mm256_add_ps(splat(1.0f), e));
+}
+
+/**
+ * out[i] = F(a[i]) eight lanes at a time; the n % 8 tail runs F on a
+ * masked load (zeros in the dead lanes) and stores its live lanes.
+ * tanh8 is one dependent chain of about 40 operations, longer than
+ * the out-of-order window can overlap, so the main loop runs four
+ * vectors per step and the pre-RA scheduler (src/util/CMakeLists.txt)
+ * interleaves their chains: about 1.4x on tanh.
+ */
+template <__m256 (*F)(__m256)>
+NSBENCH_TGT void
+mapLanes(const float *a, float *out, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        __m256 y[4];
+#pragma GCC unroll 4
+        for (int v = 0; v < 4; v++)
+            y[v] = F(_mm256_loadu_ps(a + i + 8 * v));
+#pragma GCC unroll 4
+        for (int v = 0; v < 4; v++)
+            _mm256_storeu_ps(out + i + 8 * v, y[v]);
+    }
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(out + i, F(_mm256_loadu_ps(a + i)));
+    if (i < n) {
+        __m256i live = _mm256_cmpgt_epi32(
+            splat(static_cast<int32_t>(n - i)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        _mm256_maskstore_ps(out + i, live,
+                            F(_mm256_maskload_ps(a + i, live)));
+    }
+}
+
 } // namespace avx2
 
 bool
@@ -272,6 +711,36 @@ circularCorrRows(const double *a, const double *bb, float *out,
         return avx2::circularRows<1>(a, bb, out, i0, i1, d);
 #endif
     scalar::circularRows<1>(a, bb, out, i0, i1, d);
+}
+
+void
+tanh(const float *a, float *out, int64_t n)
+{
+#if NSBENCH_HAVE_AVX2_KERNELS
+    if (useAvx2())
+        return avx2::mapLanes<avx2::tanh8>(a, out, n);
+#endif
+    scalar::tanh(a, out, n);
+}
+
+void
+exp(const float *a, float *out, int64_t n)
+{
+#if NSBENCH_HAVE_AVX2_KERNELS
+    if (useAvx2())
+        return avx2::mapLanes<avx2::exp8>(a, out, n);
+#endif
+    scalar::exp(a, out, n);
+}
+
+void
+sigmoid(const float *a, float *out, int64_t n)
+{
+#if NSBENCH_HAVE_AVX2_KERNELS
+    if (useAvx2())
+        return avx2::mapLanes<avx2::sigmoid8>(a, out, n);
+#endif
+    scalar::sigmoid(a, out, n);
 }
 
 } // namespace nsbench::util::simd

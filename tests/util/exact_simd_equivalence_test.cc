@@ -9,6 +9,11 @@
  * the scalar backend and, on AVX2 hosts, the AVX2 backend, each at pool
  * widths 1, 4 and 13.
  *
+ * The transcendental twins (tanh, exp, sigmoid) have no loop to
+ * replace: their oracle is the libm expression they reproduce, on
+ * hosts whose libm is that reference (transcendental_reference.hh),
+ * and the scalar twin everywhere.
+ *
  * The file is linked a second time with golden/poison_new.cc (test
  * prefix Poisoned.), so every fresh tensor buffer starts as NaN bytes:
  * an output element a rewrite forgets to write then fails the
@@ -17,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -34,6 +41,8 @@
 #include "vsa/ops.hh"
 #include "workloads/nlm.hh"
 #include "workloads/perception.hh"
+
+#include "transcendental_reference.hh"
 
 namespace
 {
@@ -491,6 +500,256 @@ TEST_F(ExactSimdEquivalence, TemplateIoUMatchesPixelLoop)
                 return got;
             },
             "cell " + std::to_string(cell));
+        if (HasFailure())
+            return;
+    }
+}
+
+// ---------------------------------------------------------------------
+// tanh, exp, sigmoid
+// ---------------------------------------------------------------------
+
+float
+fromBits(uint32_t w)
+{
+    float x;
+    std::memcpy(&x, &w, sizeof(x));
+    return x;
+}
+
+uint32_t
+toBits(float x)
+{
+    uint32_t w;
+    std::memcpy(&w, &x, sizeof(w));
+    return w;
+}
+
+std::string
+hexBits(float x)
+{
+    char text[16];
+    std::snprintf(text, sizeof(text), "0x%08x", toBits(x));
+    return text;
+}
+
+/** @p fn's scalar twin on @p in, which the AVX2 twin must equal. */
+std::vector<float>
+scalarTwin(const tests::Transcendental &fn, const std::vector<float> &in)
+{
+    std::vector<float> out(in.size());
+    simd::setBackend(simd::Backend::Scalar);
+    fn.kernel(in.data(), out.data(), static_cast<int64_t>(in.size()));
+    simd::resetBackend();
+    return out;
+}
+
+/**
+ * @p fn's span kernel on @p in under every backend equals the scalar
+ * twin and, where the host's libm is the reference, the libm
+ * expression, byte for byte.
+ */
+void
+expectTwinsMatchLibm(const tests::Transcendental &fn,
+                     const std::vector<float> &in, const std::string &what)
+{
+    std::vector<float> want = scalarTwin(fn, in);
+    if (tests::libmNotReference().empty()) {
+        for (size_t i = 0; i < in.size(); i++) {
+            float ref = fn.libm(in[i]);
+            ASSERT_EQ(toBits(want[i]), toBits(ref))
+                << fn.name << " " << what << ": scalar twin vs libm at "
+                << hexBits(in[i]);
+        }
+    }
+    for (simd::Backend backend : backends()) {
+        simd::setBackend(backend);
+        std::vector<float> got(in.size());
+        fn.kernel(in.data(), got.data(), static_cast<int64_t>(in.size()));
+        for (size_t i = 0; i < in.size(); i++) {
+            ASSERT_EQ(toBits(got[i]), toBits(want[i]))
+                << fn.name << " " << what << ", "
+                << simd::backendName(backend) << " backend at "
+                << hexBits(in[i]);
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, TranscendentalSpecialValues)
+{
+    const std::vector<uint32_t> words = {
+        0x00000000, 0x80000000, // +-0
+        0x7f800000, 0xff800000, // +-inf
+        // Quiet NaNs, default and with payloads.
+        0x7fc00000, 0xffc00000, 0x7fc12345, 0xffe54321,
+        // Signalling NaNs with payloads.
+        0x7f800001, 0x7fa5a5a5, 0xff800001, 0xffbfffff,
+        // Smallest and largest denormals and normals.
+        0x00000001, 0x80000001, 0x007fffff, 0x807fffff,
+        0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff,
+    };
+    std::vector<float> in;
+    for (uint32_t w : words)
+        in.push_back(fromBits(w));
+    for (const tests::Transcendental &fn : tests::transcendentals())
+        expectTwinsMatchLibm(fn, in, "special values");
+}
+
+TEST_F(ExactSimdEquivalence, TranscendentalBranchWords)
+{
+    // Every branch word and threshold of fdlibm's tanhf/expm1f and
+    // optimized-routines' expf, 1 ulp to either side and with either
+    // sign. tanh passes 2|x| to expm1, so each word's half goes in as
+    // well.
+    const std::vector<uint32_t> words = {
+        // expm1f: 27 ln2, 88.72, 0.5 ln2, 1.5 ln2, 2^-25.
+        0x4195b844, 0x42b17218, 0x3eb17218, 0x3f851592, 0x33000000,
+        // tanhf: 22, 2^-55, 1.
+        0x41b00000, 0x24000000, 0x3f800000,
+        // expf: to inf, to 0, to 0x1.4p-75f squared; |x| >= 88.
+        0x42b17217, 0xc2cff1b4, 0xc2ce8ecf, 0x42b00000,
+    };
+    std::vector<float> in;
+    for (uint32_t w : words) {
+        for (uint32_t near : {w - 1, w, w + 1}) {
+            for (uint32_t sign : {0u, 0x80000000u}) {
+                float x = fromBits((near & 0x7fffffff) | sign);
+                in.push_back(x);
+                in.push_back(0.5f * x);
+            }
+        }
+    }
+    for (const tests::Transcendental &fn : tests::transcendentals())
+        expectTwinsMatchLibm(fn, in, "branch words");
+}
+
+TEST_F(ExactSimdEquivalence, TranscendentalGaussianSamples)
+{
+    for (float sigma : {0.5f, 2.0f, 8.0f, 30.0f}) {
+        Rng rng(static_cast<uint64_t>(9000 + sigma * 10));
+        std::vector<float> in(4096);
+        for (float &x : in)
+            x = rng.normal(0.0f, sigma);
+        for (const tests::Transcendental &fn : tests::transcendentals()) {
+            expectTwinsMatchLibm(fn, in,
+                                 "N(0, " + std::to_string(sigma) + ")");
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, TranscendentalLengthsAndTails)
+{
+    // Lengths around the 8-lane vector (masked tails) and around the
+    // map frame's 4096-element tile, as span kernels and as tensor ops.
+    std::vector<int64_t> lengths;
+    for (int64_t n = 0; n <= 17; n++)
+        lengths.push_back(n);
+    for (int64_t n : {4095, 4096, 4097})
+        lengths.push_back(n);
+    const float canary = fromBits(0x7fc0dead);
+    Rng rng(4711);
+    for (int64_t n : lengths) {
+        std::vector<float> in(static_cast<size_t>(n));
+        for (float &x : in)
+            x = rng.normal(0.0f, 8.0f);
+        std::string what = "length " + std::to_string(n);
+        for (const tests::Transcendental &fn : tests::transcendentals()) {
+            expectTwinsMatchLibm(fn, in, what);
+            std::vector<float> want = scalarTwin(fn, in);
+            for (simd::Backend backend : backends()) {
+                // The dead lanes of a masked tail must not be stored.
+                simd::setBackend(backend);
+                std::vector<float> out(in.size() + 8, canary);
+                fn.kernel(in.data(), out.data(), n);
+                std::vector<float> inout = in;
+                fn.kernel(inout.data(), inout.data(), n);
+                for (size_t i = 0; i < out.size(); i++) {
+                    bool live = i < in.size();
+                    ASSERT_EQ(toBits(out[i]),
+                              toBits(live ? want[i] : canary))
+                        << fn.name << " " << what << ", "
+                        << simd::backendName(backend) << " backend, "
+                        << (live ? "element " : "past the end at ") << i;
+                    if (live) {
+                        ASSERT_EQ(toBits(inout[i]), toBits(want[i]))
+                            << fn.name << " " << what << " in place, "
+                            << simd::backendName(backend) << " backend";
+                    }
+                }
+            }
+            if (n == 0)
+                continue;
+            Tensor a({n});
+            std::copy(in.begin(), in.end(), a.data().begin());
+            Tensor expected({n});
+            std::copy(want.begin(), want.end(), expected.data().begin());
+            expectSameBytes(expected, [&] { return fn.op(a); },
+                            std::string(fn.name) + " op, " + what);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+/** The scalar exp twin on one element. */
+float
+scalarExp(float x)
+{
+    float y;
+    simd::setBackend(simd::Backend::Scalar);
+    simd::exp(&x, &y, 1);
+    return y;
+}
+
+/**
+ * The softmax and log-softmax row loops as they were, with the scalar
+ * exp twin for std::exp: the twin's match with libm is checked above,
+ * so this pins the new row layout (subtract, exponentiate the row,
+ * sum in order).
+ */
+Tensor
+softmaxOracle(const Tensor &a, bool log_form)
+{
+    int64_t row = a.shape().back();
+    Tensor out(a.shape());
+    auto src = a.data();
+    auto dst = out.data();
+    for (int64_t r = 0; r < a.numel() / row; r++) {
+        auto s = src.subspan(static_cast<size_t>(r * row),
+                             static_cast<size_t>(row));
+        auto d = dst.subspan(static_cast<size_t>(r * row),
+                             static_cast<size_t>(row));
+        float mx = *std::max_element(s.begin(), s.end());
+        float sum = 0.0f;
+        for (size_t i = 0; i < s.size(); i++) {
+            float e = scalarExp(s[i] - mx);
+            if (!log_form)
+                d[i] = e;
+            sum += e;
+        }
+        float log_sum = std::log(sum) + mx;
+        for (size_t i = 0; i < s.size(); i++)
+            d[i] = log_form ? s[i] - log_sum : d[i] / sum;
+    }
+    return out;
+}
+
+TEST_F(ExactSimdEquivalence, TranscendentalSoftmaxMatchesRowLoop)
+{
+    Rng rng(606);
+    for (int64_t row : {1, 5, 6, 8, 9, 17, 4097}) {
+        Tensor a = Tensor::randn({3, row}, rng);
+        for (float &v : a.data())
+            v *= 6.0f;
+        std::string what = "row " + std::to_string(row);
+        Tensor want = softmaxOracle(a, false);
+        Tensor want_log = softmaxOracle(a, true);
+        expectSameBytes(want, [&] { return tensor::softmax(a); },
+                        "softmax " + what);
+        expectSameBytes(want_log, [&] { return tensor::logSoftmax(a); },
+                        "log_softmax " + what);
         if (HasFailure())
             return;
     }

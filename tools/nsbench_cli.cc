@@ -56,16 +56,13 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -146,31 +143,13 @@ printTable(const util::Table &table, bool csv)
         table.print(std::cout);
 }
 
-/**
- * The one number rule for the command line: @p text must be one
- * finite number with nothing after it. atoi and strtoull read "2x" as
- * 2 and "abc" as 0.
- */
-template <typename T>
-bool
-parseWhole(const std::string &text, T *value)
-{
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, *value);
-    if constexpr (std::is_floating_point_v<T>) {
-        if (ec == std::errc() && !std::isfinite(*value))
-            return false;
-    }
-    return ec == std::errc() && ptr == end;
-}
-
-/** parseWhole for the value of @p flag; exits 2 on bad input. */
+/** util::parseWhole for the value of @p flag; exits 2 on bad input. */
 template <typename T>
 T
 numberArg(const std::string &flag, const std::string &text)
 {
     T value{};
-    if (!parseWhole(text, &value)) {
+    if (!util::parseWhole(text, &value)) {
         std::cerr << flag << " must be a number, got '" << text
                   << "'\n";
         std::exit(2);
@@ -668,7 +647,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 double weight = 1.0;
                 if (eq != std::string::npos) {
                     std::string text = entry.substr(eq + 1);
-                    if (!parseWhole(text, &weight) || weight <= 0.0) {
+                    if (!util::parseWhole(text, &weight) || weight <= 0.0) {
                         std::cerr << "--mix weight for '" << name
                                   << "' must be a positive number, "
                                      "got '"
