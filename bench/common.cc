@@ -50,6 +50,15 @@ profileWorkload(core::Workload &workload, uint64_t seed)
     return run;
 }
 
+std::vector<ProfiledRun>
+profileRuns(const std::string &name)
+{
+    std::vector<ProfiledRun> runs;
+    for (int i = 0; i < kMedianRuns; i++)
+        runs.push_back(profileWorkload(name));
+    return runs;
+}
+
 const std::vector<std::string> &
 paperOrder()
 {

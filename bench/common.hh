@@ -11,6 +11,7 @@
 
 #include "core/profiler.hh"
 #include "core/workload.hh"
+#include "util/stats.hh"
 
 namespace nsbench::bench
 {
@@ -35,6 +36,28 @@ ProfiledRun profileWorkload(const std::string &name,
 /** Runs a pre-built workload the same way. */
 ProfiledRun profileWorkload(core::Workload &workload,
                             uint64_t seed = 42);
+
+/**
+ * Profiled runs behind each host-measured cell of Fig. 2a and 3a. One
+ * run's host shares swing by tens of points on a shared host, so
+ * those benches print the median of this many.
+ */
+constexpr int kMedianRuns = 5;
+
+/** kMedianRuns profileWorkload runs of one registered workload. */
+std::vector<ProfiledRun> profileRuns(const std::string &name);
+
+/** Median over @p runs of the cell value @p cell computes per run. */
+template <class Cell>
+double
+medianOf(const std::vector<ProfiledRun> &runs, Cell cell)
+{
+    std::vector<double> values;
+    values.reserve(runs.size());
+    for (const ProfiledRun &run : runs)
+        values.push_back(cell(run));
+    return util::percentile(std::move(values), 50.0);
+}
 
 /** The seven paper workloads in the paper's presentation order. */
 const std::vector<std::string> &paperOrder();

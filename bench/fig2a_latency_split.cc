@@ -6,6 +6,7 @@
  * Prints the host-measured split of the instrumented op stream and
  * the RTX 2080 Ti projection of the same stream (the paper's
  * measurement platform), next to the percentages the paper reports.
+ * Each measured cell is the median of bench::kMedianRuns runs.
  */
 
 #include <cstdio>
@@ -45,24 +46,41 @@ main()
                        "host neu%", "host sym%", "rtx neu%",
                        "rtx sym%", "paper neu%", "paper sym%"});
 
+    using Run = bench::ProfiledRun;
     for (const auto &name : bench::paperOrder()) {
-        auto run = bench::profileWorkload(name);
-        auto split = core::phaseSplit(run.profile);
-        auto proj = sim::projectProfile(sim::rtx2080ti(), run.profile);
+        auto runs = bench::profileRuns(name);
+        auto cell = [&runs](int digits, auto value) {
+            return util::fixedStr(bench::medianOf(runs, value), digits);
+        };
+        auto host = [](const Run &r) {
+            return core::phaseSplit(r.profile);
+        };
+        auto rtx = [](const Run &r) {
+            return sim::projectProfile(sim::rtx2080ti(), r.profile);
+        };
         auto [paper_n, paper_s] = paperSplit.at(name);
 
-        table.addRow({name, util::fixedStr(run.score, 3),
-                      util::humanSeconds(run.wallSeconds),
-                      util::fixedStr(100 * split.neuralFraction(), 1),
-                      util::fixedStr(100 * split.symbolicFraction(),
-                                     1),
-                      util::fixedStr(100 * proj.neuralFraction(), 1),
-                      util::fixedStr(100 * proj.symbolicFraction(),
-                                     1),
-                      util::fixedStr(paper_n, 1),
-                      util::fixedStr(paper_s, 1)});
+        table.addRow(
+            {name, cell(3, [](const Run &r) { return r.score; }),
+             util::humanSeconds(bench::medianOf(
+                 runs, [](const Run &r) { return r.wallSeconds; })),
+             cell(1, [&](const Run &r) {
+                 return 100 * host(r).neuralFraction();
+             }),
+             cell(1, [&](const Run &r) {
+                 return 100 * host(r).symbolicFraction();
+             }),
+             cell(1, [&](const Run &r) {
+                 return 100 * rtx(r).neuralFraction();
+             }),
+             cell(1, [&](const Run &r) {
+                 return 100 * rtx(r).symbolicFraction();
+             }),
+             util::fixedStr(paper_n, 1), util::fixedStr(paper_s, 1)});
     }
     table.print(std::cout);
+    std::cout << "\nEach score, host and RTX cell is the median of "
+              << bench::kMedianRuns << " profiled runs.\n";
 
     std::cout
         << "\nTakeaway 1 check: symbolic phases are substantial in "

@@ -7,6 +7,7 @@
  * vector/element-wise, data transformation, data movement, others):
  * neural halves should be dominated by MatMul/convolution, symbolic
  * halves by vector/element-wise and "others" (logic) operators.
+ * Each share is the median of bench::kMedianRuns runs.
  */
 
 #include <iostream>
@@ -31,26 +32,31 @@ main()
                        "Others%"});
 
     for (const auto &name : bench::paperOrder()) {
-        auto run = bench::profileWorkload(name);
+        auto runs = bench::profileRuns(name);
         for (core::Phase phase :
              {core::Phase::Neural, core::Phase::Symbolic}) {
-            double phase_total =
-                run.profile.phaseTotals(phase).seconds;
             std::vector<std::string> row = {
                 name, std::string(core::phaseName(phase))};
             for (core::OpCategory category :
                  core::allOpCategories) {
-                double t = run.profile
-                               .categoryTotals(phase, category)
-                               .seconds;
-                row.push_back(util::fixedStr(
-                    phase_total > 0 ? 100.0 * t / phase_total : 0.0,
-                    1));
+                double share = bench::medianOf(
+                    runs, [&](const bench::ProfiledRun &run) {
+                        double phase_total =
+                            run.profile.phaseTotals(phase).seconds;
+                        double t = run.profile
+                                       .categoryTotals(phase, category)
+                                       .seconds;
+                        return phase_total > 0 ? t / phase_total
+                                               : 0.0;
+                    });
+                row.push_back(util::fixedStr(100.0 * share, 1));
             }
             table.addRow(std::move(row));
         }
     }
     table.print(std::cout);
+    std::cout << "\nEach share is the median of "
+              << bench::kMedianRuns << " profiled runs.\n";
 
     std::cout
         << "\nTakeaway 3 check: neural rows concentrate in "

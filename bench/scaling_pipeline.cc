@@ -112,10 +112,7 @@ main(int argc, char **argv)
             exec::runSerialEpisodes(workload, seeds);
         double serial_wall = serial_timer.elapsed();
 
-        exec::PipelineOptions options;
-        options.collectProfiles = false;
-        exec::PipelineResult piped =
-            exec::runPipelined(workload, seeds, options);
+        exec::PipelineResult piped = exec::runPipelined(workload, seeds);
 
         bool identical = byteIdentical(serial, piped.scores);
         all_identical = all_identical && identical;

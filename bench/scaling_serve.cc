@@ -86,7 +86,6 @@ class ReplicaTarget : public serve::LoadTarget
             replica->workload = serve::serveFactory(workload);
             core::Profiler::ThreadTargetScope target(replica->profiler);
             replica->workload->setUp(serve::ServerOptions{}.modelSeed);
-            core::Profiler::flushThisThread();
             free_.push_back(std::move(replica));
         }
     }
@@ -128,7 +127,6 @@ class ReplicaTarget : public serve::LoadTarget
             if (replica->workload->seedSensitive())
                 replica->workload->reseedEpisodes(seed);
             response.score = replica->workload->run();
-            core::Profiler::flushThisThread();
         }
         response.latencySeconds =
             serve::secondsBetween(start, serve::ServeClock::now());

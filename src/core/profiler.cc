@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "util/logging.hh"
-#include "util/threadpool.hh"
 
 namespace nsbench::core
 {
@@ -24,39 +23,6 @@ categoryIndex(OpCategory category)
     return static_cast<size_t>(category);
 }
 
-/**
- * One op event recorded off the owner thread, parked in a thread-local
- * buffer until the next sync point. Phase and region are captured at
- * record time so attribution is independent of when the merge runs.
- */
-struct PendingOp
-{
-    Profiler *profiler;
-    Phase phase;
-    OpCategory category;
-    std::string region;
-    std::string name;
-    double seconds;
-    double flops;
-    double bytesRead;
-    double bytesWritten;
-};
-
-/** Per-thread event buffer; append is lock-free by construction. */
-thread_local std::vector<PendingOp> tlPendingOps;
-
-/** Buffer cap: merge early rather than grow without bound. */
-constexpr size_t kPendingFlushThreshold = 4096;
-
-/**
- * Registers the profiler flush as the pool's sync hook during static
- * initialization, before any parallel region can run.
- */
-[[maybe_unused]] const bool gSyncHookInstalled = [] {
-    util::ThreadPool::setSyncHook(&Profiler::flushThisThread);
-    return true;
-}();
-
 } // namespace
 
 Profiler::Profiler(const Profiler &other)
@@ -72,7 +38,6 @@ Profiler::operator=(const Profiler &other)
     std::scoped_lock lock(mu_, other.mu_);
     enabled_.store(other.enabled_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
-    owner_ = std::this_thread::get_id();
     phaseStack_ = other.phaseStack_;
     ops_ = other.ops_;
     for (size_t p = 0; p < numPhases; p++) {
@@ -96,7 +61,6 @@ void
 Profiler::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    owner_ = std::this_thread::get_id();
     phaseStack_.clear();
     ops_.clear();
     for (auto &t : phaseTotals_)
@@ -138,39 +102,25 @@ Profiler::popPhase()
     phaseStack_.pop_back();
 }
 
+const Profiler::PhaseFrame &
+Profiler::topLocked() const
+{
+    static const PhaseFrame topLevel{Phase::Untagged, {}};
+    return phaseStack_.empty() ? topLevel : phaseStack_.back();
+}
+
 Phase
 Profiler::currentPhase() const
 {
-    return phaseStack_.empty() ? Phase::Untagged
-                               : phaseStack_.back().phase;
+    std::lock_guard<std::mutex> lock(mu_);
+    return topLocked().phase;
 }
 
-const std::string &
+std::string
 Profiler::currentRegion() const
 {
-    static const std::string empty;
-    return phaseStack_.empty() ? empty : phaseStack_.back().region;
-}
-
-void
-Profiler::applyOpLocked(Phase phase, OpCategory category,
-                        const std::string &region,
-                        const std::string &name, double seconds,
-                        double flops, double bytes_read,
-                        double bytes_written)
-{
-    OpStats delta;
-    delta.seconds = seconds;
-    delta.invocations = 1;
-    delta.flops = flops;
-    delta.bytesRead = bytes_read;
-    delta.bytesWritten = bytes_written;
-
-    Key key{phase, category, region, name};
-    ops_[key].merge(delta);
-    phaseTotals_[phaseIndex(phase)].merge(delta);
-    categoryTotals_[phaseIndex(phase)][categoryIndex(category)]
-        .merge(delta);
+    std::lock_guard<std::mutex> lock(mu_);
+    return topLocked().region;
 }
 
 void
@@ -180,54 +130,20 @@ Profiler::recordOp(std::string_view name, OpCategory category,
 {
     if (!enabled())
         return;
+    OpStats delta;
+    delta.seconds = seconds;
+    delta.invocations = 1;
+    delta.flops = flops;
+    delta.bytesRead = bytes_read;
+    delta.bytesWritten = bytes_written;
 
-    // The phase stack is stable here: either we are the owner, or the
-    // owner is blocked inside the parallel region we run in.
-    Phase phase = currentPhase();
-    const std::string &region = currentRegion();
-
-    if (std::this_thread::get_id() == owner_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        applyOpLocked(phase, category, region, std::string(name),
-                      seconds, flops, bytes_read, bytes_written);
-        return;
-    }
-
-    tlPendingOps.push_back({this, phase, category, region,
-                            std::string(name), seconds, flops,
-                            bytes_read, bytes_written});
-    if (tlPendingOps.size() >= kPendingFlushThreshold)
-        flushThisThread();
-}
-
-void
-Profiler::flushThisThread()
-{
-    if (tlPendingOps.empty())
-        return;
-    // Take the buffer first so merges that record ops (they do not,
-    // but stay re-entrant-safe) cannot loop.
-    std::vector<PendingOp> pending;
-    pending.swap(tlPendingOps);
-
-    // Usually every event targets one profiler; group by target and
-    // take each target's mutex once.
-    std::vector<bool> applied(pending.size(), false);
-    for (size_t i = 0; i < pending.size(); i++) {
-        if (applied[i])
-            continue;
-        Profiler *prof = pending[i].profiler;
-        std::lock_guard<std::mutex> lock(prof->mu_);
-        for (size_t j = i; j < pending.size(); j++) {
-            const PendingOp &ev = pending[j];
-            if (applied[j] || ev.profiler != prof)
-                continue;
-            prof->applyOpLocked(ev.phase, ev.category, ev.region,
-                                ev.name, ev.seconds, ev.flops,
-                                ev.bytesRead, ev.bytesWritten);
-            applied[j] = true;
-        }
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    const PhaseFrame &top = topLocked();
+    ops_[Key{top.phase, category, top.region, std::string(name)}].merge(
+        delta);
+    phaseTotals_[phaseIndex(top.phase)].merge(delta);
+    categoryTotals_[phaseIndex(top.phase)][categoryIndex(category)]
+        .merge(delta);
 }
 
 void
@@ -235,11 +151,10 @@ Profiler::recordAlloc(uint64_t bytes)
 {
     if (!enabled())
         return;
-    Phase phase = currentPhase();
     std::lock_guard<std::mutex> lock(mu_);
     currentBytes_ += bytes;
     peakBytes_ = std::max(peakBytes_, currentBytes_);
-    size_t p = phaseIndex(phase);
+    size_t p = phaseIndex(topLocked().phase);
     phasePeakBytes_[p] = std::max(phasePeakBytes_[p], currentBytes_);
     phaseAllocBytes_[p] += bytes;
     churn_.allocs++;
@@ -251,14 +166,13 @@ Profiler::recordFree(uint64_t bytes)
 {
     if (!enabled())
         return;
-    Phase phase = currentPhase();
     std::lock_guard<std::mutex> lock(mu_);
     // Frees of tensors allocated while the profiler was disabled (or
     // before a reset) can exceed the tracked balance; clamp rather than
     // wrap.
     currentBytes_ = bytes > currentBytes_ ? 0 : currentBytes_ - bytes;
     churn_.frees++;
-    phaseChurn_[phaseIndex(phase)].frees++;
+    phaseChurn_[phaseIndex(topLocked().phase)].frees++;
 }
 
 void
@@ -266,11 +180,10 @@ Profiler::recordCachedAlloc(uint64_t bytes)
 {
     if (!enabled())
         return;
-    Phase phase = currentPhase();
     std::lock_guard<std::mutex> lock(mu_);
     churn_.cachedAllocs++;
     churn_.cachedBytes += bytes;
-    size_t p = phaseIndex(phase);
+    size_t p = phaseIndex(topLocked().phase);
     phaseChurn_[p].cachedAllocs++;
     phaseChurn_[p].cachedBytes += bytes;
 }
@@ -311,14 +224,13 @@ Profiler::recordSparsity(std::string_view stage, uint64_t zeros,
         return;
     util::panicIf(zeros > total,
                   "Profiler::recordSparsity: zeros exceed total");
-    Phase phase = currentPhase();
     std::lock_guard<std::mutex> lock(mu_);
     std::string key(stage);
     auto it = sparsity_.find(key);
     if (it == sparsity_.end()) {
         SparsityRecord rec;
         rec.stage = key;
-        rec.phase = phase;
+        rec.phase = topLocked().phase;
         rec.zeros = zeros;
         rec.total = total;
         sparsity_.emplace(key, rec);
@@ -440,14 +352,8 @@ thread_local Profiler *tlTarget = nullptr;
 Profiler &
 Profiler::global()
 {
-    return tlTarget ? *tlTarget : processGlobal();
-}
-
-Profiler &
-Profiler::processGlobal()
-{
-    static Profiler instance;
-    return instance;
+    static Profiler processGlobal;
+    return tlTarget ? *tlTarget : processGlobal;
 }
 
 Profiler::ThreadTargetScope::ThreadTargetScope(Profiler &target)

@@ -18,7 +18,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/taxonomy.hh"
@@ -123,31 +122,26 @@ struct SparsityRecord
  * instance is available through globalProfiler() and is the default
  * sink for all instrumented operations.
  *
- * Thread-safety model (designed for the util::ThreadPool runtime):
- *
- *  - The thread that constructed (or last reset()) the profiler is its
- *    *owner*. Owner-thread recordOp calls apply directly to the
- *    aggregates under a mutex that is uncontended in single-threaded
- *    runs, so the serial hot path is unchanged in cost and ordering.
- *  - recordOp from any other thread appends to a lock-free
- *    thread-local event buffer instead. Buffers merge into the global
- *    aggregates at sync points — the end of every ThreadPool parallel
- *    region (via the pool's sync hook) and whenever a buffer fills —
- *    taking the mutex only for the merge. FLOP/byte/invocation
- *    attribution is therefore exact and scheduling-independent.
- *  - Phase regions (pushPhase/popPhase) are owner-only: workers read
- *    the owner's current phase/region, which is stable while the
- *    owner is blocked inside a parallel region.
- *  - Query methods take the mutex; call them outside parallel
- *    regions. Threads not managed by the pool must call
- *    flushThisThread() before their recorded ops become visible.
+ * Thread-safety: one recording path. recordOp, and likewise the
+ * memory and sparsity hooks, take the profiler's one mutex, read the
+ * current phase and region under it and apply the event to the
+ * aggregates before returning. Any thread may record into any
+ * profiler; the event is visible to every thread's queries as soon as
+ * the call returns, and FLOP, byte and invocation attribution is exact
+ * whatever the scheduling. Ops that pool workers record inside a
+ * parallel region land in the phase the caller pushed, which cannot
+ * change while the caller waits in parallelFor. The lock is
+ * uncontended in serial runs: kernels record around their
+ * parallelFor, not inside it. Queries take the same mutex, except
+ * regions(), which returns a reference: read it while no thread
+ * pushes a phase.
  */
 class Profiler
 {
   public:
-    Profiler() { reset(); }
+    Profiler() = default;
 
-    /** Deep copy of the aggregates; the copy is owned by the caller. */
+    /** Deep copy of the aggregates. */
     Profiler(const Profiler &other);
 
     /** @copydoc Profiler(const Profiler &) */
@@ -186,7 +180,7 @@ class Profiler
     Phase currentPhase() const;
 
     /** Innermost region label, empty at top level. */
-    const std::string &currentRegion() const;
+    std::string currentRegion() const;
 
     /**
      * Records one completed operation.
@@ -289,9 +283,6 @@ class Profiler
      */
     static Profiler &global();
 
-    /** The process-global instance, ignoring any thread target. */
-    static Profiler &processGlobal();
-
     /**
      * RAII thread-local profiler redirection. While alive, every
      * globalProfiler() lookup *on the calling thread* resolves to
@@ -317,14 +308,6 @@ class Profiler
       private:
         Profiler *prev_;
     };
-
-    /**
-     * Merges every op event buffered by the calling thread into its
-     * target profiler(s). The ThreadPool sync hook calls this at the
-     * end of each parallel region; threads outside the pool that
-     * record ops must call it themselves before exiting.
-     */
-    static void flushThisThread();
 
   private:
     struct Key
@@ -353,17 +336,11 @@ class Profiler
         std::string region;
     };
 
-    /** Applies one op event to the aggregates; mu_ must be held. */
-    void applyOpLocked(Phase phase, OpCategory category,
-                       const std::string &region,
-                       const std::string &name, double seconds,
-                       double flops, double bytes_read,
-                       double bytes_written);
+    /** Innermost phase frame (Untagged at top level); mu_ held. */
+    const PhaseFrame &topLocked() const;
 
     std::atomic<bool> enabled_{true};
-    /** Thread whose recordOp calls bypass the event buffer. */
-    std::thread::id owner_;
-    /** Guards every aggregate below; uncontended in serial runs. */
+    /** Guards every field below; uncontended in serial runs. */
     mutable std::mutex mu_;
     std::vector<PhaseFrame> phaseStack_;
     std::map<Key, OpStats> ops_;

@@ -130,10 +130,8 @@ runPipelined(core::Workload &workload,
         // parallelism comes from stage overlap, and profiler
         // attribution stays exact per stage.
         util::ThreadPool::SerialScope serial;
-        Profiler &profiler = *profilers[static_cast<size_t>(stage)];
-        Profiler::ThreadTargetScope target(profiler);
-        profiler.reset(); // take ownership on this thread
-        profiler.setEnabled(options.collectProfiles);
+        Profiler::ThreadTargetScope target(
+            *profilers[static_cast<size_t>(stage)]);
 
         bool last = stage == stage_count - 1;
         auto finish = [&](EpisodeState &&state, double dt) {
@@ -190,7 +188,6 @@ runPipelined(core::Workload &workload,
             if (stage < stage_count - 1)
                 queues[static_cast<size_t>(stage)]->close();
         }
-        Profiler::flushThisThread();
     };
 
     auto wall_start = Clock::now();
@@ -211,12 +208,9 @@ runPipelined(core::Workload &workload,
         report.name = spec.name;
         report.phase = spec.phase;
         report.busySeconds = busy[static_cast<size_t>(s)];
-        if (options.collectProfiles) {
-            const Profiler &profiler =
-                *profilers[static_cast<size_t>(s)];
-            report.neural = profiler.phaseTotals(Phase::Neural);
-            report.symbolic = profiler.phaseTotals(Phase::Symbolic);
-        }
+        const Profiler &profiler = *profilers[static_cast<size_t>(s)];
+        report.neural = profiler.phaseTotals(Phase::Neural);
+        report.symbolic = profiler.phaseTotals(Phase::Symbolic);
         result.stages.push_back(std::move(report));
     }
     return result;

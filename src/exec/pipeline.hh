@@ -45,14 +45,6 @@ struct PipelineOptions
      * bottlenecked by the slowest stage either way.
      */
     int depth = 2;
-
-    /**
-     * Collect per-stage operator profiles. Each stage worker owns a
-     * private Profiler installed via ThreadTargetScope, so phase and
-     * region attribution stays exact per stage; turn this off on
-     * latency-sensitive paths (serving) that only need stage timers.
-     */
-    bool collectProfiles = true;
 };
 
 /** One stage's aggregate execution record. */

@@ -322,7 +322,6 @@ Server::workerMain(int workerIndex)
             // allocations never pollute the process-global one.
             core::Profiler::ThreadTargetScope target(replica.profiler);
             replica.workload->setUp(options_.modelSeed);
-            core::Profiler::flushThisThread();
         }
         replicas.emplace(name, std::move(replica));
     }
@@ -397,32 +396,22 @@ Server::runFlight(std::map<std::string, Replica> &replicas,
     // attempt may have swapped in a fresh replica.
     auto executeOnce = [&] {
         core::Profiler::ThreadTargetScope target(replica.profiler);
-        // reset() also makes this worker the profiler's owner, so
-        // every inline-executed op applies directly.
+        // Each attempt's phase split starts clean.
         replica.profiler.reset();
         if (seedMatters)
             replica.workload->reseedEpisodes(flight.seed);
         util::WallTimer timer;
-        try {
-            // A firing delay site sleeps in evaluate() and returns
-            // false: the stall lands inside the measured service
-            // time — the slow-not-dead shard the tail layer
-            // (breaker + hedging) exists to route around.
-            NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
-            if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
-                throw ReplicaPoisoned();
-            if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
-                throw FaultInjected();
-            score = replica.workload->run();
-        } catch (...) {
-            // Drain the aborted attempt's op buffer while this scope
-            // still targets the replica profiler, so the next
-            // attempt's phase split starts clean.
-            core::Profiler::flushThisThread();
-            throw;
-        }
+        // A firing delay site sleeps in evaluate() and returns false:
+        // the stall lands inside the measured service time — the
+        // slow-not-dead shard the tail layer (breaker + hedging)
+        // exists to route around.
+        NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
+        if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
+            throw ReplicaPoisoned();
+        if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
+            throw FaultInjected();
+        score = replica.workload->run();
         service = timer.elapsed();
-        core::Profiler::flushThisThread();
         neural =
             replica.profiler.phaseTotals(core::Phase::Neural).seconds;
         symbolic =
@@ -528,7 +517,6 @@ Server::rebuildReplica(const std::string &name, Replica &replica)
             // an injected fault) keeps the old replica in place; the
             // retry loop decides what happens to the flight.
         }
-        core::Profiler::flushThisThread();
     }
     if (!built)
         return;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace nsbench::util
@@ -15,17 +16,6 @@ namespace
 
 /** Set while the current thread executes a parallelFor lane. */
 thread_local bool tlInRegion = false;
-
-std::atomic<ThreadPool::SyncHook> gSyncHook{nullptr};
-
-void
-runSyncHook()
-{
-    if (ThreadPool::SyncHook hook =
-            gSyncHook.load(std::memory_order_acquire)) {
-        hook();
-    }
-}
 
 /** Global-pool storage; guarded by gGlobalMu. */
 std::mutex gGlobalMu;
@@ -72,12 +62,6 @@ ThreadPool::SerialScope::SerialScope() : prev_(tlInRegion)
 ThreadPool::SerialScope::~SerialScope()
 {
     tlInRegion = prev_;
-}
-
-void
-ThreadPool::setSyncHook(SyncHook hook)
-{
-    gSyncHook.store(hook, std::memory_order_release);
 }
 
 void
@@ -135,9 +119,6 @@ ThreadPool::runLanes(Job &job)
             if (!job.error)
                 job.error = std::current_exception();
         }
-        // Flush before the lane is counted done, so the caller sees
-        // every side effect (profiler events) once the region ends.
-        runSyncHook();
         job.doneLanes.fetch_add(1, std::memory_order_release);
     }
     tlInRegion = was_in_region;
@@ -159,17 +140,8 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     // regions (workers must never block on a sub-region of their own
     // pool) all run inline on the calling thread.
     if (lanes <= 1 || tlInRegion) {
-        bool was_in_region = tlInRegion;
-        tlInRegion = true;
-        try {
-            fn(begin, end);
-        } catch (...) {
-            tlInRegion = was_in_region;
-            runSyncHook();
-            throw;
-        }
-        tlInRegion = was_in_region;
-        runSyncHook();
+        SerialScope inline_region;
+        fn(begin, end);
         return;
     }
 
@@ -209,15 +181,17 @@ int
 ThreadPool::defaultThreads()
 {
     if (const char *env = std::getenv("NSBENCH_THREADS")) {
-        char *tail = nullptr;
-        long parsed = std::strtol(env, &tail, 10);
-        if (tail != env && parsed > 0)
-            return static_cast<int>(std::min<long>(parsed, 1024));
+        int parsed = 0;
+        if (parseWhole(env, &parsed) && parsed >= 1 &&
+            parsed <= kMaxThreads)
+            return parsed;
         warn("NSBENCH_THREADS=\"" + std::string(env) +
-             "\" is not a positive integer; ignoring");
+             "\" is not a whole number in 1.." +
+             std::to_string(kMaxThreads) +
+             "; using the hardware width");
     }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return std::clamp(static_cast<int>(hw), 1, kMaxThreads);
 }
 
 ThreadPool &

@@ -17,7 +17,13 @@
  *
  * Configuration: the global pool width defaults to the NSBENCH_THREADS
  * environment variable when set, else the hardware concurrency. The
- * `nsbench` CLI exposes it as --threads N.
+ * `nsbench` CLI exposes it as --threads N. Every thread count taken
+ * from outside the program is capped at kMaxThreads.
+ *
+ * Whatever a lane writes is visible to the caller once parallelFor
+ * returns. An op a lane records applies to its profiler under the
+ * profiler's lock before recordOp returns (core/profiler.hh), so a
+ * region's ops are all counted by then too.
  */
 
 #ifndef NSBENCH_UTIL_THREADPOOL_HH
@@ -35,6 +41,15 @@ namespace nsbench::util
 {
 
 /**
+ * The most threads any count from outside the program may ask for:
+ * the pool width (--threads, NSBENCH_THREADS), server workers
+ * (--workers) and closed-loop load clients (--clients). The CLI
+ * rejects a larger flag before it starts anything; a larger
+ * NSBENCH_THREADS warns and falls back to the hardware width.
+ */
+inline constexpr int kMaxThreads = 1024;
+
+/**
  * Persistent fork-join thread pool.
  *
  * The pool owns `threads() - 1` worker threads; the thread that calls
@@ -48,14 +63,6 @@ class ThreadPool
   public:
     /** Loop body: processes the half-open iteration range [lo, hi). */
     using RangeFn = std::function<void(int64_t, int64_t)>;
-
-    /**
-     * Hook every participating thread runs after finishing its share
-     * of a parallel region, before the region is considered complete.
-     * The profiler installs its thread-buffer flush here so op events
-     * are globally visible by the time parallelFor returns.
-     */
-    using SyncHook = void (*)();
 
     /** Creates a pool of the given total width (minimum 1). */
     explicit ThreadPool(int threads);
@@ -118,9 +125,6 @@ class ThreadPool
         bool prev_;
     };
 
-    /** Installs the post-region sync hook (see SyncHook). */
-    static void setSyncHook(SyncHook hook);
-
     /**
      * The process-global pool all kernels use. Created on first use
      * with defaultThreads() width.
@@ -138,8 +142,10 @@ class ThreadPool
     static int globalThreads();
 
     /**
-     * Pool width implied by the environment: NSBENCH_THREADS when set
-     * to a positive integer, else std::thread::hardware_concurrency().
+     * Pool width implied by the environment: NSBENCH_THREADS when it
+     * parses whole (util::parseWhole) as a number in 1..kMaxThreads,
+     * else std::thread::hardware_concurrency() (at most kMaxThreads).
+     * A set value outside that rule warns.
      */
     static int defaultThreads();
 

@@ -191,9 +191,7 @@ profiledRun(core::Workload &workload)
     util::ThreadPool::SerialScope serial;
     core::Profiler profiler;
     core::Profiler::ThreadTargetScope target(profiler);
-    profiler.reset(); // Makes this thread the owner: ops apply inline.
     workload.run();
-    core::Profiler::flushThisThread();
     OpCounts counts;
     for (const auto &op : profiler.opsByTime())
         counts[op.name + "/" + std::string(core::phaseName(op.phase))] =

@@ -250,6 +250,55 @@ TEST(CliNegative, ZeroClientsClosedLoopIsRejected)
         << result.output;
 }
 
+TEST(CliNegative, ThreadsAboveTheCapIsRejected)
+{
+    // 1025 would start a 1025-wide pool; the flag is refused before
+    // any thread exists.
+    for (const std::string command :
+         {"run LNN", "serve --workloads LNN --duration 0.1",
+          "loadgen --workloads LNN --duration 0.1"}) {
+        CliResult result = runCli(command + " --threads 1025");
+        EXPECT_EQ(result.exitCode, 2) << command;
+        EXPECT_NE(result.output.find("--threads must be at most 1024"),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("workload:"), std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+            << result.output;
+    }
+}
+
+TEST(CliNegative, WorkersAboveTheCapIsRejected)
+{
+    // Each worker thread would build its own replica of every
+    // served workload.
+    CliResult result =
+        runCli("serve --workloads LNN --workers 1025 --duration 0.1");
+    EXPECT_EQ(result.exitCode, 2);
+    EXPECT_NE(result.output.find("--workers must be at most 1024"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+        << result.output;
+}
+
+TEST(CliNegative, ClientsAboveTheCapIsRejected)
+{
+    // One closed-loop client is one thread.
+    for (const char *command : {"serve", "loadgen --closed"}) {
+        CliResult result =
+            runCli(std::string(command) +
+                   " --workloads LNN --clients 1025 --duration 0.1");
+        EXPECT_EQ(result.exitCode, 2) << command;
+        EXPECT_NE(result.output.find("--clients must be at most 1024"),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+            << result.output;
+    }
+}
+
 TEST(CliNegative, ZeroDelayFaultSuffixIsRejected)
 {
     // `~0` would silently disable the delay action; the parser must

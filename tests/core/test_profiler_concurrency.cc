@@ -4,8 +4,9 @@
  *
  * The contract under test: FLOP, byte and invocation attribution is
  * exact — not merely approximate — when ops are recorded from pool
- * worker threads, and a profiled run reports identical work totals at
- * every pool width.
+ * worker threads or any other thread, every recorded op is visible as
+ * soon as recordOp returns, and a profiled run reports identical work
+ * totals at every pool width.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +44,8 @@ class ProfilerConcurrency : public testing::Test
 TEST_F(ProfilerConcurrency, ExactTotalsFromWorkerThreads)
 {
     // 10'000 events recorded from inside a parallel region, mixed
-    // across owner and worker threads. Every single one must land.
+    // across the calling thread and pool workers. Every single one
+    // must land.
     for (int width : {1, 2, 4, 13}) {
         ThreadPool pool(width);
         Profiler prof;
@@ -53,8 +55,9 @@ TEST_F(ProfilerConcurrency, ExactTotalsFromWorkerThreads)
                 prof.recordOp("synthetic", OpCategory::Other, 1e-9,
                               2.0, 8.0, 4.0);
         });
-        // The pool sync hook flushed every worker buffer before
-        // parallelFor returned; no manual flush needed.
+        // Every event applied under the profiler's lock before its
+        // recordOp returned, so all are counted once parallelFor
+        // returns.
         OpStats t = prof.totals();
         EXPECT_EQ(t.invocations, static_cast<uint64_t>(kEvents))
             << "width " << width;
@@ -122,19 +125,26 @@ TEST_F(ProfilerConcurrency, ProfiledRunIdenticalAcrossWidths)
     EXPECT_GT(serial.invocations, 0u);
 }
 
-TEST_F(ProfilerConcurrency, ManualFlushForUnmanagedThreads)
+TEST_F(ProfilerConcurrency, OpsFromAnyThreadAreVisibleAtOnce)
 {
-    // A thread outside the pool must flush explicitly; its events are
-    // invisible until then and complete afterwards.
+    // A thread that neither built nor reset the profiler records
+    // ops: its own queries see them at once, and so does every other
+    // thread once it has joined, with no flush in between.
     Profiler prof;
+    prof.pushPhase(Phase::Neural, "outside");
+    uint64_t seenByRecorder = 0;
     std::thread outsider([&] {
         for (int i = 0; i < 7; i++)
             prof.recordOp("outside", OpCategory::Other, 1e-9, 1.0,
                           0.0, 0.0);
-        Profiler::flushThisThread();
+        seenByRecorder = prof.totals().invocations;
     });
     outsider.join();
+    prof.popPhase();
+    EXPECT_EQ(seenByRecorder, 7u);
     EXPECT_EQ(prof.totals().invocations, 7u);
+    EXPECT_EQ(prof.phaseTotals(Phase::Neural).invocations, 7u);
+    EXPECT_DOUBLE_EQ(prof.regionTotals("outside").flops, 7.0);
 }
 
 TEST_F(ProfilerConcurrency, CopySnapshotsAggregates)

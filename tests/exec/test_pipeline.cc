@@ -126,7 +126,6 @@ TEST(Pipeline, ByteIdenticalToSerialAcrossWorkloadsAndDepths)
         for (int depth : {1, 2, 4}) {
             exec::PipelineOptions options;
             options.depth = depth;
-            options.collectProfiles = false;
             exec::PipelineResult piped =
                 exec::runPipelined(*workload, seeds, options);
             ASSERT_EQ(piped.scores.size(), serial.size())
@@ -156,7 +155,6 @@ TEST(Pipeline, ByteIdenticalToSerialAtCharacterizationConfigs)
             exec::runSerialEpisodes(*workload, seeds);
         exec::PipelineOptions options;
         options.depth = 2;
-        options.collectProfiles = false;
         exec::PipelineResult piped =
             exec::runPipelined(*workload, seeds, options);
         ASSERT_EQ(piped.scores.size(), serial.size()) << name;

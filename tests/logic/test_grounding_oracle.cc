@@ -321,9 +321,7 @@ recorded(Work &&work)
 {
     core::Profiler profiler;
     core::Profiler::ThreadTargetScope target(profiler);
-    profiler.reset(); // Makes this thread the owner: ops apply inline.
     work();
-    core::Profiler::flushThisThread();
     OpRecords records;
     for (const auto &op : profiler.opsByTime())
         records[op.name] = {op.stats.invocations, op.stats.flops,

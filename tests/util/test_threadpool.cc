@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -146,6 +149,36 @@ TEST(ThreadPool, GlobalWidthConfiguration)
 TEST(ThreadPool, DefaultThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1);
+}
+
+TEST(ThreadPool, EnvWidthFollowsTheWholeNumberRule)
+{
+    // Only defaultThreads() runs: no pool is built at any width here.
+    const char *saved = std::getenv("NSBENCH_THREADS");
+    std::optional<std::string> restore;
+    if (saved)
+        restore = saved;
+    unsetenv("NSBENCH_THREADS");
+    int hardware = ThreadPool::defaultThreads();
+
+    for (int width : {1, 7, nsbench::util::kMaxThreads}) {
+        setenv("NSBENCH_THREADS", std::to_string(width).c_str(), 1);
+        EXPECT_EQ(ThreadPool::defaultThreads(), width);
+    }
+    // Outside 1..kMaxThreads or not a whole number: warn and fall
+    // back to the hardware width. A prefix parse would read "2x" as
+    // 2, " 3" as 3 and "4.5" as 4.
+    for (const char *text : {"0", "-1", "1025", "100000", "2x", " 3",
+                             "4.5", "+2", "0x10", "abc", ""}) {
+        setenv("NSBENCH_THREADS", text, 1);
+        EXPECT_EQ(ThreadPool::defaultThreads(), hardware)
+            << "NSBENCH_THREADS='" << text << "'";
+    }
+
+    if (restore)
+        setenv("NSBENCH_THREADS", restore->c_str(), 1);
+    else
+        unsetenv("NSBENCH_THREADS");
 }
 
 TEST(ThreadPool, GrainForTargetsWork)

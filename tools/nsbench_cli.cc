@@ -28,7 +28,7 @@
  * Options for `run`:
  *   --seed N       RNG seed (default 42)
  *   --runs N       repeat the profiled run N times (default 1)
- *   --threads N    width of the parallel runtime (default:
+ *   --threads N    width of the parallel runtime, 1..1024 (default:
  *                  NSBENCH_THREADS env var, else hardware concurrency)
  *   --simd MODE    kernel backend: "scalar", "avx2" or "auto"
  *                  (default: NSBENCH_SIMD env var, else CPUID)
@@ -155,6 +155,23 @@ numberArg(const std::string &flag, const std::string &text)
         std::exit(2);
     }
     return value;
+}
+
+/**
+ * A thread count (--threads, --workers, --clients); exits 2 above
+ * util::kMaxThreads, before any thread is started. The lower bound is
+ * each flag's own check.
+ */
+int
+threadCountArg(const std::string &flag, const std::string &text)
+{
+    int count = numberArg<int>(flag, text);
+    if (count > util::kMaxThreads) {
+        std::cerr << flag << " must be at most " << util::kMaxThreads
+                  << "\n";
+        std::exit(2);
+    }
+    return count;
 }
 
 /** --cache-mb N as a byte budget; exits 2 unless 1 <= N < 2^44. */
@@ -360,7 +377,7 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--runs") {
             runs = numberArg<int>(arg, next());
         } else if (arg == "--threads") {
-            int threads = numberArg<int>(arg, next());
+            int threads = threadCountArg(arg, next());
             if (threads < 1) {
                 std::cerr << "--threads must be positive\n";
                 return 2;
@@ -593,7 +610,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             server_options.workloads = splitList(next());
             cli->workloadsGiven = true;
         } else if (arg == "--workers") {
-            server_options.workers = numberArg<int>(arg, next());
+            server_options.workers = threadCountArg(arg, next());
         } else if (arg == "--queue") {
             // Checked before the size_t cast: a negative count would
             // wrap into an effectively unbounded queue.
@@ -628,7 +645,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
         } else if (arg == "--rate") {
             load_options.rateHz = numberArg<double>(arg, next());
         } else if (arg == "--clients") {
-            load_options.clients = numberArg<int>(arg, next());
+            load_options.clients = threadCountArg(arg, next());
         } else if (arg == "--duration") {
             load_options.durationSeconds = numberArg<double>(arg, next());
         } else if (arg == "--seed") {
@@ -658,7 +675,7 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 load_options.mix.emplace_back(name, weight);
             }
         } else if (arg == "--threads") {
-            int threads = numberArg<int>(arg, next());
+            int threads = threadCountArg(arg, next());
             if (threads < 1) {
                 std::cerr << "--threads must be positive\n";
                 return 2;
