@@ -53,6 +53,10 @@ profileWorkload(core::Workload &workload, uint64_t seed)
 std::vector<ProfiledRun>
 profileRuns(const std::string &name)
 {
+    // Pool width 1, as the perf ledger's `models` workload runs: at
+    // the default width a shared host moves one model's host split
+    // by ten points and more from pass to pass.
+    util::ThreadPool::SerialScope serial;
     std::vector<ProfiledRun> runs;
     for (int i = 0; i < kMedianRuns; i++)
         runs.push_back(profileWorkload(name));

@@ -44,7 +44,8 @@ ProfiledRun profileWorkload(core::Workload &workload,
  */
 constexpr int kMedianRuns = 5;
 
-/** kMedianRuns profileWorkload runs of one registered workload. */
+/** kMedianRuns profileWorkload runs of one registered workload, at
+ *  pool width 1 (util::ThreadPool::SerialScope). */
 std::vector<ProfiledRun> profileRuns(const std::string &name);
 
 /** Median over @p runs of the cell value @p cell computes per run. */

@@ -6,7 +6,8 @@
  * Prints the host-measured split of the instrumented op stream and
  * the RTX 2080 Ti projection of the same stream (the paper's
  * measurement platform), next to the percentages the paper reports.
- * Each measured cell is the median of bench::kMedianRuns runs.
+ * Each measured cell is the median of bench::kMedianRuns runs at
+ * pool width 1.
  */
 
 #include <cstdio>
@@ -80,7 +81,8 @@ main()
     }
     table.print(std::cout);
     std::cout << "\nEach score, host and RTX cell is the median of "
-              << bench::kMedianRuns << " profiled runs.\n";
+              << bench::kMedianRuns
+              << " profiled runs at pool width 1.\n";
 
     std::cout
         << "\nTakeaway 1 check: symbolic phases are substantial in "

@@ -7,7 +7,8 @@
  * vector/element-wise, data transformation, data movement, others):
  * neural halves should be dominated by MatMul/convolution, symbolic
  * halves by vector/element-wise and "others" (logic) operators.
- * Each share is the median of bench::kMedianRuns runs.
+ * Each share is the median of bench::kMedianRuns runs at pool
+ * width 1.
  */
 
 #include <iostream>
@@ -56,7 +57,8 @@ main()
     }
     table.print(std::cout);
     std::cout << "\nEach share is the median of "
-              << bench::kMedianRuns << " profiled runs.\n";
+              << bench::kMedianRuns
+              << " profiled runs at pool width 1.\n";
 
     std::cout
         << "\nTakeaway 3 check: neural rows concentrate in "

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <memory>
 
-#include "net/translate.hh"
 #include "util/failpoint.hh"
 #include "util/fields.hh"
 #include "util/logging.hh"
@@ -25,6 +24,7 @@ namespace nsbench::net
 namespace
 {
 
+using util::bump;
 using util::warn;
 using util::failpoints::sites::kNetBackendConnect;
 
@@ -127,10 +127,7 @@ Client::dial(uint16_t *ackedVersion)
                                options_.backoffMaxSeconds);
         }
 
-        auto attemptFailed = [this] {
-            std::lock_guard<std::mutex> lock(statsMu_);
-            stats_.connectFailures++;
-        };
+        auto attemptFailed = [this] { bump(stats_.connectFailures); };
 
         if (NSBENCH_FAILPOINT(kNetBackendConnect)) {
             attemptFailed();
@@ -162,9 +159,10 @@ Client::dial(uint16_t *ackedVersion)
         bool ok = sendAll(fd, hello.data(), hello.size());
         if (ok) {
             setRecvTimeout(fd, kHandshakeTimeoutSeconds);
-            std::vector<uint8_t> buf;
-            ok = false;
-            while (true) {
+            wire::FrameReader reader;
+            wire::Frame frame;
+            wire::DecodeStatus status = wire::DecodeStatus::NeedMore;
+            while (status == wire::DecodeStatus::NeedMore) {
                 uint8_t chunk[256];
                 ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
                 if (n <= 0) {
@@ -172,37 +170,29 @@ Client::dial(uint16_t *ackedVersion)
                         continue;
                     break; // Timeout, EOF or error: attempt fails.
                 }
-                buf.insert(buf.end(), chunk, chunk + n);
-                wire::Frame frame;
-                wire::DecodeResult result =
-                    wire::tryDecode(buf.data(), buf.size(), &frame);
-                if (result.status == wire::DecodeStatus::NeedMore)
-                    continue;
-                // The server acks the version the connection will
-                // speak: any release in [kMinVersion, kVersion] is
-                // compatible (new frame types are only sent to peers
-                // that acked a version defining them).
-                ok = result.status == wire::DecodeStatus::Ok &&
-                     frame.type == wire::FrameType::HelloAck &&
-                     frame.hello.magic == wire::kMagic &&
-                     frame.hello.version >= wire::kMinVersion &&
-                     frame.hello.version <= wire::kVersion;
-                if (ok && ackedVersion)
-                    *ackedVersion = frame.hello.version;
-                break;
+                reader.append(chunk, static_cast<size_t>(n));
+                status = reader.next(&frame);
             }
-            if (ok)
+            // The server acks the version the connection will speak:
+            // any release in [kMinVersion, kVersion] is compatible
+            // (new frame types are only sent to peers that acked a
+            // version defining them).
+            ok = status == wire::DecodeStatus::Ok &&
+                 frame.type == wire::FrameType::HelloAck &&
+                 frame.hello.magic == wire::kMagic &&
+                 frame.hello.version >= wire::kMinVersion &&
+                 frame.hello.version <= wire::kVersion;
+            if (ok) {
+                *ackedVersion = frame.hello.version;
                 setRecvTimeout(fd, 0.0);
+            }
         }
         if (!ok) {
             ::close(fd);
             attemptFailed();
             continue;
         }
-        {
-            std::lock_guard<std::mutex> lock(statsMu_);
-            stats_.connects++;
-        }
+        bump(stats_.connects);
         return fd;
     }
     return -1;
@@ -323,20 +313,17 @@ Client::submitSeeded(const std::string &workload,
         return removed ? serve::RequestStatus::RejectedUnreachable
                        : serve::RequestStatus::Ok;
     }
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        stats_.sent++;
-    }
+    bump(stats_.sent);
     if (wireId)
         *wireId = request.id;
     return serve::RequestStatus::Ok;
 }
 
-void
+bool
 Client::cancel(uint64_t wireId)
 {
     if (wireId == 0)
-        return;
+        return false;
     int fd;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -344,7 +331,7 @@ Client::cancel(uint64_t wireId)
         // would read as garbage and close the connection. The losing
         // request simply runs to completion there.
         if (fd_ < 0 || peerVersion_ < 2 || !pending_.count(wireId))
-            return;
+            return false;
         fd = fd_;
     }
     std::vector<uint8_t> encoded;
@@ -356,17 +343,10 @@ Client::cancel(uint64_t wireId)
     }
     if (!sent) {
         ::shutdown(fd, SHUT_RDWR); // Reader tears the connection down.
-        return;
+        return false;
     }
-    std::lock_guard<std::mutex> lock(statsMu_);
-    stats_.cancelsSent++;
-}
-
-uint16_t
-Client::peerVersion() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return fd_ >= 0 ? peerVersion_ : 0;
+    bump(stats_.cancelsSent);
+    return true;
 }
 
 serve::Response
@@ -426,10 +406,7 @@ Client::call(const std::string &workload, uint64_t episodeSeed,
         waiter->cv.wait(relock, [&] { return waiter->done; });
         return waiter->response;
     }
-    {
-        std::lock_guard<std::mutex> statsLock(statsMu_);
-        stats_.callTimeouts++;
-    }
+    bump(stats_.callTimeouts);
     serve::Response expired;
     expired.status = serve::RequestStatus::Expired;
     return expired;
@@ -438,52 +415,39 @@ Client::call(const std::string &workload, uint64_t episodeSeed,
 void
 Client::readerLoop(int fd)
 {
-    std::vector<uint8_t> buf;
-    bool alive = true;
-    while (alive) {
-        uint8_t chunk[4096];
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            break;
-        }
-        buf.insert(buf.end(), chunk, chunk + n);
-
-        size_t offset = 0;
-        while (offset < buf.size()) {
-            wire::Frame frame;
-            wire::DecodeResult result = wire::tryDecode(
-                buf.data() + offset, buf.size() - offset, &frame);
-            if (result.status == wire::DecodeStatus::NeedMore)
-                break;
-            if (result.status == wire::DecodeStatus::Malformed ||
-                frame.type != wire::FrameType::Response) {
-                alive = false; // Server spoke nonsense; hang up.
+    wire::FrameReader reader;
+    wire::Frame frame;
+    wire::DecodeStatus status = wire::DecodeStatus::NeedMore;
+    while (status != wire::DecodeStatus::Malformed) {
+        if (status == wire::DecodeStatus::NeedMore) {
+            uint8_t chunk[4096];
+            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+            if (n <= 0) {
+                if (n < 0 && errno == EINTR)
+                    continue;
                 break;
             }
-            offset += result.consumed;
+            reader.append(chunk, static_cast<size_t>(n));
+        }
+        status = reader.next(&frame);
+        if (status != wire::DecodeStatus::Ok)
+            continue;
+        if (frame.type != wire::FrameType::Response)
+            break; // Server spoke nonsense; hang up.
 
-            serve::Callback done;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = pending_.find(frame.response.id);
-                if (it != pending_.end()) {
-                    done = std::move(it->second);
-                    pending_.erase(it);
-                }
-            }
-            if (done) {
-                {
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    stats_.received++;
-                }
-                done(toResponse(frame.response));
+        serve::Callback done;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = pending_.find(frame.responseId);
+            if (it != pending_.end()) {
+                done = std::move(it->second);
+                pending_.erase(it);
             }
         }
-        if (offset > 0)
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<long>(offset));
+        if (done) {
+            bump(stats_.received);
+            done(frame.response);
+        }
     }
     disconnect(fd);
 }
@@ -500,11 +464,8 @@ Client::disconnect(int fd)
         orphans.swap(pending_);
     }
     ::close(fd);
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        stats_.disconnects++;
-        stats_.orphaned += orphans.size();
-    }
+    bump(stats_.disconnects);
+    bump(stats_.orphaned, orphans.size());
     serve::Response failed;
     failed.status = serve::RequestStatus::Failed;
     for (auto &[id, done] : orphans)
@@ -514,8 +475,7 @@ Client::disconnect(int fd)
 ClientStats
 Client::stats() const
 {
-    std::lock_guard<std::mutex> lock(statsMu_);
-    return stats_;
+    return util::snapshot(kClientFields, stats_);
 }
 
 std::string

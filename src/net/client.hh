@@ -20,6 +20,13 @@
  * dispatches responses. This pipelines naturally: a closed-loop
  * client with N threads keeps N requests on the wire at once.
  *
+ * Request ids only grow (never reused on a connection), so a server
+ * session's in-flight table never sees a duplicate from this client.
+ * Responses decode straight into serve::Response; the handshake and
+ * the reader thread both receive through one wire::FrameReader. The
+ * ClientStats counters are bumped through util::bump and read through
+ * util::snapshot over one field list (client.cc).
+ *
  * RemoteTarget adapts a Client to serve::LoadTarget so the stock
  * load generator drives a remote server unchanged.
  */
@@ -133,17 +140,14 @@ class Client
 
     /**
      * Best-effort abandonment of an in-flight request by the wire id
-     * submitSeeded() reported. Sends a Cancel frame when the peer
-     * speaks protocol v2+ (no-op otherwise — old servers would treat
-     * it as garbage). The request's callback still fires exactly
-     * once: with the server's answer, its Canceled response, or
-     * Failed on disconnect.
+     * submitSeeded() reported. Sends a Cancel frame when the request
+     * is still pending and the peer speaks protocol v2+ (no-op
+     * otherwise — old servers would treat it as garbage). The
+     * request's callback still fires exactly once: with the server's
+     * answer, its Canceled response, or Failed on disconnect.
+     * @return true when a Cancel frame was written.
      */
-    void cancel(uint64_t wireId);
-
-    /** Protocol version the current connection's peer acked; 0 when
-     *  disconnected. */
-    uint16_t peerVersion() const;
+    bool cancel(uint64_t wireId);
 
     /**
      * Blocking submit; the returned status is the submit status or
@@ -192,8 +196,8 @@ class Client
 
     std::mutex sendMu_;        ///< Serializes request writes.
 
-    mutable std::mutex statsMu_;
-    ClientStats stats_;
+    /** Bumped through util::bump, read through util::snapshot. */
+    mutable ClientStats stats_;
 };
 
 /** The `loadgen --connect --json` payload: the load report plus the

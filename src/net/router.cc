@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "net/translate.hh"
 #include "util/fields.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
@@ -146,12 +145,13 @@ Router::Router(const RouterOptions &options) : options_(options)
     if (options_.hedging && backends_.size() > 1)
         hedgeThread_ = std::thread([this] { hedgeLoop(); });
 
+    // The router relays Cancel to no one: its handler ignores the
+    // session's token, and a loser is canceled by the router itself.
     frames_ = std::make_unique<FrameServer>(
         options_.listen,
         [this](const FrameServer::SessionPtr &session,
-               const wire::RequestFrame &request) {
-            handle(session, request);
-        },
+               const wire::RequestFrame &request,
+               const serve::CancelToken &) { handle(session, request); },
         metrics_);
 }
 
@@ -222,7 +222,7 @@ Router::referenceLatency(size_t self) const
     return best;
 }
 
-serve::RequestStatus
+bool
 Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
 {
     Backend &backend = *backends_[index];
@@ -233,7 +233,7 @@ Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
     attempt->hedge = hedge;
     auto sent_at = std::chrono::steady_clock::now();
 
-    serve::RequestStatus admitted = backend.client->submitSeeded(
+    serve::RequestStatus sent = backend.client->submitSeeded(
         relay->workload, relay->episodeSeed, relay->modelSeed,
         [this, relay, attempt,
          sent_at](const serve::Response &response) {
@@ -241,31 +241,29 @@ Router::sendTo(const RelayPtr &relay, size_t index, bool hedge)
         },
         relay->deadline, &attempt->wireId);
 
-    if (admitted == serve::RequestStatus::Ok) {
-        bump(backend.counts.forwarded);
-        if (hedge)
-            bump(backend.counts.hedges);
-        {
-            std::lock_guard<std::mutex> lock(relay->mu);
-            relay->attempts.push_back(attempt);
-        }
-        // If another attempt answered while this one was being
-        // written, the winner's loser sweep may have run before our
-        // publish — prune our own orphan (no-op if already gone).
-        if (relay->responded.load(std::memory_order_acquire) &&
-            attempt->wireId != 0) {
-            backend.client->cancel(attempt->wireId);
-            bump(backend.counts.cancels);
-        }
-        return admitted;
-    }
-
-    backend.inflight.fetch_sub(1, std::memory_order_relaxed);
-    if (admitted == serve::RequestStatus::RejectedUnreachable) {
+    if (sent != serve::RequestStatus::Ok) {
+        // Client::submitSeeded's only refusal: the backend is
+        // unreachable. Trip its breaker; the caller walks on.
+        backend.inflight.fetch_sub(1, std::memory_order_relaxed);
         backend.breaker.onUnreachable(nowUs());
         bump(backend.counts.failovers);
+        return false;
     }
-    return admitted;
+
+    bump(backend.counts.forwarded);
+    if (hedge)
+        bump(backend.counts.hedges);
+    {
+        std::lock_guard<std::mutex> lock(relay->mu);
+        relay->attempts.push_back(attempt);
+    }
+    // If another attempt answered while this one was being written,
+    // the winner's loser sweep may have run before our publish —
+    // prune our own orphan (no frame if it already answered).
+    if (relay->responded.load(std::memory_order_acquire) &&
+        backend.client->cancel(attempt->wireId))
+        bump(backend.counts.cancels);
+    return true;
 }
 
 void
@@ -305,7 +303,7 @@ Router::complete(const RelayPtr &relay,
     // the determinism contract makes the retried answer identical.
     if (response.status == serve::RequestStatus::Failed &&
         !relay->responded.load(std::memory_order_acquire) &&
-        retryElsewhere(relay, attempt->hedge)) {
+        forward(relay, attempt->hedge)) {
         bump(backend.counts.failovers);
         return;
     }
@@ -316,8 +314,8 @@ Router::complete(const RelayPtr &relay,
 
     if (attempt->hedge)
         bump(backend.counts.hedgeWins);
-    metrics_.recordOutcome(relay->workload, response);
-    relay->session->respond(toFrame(response, relay->id));
+    metrics_.recordAnswer(relay->workload, response);
+    relay->session->respond(relay->id, response);
     cancelLosers(relay, attempt.get());
 }
 
@@ -332,10 +330,9 @@ Router::cancelLosers(const RelayPtr &relay, const Attempt *winner)
                 losers.emplace_back(attempt->backend,
                                     attempt->wireId);
     }
-    for (const auto &[index, wire_id] : losers) {
-        backends_[index]->client->cancel(wire_id);
-        bump(backends_[index]->counts.cancels);
-    }
+    for (const auto &[index, wire_id] : losers)
+        if (backends_[index]->client->cancel(wire_id))
+            bump(backends_[index]->counts.cancels);
 }
 
 void
@@ -401,7 +398,7 @@ Router::hedgeLoop()
 }
 
 bool
-Router::retryElsewhere(const RelayPtr &relay, bool hedge)
+Router::forward(const RelayPtr &relay, bool hedge)
 {
     std::vector<size_t> tried;
     {
@@ -419,10 +416,11 @@ Router::retryElsewhere(const RelayPtr &relay, bool hedge)
             bump(backend.counts.saturated);
             continue;
         }
-        if (!backend.breaker.allow(nowUs()))
+        if (!backend.breaker.allow(nowUs())) {
+            bump(backend.counts.failovers);
             continue;
-        if (sendTo(relay, index, hedge) ==
-            serve::RequestStatus::Ok)
+        }
+        if (sendTo(relay, index, hedge))
             return true;
     }
     return false;
@@ -450,7 +448,7 @@ Router::fireHedge(const RelayPtr &relay)
         return;
     }
 
-    retryElsewhere(relay, /*hedge=*/true);
+    forward(relay, /*hedge=*/true);
 }
 
 void
@@ -471,44 +469,16 @@ Router::handle(const FrameServer::SessionPtr &session,
     relay->candidates = candidatesFor(keyHash(
         relay->workload, relay->modelSeed, relay->episodeSeed));
 
-    for (size_t index : relay->candidates) {
-        Backend &backend = *backends_[index];
-        if (backend.inflight.load(std::memory_order_relaxed) >=
-            kMaxInflightPerBackend) {
-            bump(backend.counts.saturated);
-            continue;
-        }
-        if (!backend.breaker.allow(nowUs())) {
-            bump(backend.counts.failovers);
-            continue;
-        }
-        serve::RequestStatus admitted =
-            sendTo(relay, index, /*hedge=*/false);
-        if (admitted == serve::RequestStatus::Ok) {
-            metrics_.count(relay->workload,
-                           &serve::WorkloadMetrics::submitted);
-            scheduleHedge(relay);
-            return;
-        }
-        if (admitted == serve::RequestStatus::RejectedUnreachable)
-            continue; // Fed the breaker; next ring candidate.
-        // Any other rejection is the backend's verdict; relay it.
-        metrics_.recordRejected(relay->workload, admitted);
-        wire::ResponseFrame reject;
-        reject.id = relay->id;
-        reject.status = static_cast<uint8_t>(admitted);
-        session->respond(reject);
+    if (forward(relay, /*hedge=*/false)) {
+        scheduleHedge(relay);
         return;
     }
 
-    // Every backend open or saturated: shed, never queue.
-    metrics_.recordRejected(
-        relay->workload, serve::RequestStatus::RejectedUnreachable);
-    wire::ResponseFrame shed;
-    shed.id = relay->id;
-    shed.status = static_cast<uint8_t>(
-        serve::RequestStatus::RejectedUnreachable);
-    session->respond(shed);
+    // Every backend open, saturated or unreachable: shed, never queue.
+    serve::Response shed;
+    shed.status = serve::RequestStatus::RejectedUnreachable;
+    metrics_.recordRejected(relay->workload, shed.status);
+    session->respond(relay->id, shed);
 }
 
 std::vector<BackendStats>
@@ -577,7 +547,8 @@ Router::json() const
         forwarded += stats.forwarded;
     }
     return "{\"mode\":\"route\"," + metrics_.json() +
-           ",\"shed\":" + std::to_string(metrics_.total().rejected()) +
+           ",\"shed\":" +
+           std::to_string(metrics_.total().rejectedUnreachable) +
            ",\"forwarded\":" + std::to_string(forwarded) +
            ",\"per_backend\":[" + perBackend + "]," +
            util::json(kHedgeFields, hedgeStats()) +

@@ -28,12 +28,18 @@
  *    the *other* backends — the healthiest peer — so one sick shard
  *    cannot drag the yardstick up with it.
  *
+ *  - One ring walk: primaries, hedges and failovers all go through
+ *    forward(), which skips backends the request already tried,
+ *    counts a saturated backend as `saturated` and every walk past
+ *    an open breaker (or an unreachable send) as a `failover`.
+ *
  *  - Hedging: when a forwarded request is still unanswered after the
  *    workload's tracked p95 latency, the router re-issues it to the
  *    next distinct ring backend. First response wins and is relayed
  *    (safe: the determinism contract makes both answers
  *    byte-identical); the loser is canceled on its backend with a
- *    wire Cancel frame. Hedges are budgeted: at most
+ *    wire Cancel frame (`cancels` counts only frames actually
+ *    written). Hedges are budgeted: at most
  *    `hedgeBudget` (default 5%) extra load on top of primary
  *    forwards, and hedging stays off for a workload until
  *    `hedgeMinSamples` completions have made its p95 trustworthy.
@@ -47,7 +53,11 @@
  *
  * The router keeps its own ServerMetrics: transport counters from
  * its FrameServer, per-workload offered/rejected/latency from the
- * relay path, so `nsbench route` prints the standard tables. Its own
+ * relay path, so `nsbench route` prints the standard tables. A
+ * relayed answer is counted as Server::answer counts a single-flight
+ * follower's (ServerMetrics::recordAnswer): a backend's rejection as
+ * rejected, anything else as submitted plus its outcome, so every
+ * answered request lands in exactly one outcome column. Its own
  * counters are plain BackendStats fields bumped through util::bump;
  * the reports render from one field list (router.cc).
  */
@@ -114,8 +124,9 @@ struct BackendStats
     uint64_t forwarded = 0;    ///< Requests sent to this backend.
     uint64_t hedges = 0;       ///< Hedge re-issues sent to it.
     uint64_t hedgeWins = 0;    ///< Hedges it answered first.
-    uint64_t cancels = 0;      ///< Cancel frames sent to it.
-    uint64_t failovers = 0;    ///< Requests rerouted *away* from it.
+    uint64_t cancels = 0;      ///< Cancel frames written to it.
+    uint64_t failovers = 0;    ///< Walks past it: open breaker,
+                               ///< unreachable, or a dropped request.
     uint64_t saturated = 0;    ///< Walk-pasts due to the cap.
     uint64_t downMarks = 0;    ///< Breaker trips (-> Open).
     uint64_t probes = 0;       ///< Half-open probes admitted.
@@ -127,7 +138,7 @@ struct HedgeStats
     uint64_t hedgesSent = 0;   ///< Hedge re-issues written.
     uint64_t hedgesWon = 0;    ///< Hedges that answered first.
     uint64_t hedgesDenied = 0; ///< Due hedges dropped by the budget.
-    uint64_t cancelsSent = 0;  ///< Cancel frames sent to losers.
+    uint64_t cancelsSent = 0;  ///< Cancel frames written to losers.
 };
 
 class Router
@@ -236,13 +247,23 @@ class Router
     std::vector<size_t> candidatesFor(uint64_t keyHash) const;
 
     /**
-     * Submits @p relay to backend @p index. Ok means the request is
-     * on the wire and its completion owns the relay bookkeeping;
-     * RejectedUnreachable means the breaker was fed and the caller
-     * should walk on; anything else is the backend's verdict.
+     * The one ring walk, for primaries, hedges and failovers: sends
+     * @p relay to the first of its candidates that it has not tried
+     * yet, that is below the inflight cap and whose breaker admits
+     * it. Walking past a saturated backend counts `saturated`; past
+     * an open breaker or an unreachable one, a `failover`. True when
+     * a send stuck.
      */
-    serve::RequestStatus sendTo(const RelayPtr &relay, size_t index,
-                                bool hedge);
+    bool forward(const RelayPtr &relay, bool hedge);
+
+    /**
+     * Submits @p relay to backend @p index. True means the request is
+     * on the wire and its completion owns the relay bookkeeping (the
+     * backend's verdict arrives through complete()); false means the
+     * backend was unreachable, its breaker was fed, and the caller
+     * walks on.
+     */
+    bool sendTo(const RelayPtr &relay, size_t index, bool hedge);
     /** Completion of one attempt (runs on a client reader thread). */
     void complete(const RelayPtr &relay,
                   const std::shared_ptr<Attempt> &attempt,
@@ -250,14 +271,6 @@ class Router
                   const serve::Response &response);
     /** Sends Cancel frames for every attempt except @p winner. */
     void cancelLosers(const RelayPtr &relay, const Attempt *winner);
-
-    /**
-     * Re-issues @p relay to the next untried, admissible ring
-     * candidate. Shared by the hedge timer (extra attempt while the
-     * primary is slow) and the Failed-completion failover (the
-     * connection died under the request). True when a send stuck.
-     */
-    bool retryElsewhere(const RelayPtr &relay, bool hedge);
 
     /** Queues a hedge timer for @p relay when hedging applies. */
     void scheduleHedge(const RelayPtr &relay);

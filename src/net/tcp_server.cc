@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "net/translate.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
 
@@ -83,16 +82,15 @@ listenSocket(const FrameServerOptions &options, uint16_t *boundPort)
 } // namespace
 
 void
-FrameServer::Session::respond(const wire::ResponseFrame &frame)
+FrameServer::Session::respond(uint64_t id,
+                              const serve::Response &response)
 {
     FrameServer *server = server_;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (inflight_ > 0)
-            inflight_--;
-        if (closed_)
+        if (inflight_.erase(id) == 0 || closed_)
             return;
-        wire::encodeResponse(frame, &out_);
+        wire::encodeResponse(id, response, &out_);
     }
     server->metrics_.count(&NetStats::framesOut);
     server->requestFlush(shared_from_this());
@@ -100,10 +98,8 @@ FrameServer::Session::respond(const wire::ResponseFrame &frame)
 
 FrameServer::FrameServer(const FrameServerOptions &options,
                          Handler handler,
-                         serve::ServerMetrics &metrics,
-                         CancelHandler cancelHandler)
-    : options_(options), handler_(std::move(handler)),
-      cancelHandler_(std::move(cancelHandler)), metrics_(metrics)
+                         serve::ServerMetrics &metrics)
+    : options_(options), handler_(std::move(handler)), metrics_(metrics)
 {
     listenFd_ = listenSocket(options_, &port_);
 
@@ -170,7 +166,7 @@ FrameServer::drained()
 {
     for (auto &[fd, session] : sessions_) {
         std::lock_guard<std::mutex> lock(session->mu_);
-        if (session->inflight_ > 0 ||
+        if (!session->inflight_.empty() ||
             session->outOffset_ < session->out_.size())
             return false;
     }
@@ -295,7 +291,7 @@ FrameServer::handleReadable(const SessionPtr &session)
         ssize_t n = ::recv(session->fd_, buf, sizeof(buf), 0);
         if (n > 0) {
             metrics_.count(&NetStats::bytesRead, static_cast<uint64_t>(n));
-            session->in_.insert(session->in_.end(), buf, buf + n);
+            session->in_.append(buf, static_cast<size_t>(n));
             continue;
         }
         if (n == 0) {
@@ -311,30 +307,22 @@ FrameServer::handleReadable(const SessionPtr &session)
     }
 
     // Decode every complete frame buffered so far.
-    size_t offset = 0;
-    while (offset < session->in_.size()) {
-        wire::Frame frame;
-        wire::DecodeResult result =
-            wire::tryDecode(session->in_.data() + offset,
-                            session->in_.size() - offset, &frame);
-        if (result.status == wire::DecodeStatus::NeedMore)
-            break;
-        if (result.status == wire::DecodeStatus::Malformed) {
+    wire::Frame frame;
+    while (true) {
+        wire::DecodeStatus status = session->in_.next(&frame);
+        if (status == wire::DecodeStatus::NeedMore)
+            return;
+        if (status == wire::DecodeStatus::Malformed) {
             metrics_.count(&NetStats::malformedFrames);
             closeSession(session);
             return;
         }
-        offset += result.consumed;
         handleFrame(session, frame);
         // handleFrame closes on protocol violations; stop decoding
         // the rest of a dead connection's buffer.
         if (!sessions_.count(session->fd_))
             return;
     }
-    if (offset > 0)
-        session->in_.erase(session->in_.begin(),
-                           session->in_.begin() +
-                               static_cast<long>(offset));
 }
 
 void
@@ -372,37 +360,41 @@ FrameServer::handleFrame(const SessionPtr &session,
 
     if (frame.type == wire::FrameType::Cancel &&
         session->version_ >= 2) {
-        // Advisory: prune if possible, never acknowledge. Does not
-        // touch the inflight accounting — the canceled request still
-        // gets its response.
+        // Advisory: set the request's token if it is still in flight,
+        // never acknowledge. The canceled request still gets its
+        // response, which retires it.
         metrics_.count(&NetStats::framesIn);
-        if (cancelHandler_)
-            cancelHandler_(session, frame.cancel.id);
+        std::lock_guard<std::mutex> lock(session->mu_);
+        auto it = session->inflight_.find(frame.cancel.id);
+        if (it != session->inflight_.end())
+            it->second->store(true, std::memory_order_relaxed);
         return;
     }
 
-    if (frame.type != wire::FrameType::Request) {
-        // A handshaken client may only send requests (plus Cancel on
-        // v2 connections); anything else is a protocol violation.
+    // A handshaken client may only send requests (plus Cancel on v2
+    // connections), each under an id not already in flight — the
+    // response is matched by id alone. Anything else is a protocol
+    // violation.
+    bool fresh = false;
+    auto token = std::make_shared<std::atomic<bool>>(false);
+    if (frame.type == wire::FrameType::Request) {
+        std::lock_guard<std::mutex> lock(session->mu_);
+        fresh = session->inflight_.emplace(frame.request.id, token).second;
+    }
+    if (!fresh) {
         metrics_.count(&NetStats::malformedFrames);
         closeSession(session);
         return;
     }
 
     metrics_.count(&NetStats::framesIn);
-    {
-        std::lock_guard<std::mutex> lock(session->mu_);
-        session->inflight_++;
-    }
     if (stopping_.load(std::memory_order_acquire)) {
-        wire::ResponseFrame reject;
-        reject.id = frame.request.id;
-        reject.status = static_cast<uint8_t>(
-            serve::RequestStatus::RejectedShutdown);
-        session->respond(reject);
+        serve::Response reject;
+        reject.status = serve::RequestStatus::RejectedShutdown;
+        session->respond(frame.request.id, reject);
         return;
     }
-    handler_(session, frame.request);
+    handler_(session, frame.request, token);
 }
 
 bool
@@ -502,18 +494,16 @@ FrameServer::closeSession(const SessionPtr &session)
 
 TcpServer::TcpServer(serve::Server &server,
                      const FrameServerOptions &options)
-    : server_(server), live_(std::make_shared<LiveRequests>())
+    : server_(server)
 {
     frames_ = std::make_unique<FrameServer>(
         options,
         [this](const FrameServer::SessionPtr &session,
-               const wire::RequestFrame &request) {
-            handle(session, request);
+               const wire::RequestFrame &request,
+               const serve::CancelToken &token) {
+            handle(session, request, token);
         },
-        server.metrics(),
-        [this](const FrameServer::SessionPtr &session, uint64_t id) {
-            handleCancel(session, id);
-        });
+        server.metrics());
 }
 
 std::string
@@ -524,34 +514,15 @@ TcpServer::json() const
 }
 
 void
-TcpServer::handleCancel(const FrameServer::SessionPtr &session,
-                        uint64_t id)
-{
-    serve::CancelToken token;
-    {
-        std::lock_guard<std::mutex> lock(live_->mu);
-        auto it = live_->tokens.find({session.get(), id});
-        if (it != live_->tokens.end())
-            token = it->second;
-    }
-    // Set outside the lock; the server observes it at its next check
-    // of the request (dispatch, retry backoff or fan-out) and answers
-    // Canceled. Already-completed requests were erased by their
-    // callback, making this the advertised no-op.
-    if (token)
-        token->store(true, std::memory_order_relaxed);
-}
-
-void
 TcpServer::handle(const FrameServer::SessionPtr &session,
-                  const wire::RequestFrame &request)
+                  const wire::RequestFrame &request,
+                  const serve::CancelToken &token)
 {
     uint64_t id = request.id;
     auto rejectWith = [&](serve::RequestStatus status) {
-        wire::ResponseFrame reject;
-        reject.id = id;
-        reject.status = static_cast<uint8_t>(status);
-        session->respond(reject);
+        serve::Response reject;
+        reject.status = status;
+        session->respond(id, reject);
     };
 
     // This server evaluates exactly one model snapshot; a request
@@ -571,35 +542,14 @@ TcpServer::handle(const FrameServer::SessionPtr &session,
         deadline = serve::ServeClock::now() +
                    std::chrono::microseconds(request.deadlineUs);
 
-    // Register the cancel token before submitting so a Cancel frame
-    // racing the submission can always find it; the completion
-    // callback retires it (every admitted request completes, so no
-    // entry outlives its request).
-    auto key = std::make_pair(
-        static_cast<const void *>(session.get()), id);
-    auto token = std::make_shared<std::atomic<bool>>(false);
-    std::shared_ptr<LiveRequests> live = live_;
-    {
-        std::lock_guard<std::mutex> lock(live->mu);
-        live->tokens[key] = token;
-    }
     serve::RequestStatus admitted = server_.submit(
         request.workload, request.episodeSeed,
-        [live, session, id, key](const serve::Response &response) {
-            {
-                std::lock_guard<std::mutex> lock(live->mu);
-                live->tokens.erase(key);
-            }
-            session->respond(toFrame(response, id));
+        [session, id](const serve::Response &response) {
+            session->respond(id, response);
         },
         deadline, token);
-    if (admitted != serve::RequestStatus::Ok) {
-        {
-            std::lock_guard<std::mutex> lock(live->mu);
-            live->tokens.erase(key);
-        }
+    if (admitted != serve::RequestStatus::Ok)
         rejectWith(admitted);
-    }
 }
 
 } // namespace nsbench::net

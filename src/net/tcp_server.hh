@@ -24,6 +24,14 @@
  * the transport takes an explicit ServerMetrics rather than a
  * serve::Server.
  *
+ * Each session owns its in-flight requests: one table, request id ->
+ * serve::CancelToken, filled when a request frame is delivered and
+ * emptied by respond(). A v2 Cancel frame sets the token of that id
+ * on its own session (two connections may both use id 1); a second
+ * respond() for a retired id writes nothing; a Request reusing an id
+ * still in flight is malformed and closes the session; shutdown's
+ * drain waits for every table to empty.
+ *
  * Threading contract: sockets are read, decoded and closed only on
  * the loop thread. respond() from other threads appends to the
  * connection's write buffer under its mutex and wakes the loop via
@@ -77,21 +85,16 @@ class FrameServer
 
     /**
      * Called on the loop thread for every well-formed request frame
-     * on a handshaken connection. Must not block: dispatch to worker
-     * threads and call session->respond() when done (immediately is
-     * fine too — respond() from the handler itself is supported).
+     * on a handshaken connection, with the token a Cancel frame for
+     * its id will set (advisory: Cancel is never acknowledged, and a
+     * handler may ignore the token). Must not block: dispatch to
+     * worker threads and call session->respond() when done
+     * (immediately is fine too — respond() from the handler itself is
+     * supported).
      */
     using Handler =
-        std::function<void(const SessionPtr &, const wire::RequestFrame &)>;
-
-    /**
-     * Called on the loop thread for every Cancel frame from a v2+
-     * client. Advisory: the handler prunes the request if it can and
-     * does nothing otherwise; Cancel is never acknowledged. A null
-     * handler ignores Cancel frames (they are still well-formed).
-     */
-    using CancelHandler =
-        std::function<void(const SessionPtr &, uint64_t id)>;
+        std::function<void(const SessionPtr &, const wire::RequestFrame &,
+                           const serve::CancelToken &)>;
 
     /** One accepted connection; hand out via shared_ptr so worker
      *  callbacks can outlive the socket safely. */
@@ -99,13 +102,13 @@ class FrameServer
     {
       public:
         /**
-         * Queues @p frame for transmission and wakes the loop.
-         * Thread-safe; callable exactly once per delivered request
-         * (the in-flight accounting that shutdown's drain waits on
-         * is balanced by this call). Responding on a connection that
-         * already closed is a silent no-op.
+         * Answers request @p id: retires it from the in-flight table,
+         * queues its Response frame and wakes the loop. Thread-safe.
+         * Only the first respond() for a delivered id writes; a
+         * second one, or one on a connection that already closed,
+         * writes nothing.
          */
-        void respond(const wire::ResponseFrame &frame);
+        void respond(uint64_t id, const serve::Response &response);
 
       private:
         friend class FrameServer;
@@ -115,13 +118,15 @@ class FrameServer
         int fd_;                       ///< Loop thread only.
         bool handshaken_ = false;      ///< Loop thread only.
         uint16_t version_ = 0;         ///< Negotiated; loop thread only.
-        std::vector<uint8_t> in_;      ///< Loop thread only.
+        wire::FrameReader in_;         ///< Loop thread only.
 
         std::mutex mu_;                ///< Guards the fields below.
         bool closed_ = false;          ///< Socket gone; drop output.
         std::vector<uint8_t> out_;     ///< Pending bytes to send.
         size_t outOffset_ = 0;         ///< Sent prefix of out_.
-        uint64_t inflight_ = 0;        ///< Delivered, not responded.
+        /** Delivered, not yet responded: request id -> the token a
+         *  Cancel frame for that id sets. */
+        std::map<uint64_t, serve::CancelToken> inflight_;
 
         FrameServer *server_ = nullptr;///< For respond() wakeups.
     };
@@ -132,8 +137,7 @@ class FrameServer
      * a front end that cannot bind has nothing to offer.
      */
     FrameServer(const FrameServerOptions &options, Handler handler,
-                serve::ServerMetrics &metrics,
-                CancelHandler cancelHandler = nullptr);
+                serve::ServerMetrics &metrics);
 
     /** Drains and joins the loop (idempotent). */
     ~FrameServer();
@@ -167,12 +171,12 @@ class FrameServer
     /** Called by Session::respond() to schedule a flush. */
     void requestFlush(const SessionPtr &session);
     void wake();
-    /** True when every session is idle (no inflight, no output). */
+    /** True when every session is idle (no in-flight request, no
+     *  queued output). */
     bool drained();
 
     FrameServerOptions options_;
     Handler handler_;
-    CancelHandler cancelHandler_;
     serve::ServerMetrics &metrics_;
 
     int listenFd_ = -1;
@@ -216,27 +220,10 @@ class TcpServer
 
   private:
     void handle(const FrameServer::SessionPtr &session,
-                const wire::RequestFrame &request);
-    void handleCancel(const FrameServer::SessionPtr &session,
-                      uint64_t id);
-
-    /**
-     * In-flight cancel tokens keyed by (session, wire request id).
-     * Inserted before submit, erased by the completion callback, so
-     * a Cancel frame can find its request without any id-allocation
-     * race. Shared with the callbacks: the serve::Server outlives
-     * this front end and may complete requests after it is gone.
-     */
-    struct LiveRequests
-    {
-        std::mutex mu;
-        std::map<std::pair<const void *, uint64_t>,
-                 serve::CancelToken>
-            tokens;
-    };
+                const wire::RequestFrame &request,
+                const serve::CancelToken &token);
 
     serve::Server &server_;
-    std::shared_ptr<LiveRequests> live_;
     std::unique_ptr<FrameServer> frames_;
 };
 

@@ -1,5 +1,6 @@
 #include "net/wire.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace nsbench::net::wire
@@ -164,20 +165,6 @@ encodeHelloBody(FrameType type, const HelloFrame &hello,
 
 } // namespace
 
-double
-ResponseFrame::score() const
-{
-    double value = 0.0;
-    std::memcpy(&value, &scoreBits, sizeof value);
-    return value;
-}
-
-void
-ResponseFrame::setScore(double value)
-{
-    std::memcpy(&scoreBits, &value, sizeof scoreBits);
-}
-
 void
 encodeHello(const HelloFrame &hello, std::vector<uint8_t> *out)
 {
@@ -207,23 +194,23 @@ encodeRequest(const RequestFrame &request, std::vector<uint8_t> *out)
 }
 
 void
-encodeResponse(const ResponseFrame &response,
+encodeResponse(uint64_t id, const serve::Response &response,
                std::vector<uint8_t> *out)
 {
     std::vector<uint8_t> body;
     putU8(&body, static_cast<uint8_t>(FrameType::Response));
-    putU64(&body, response.id);
-    putU8(&body, response.status);
-    putU64(&body, response.scoreBits);
+    putU64(&body, id);
+    putU8(&body, static_cast<uint8_t>(response.status));
+    putF64(&body, response.score);
     putF64(&body, response.latencySeconds);
     putF64(&body, response.queueSeconds);
     putF64(&body, response.serviceSeconds);
     putF64(&body, response.neuralSeconds);
     putF64(&body, response.symbolicSeconds);
-    putU32(&body, response.batchSize);
-    putU32(&body, response.shared);
-    putU32(&body, response.retries);
-    putU32(&body, response.flags);
+    putU32(&body, 0); // Reserved (batch size).
+    putU32(&body, static_cast<uint32_t>(std::max(response.shared, 0)));
+    putU32(&body, static_cast<uint32_t>(std::max(response.retries, 0)));
+    putU32(&body, response.cached ? kFlagCached : 0u);
     frameBody(body, out);
 }
 
@@ -277,19 +264,23 @@ tryDecode(const uint8_t *buffer, size_t size, Frame *frame)
     }
     case FrameType::Response: {
         frame->type = FrameType::Response;
-        ResponseFrame &response = frame->response;
-        response.id = cursor.getU64();
-        response.status = cursor.getU8();
-        response.scoreBits = cursor.getU64();
+        frame->responseId = cursor.getU64();
+        serve::Response &response = frame->response;
+        uint8_t status = cursor.getU8();
+        response.status =
+            status <= static_cast<uint8_t>(serve::RequestStatus::Canceled)
+                ? static_cast<serve::RequestStatus>(status)
+                : serve::RequestStatus::Failed;
+        response.score = cursor.getF64();
         response.latencySeconds = cursor.getF64();
         response.queueSeconds = cursor.getF64();
         response.serviceSeconds = cursor.getF64();
         response.neuralSeconds = cursor.getF64();
         response.symbolicSeconds = cursor.getF64();
-        response.batchSize = cursor.getU32();
-        response.shared = cursor.getU32();
-        response.retries = cursor.getU32();
-        response.flags = cursor.getU32();
+        cursor.getU32(); // Reserved (batch size).
+        response.shared = static_cast<int>(cursor.getU32());
+        response.retries = static_cast<int>(cursor.getU32());
+        response.cached = (cursor.getU32() & kFlagCached) != 0;
         break;
     }
     case FrameType::Cancel: {
@@ -305,6 +296,28 @@ tryDecode(const uint8_t *buffer, size_t size, Frame *frame)
     if (!cursor.exhausted())
         return {DecodeStatus::Malformed, 0};
     return {DecodeStatus::Ok, 4 + static_cast<size_t>(length)};
+}
+
+void
+FrameReader::append(const uint8_t *data, size_t size)
+{
+    buffer_.insert(buffer_.end(), data, data + size);
+}
+
+DecodeStatus
+FrameReader::next(Frame *frame)
+{
+    DecodeResult result = tryDecode(buffer_.data() + offset_,
+                                    buffer_.size() - offset_, frame);
+    if (result.status == DecodeStatus::Ok) {
+        offset_ += result.consumed;
+    } else if (result.status == DecodeStatus::NeedMore) {
+        // Drop the decoded prefix once per read, not once per frame.
+        buffer_.erase(buffer_.begin(),
+                      buffer_.begin() + static_cast<long>(offset_));
+        offset_ = 0;
+    }
+    return result.status;
 }
 
 } // namespace nsbench::net::wire

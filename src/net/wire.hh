@@ -20,12 +20,18 @@
  * client-chosen request id; responses may arrive in any order
  * (pipelining).
  *
+ * The wire shares serve/request.hh's plain types: a Response frame
+ * carries a serve::Response (encodeResponse() writes one, decode fills
+ * one), so the front end, the client and the router hand the same
+ * value through without a translation layer. Nothing here needs a
+ * server, so the protocol is still tested as bytes alone.
+ *
  * Decoding is defensive by construction: tryDecode() never reads past
  * the buffered bytes, rejects bodies above kMaxBody, and classifies
  * every violation as Malformed — the transport's contract is to close
  * such a connection, never to crash or hang (the `net` test tier
  * feeds a corpus of truncated/oversized/garbage frames to enforce
- * this).
+ * this). Every reader in net/ receives through one FrameReader.
  */
 
 #ifndef NSBENCH_NET_WIRE_HH
@@ -35,6 +41,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "serve/request.hh"
 
 namespace nsbench::net::wire
 {
@@ -75,13 +83,10 @@ struct HelloFrame
     uint16_t version = kVersion;
 };
 
-/** Response flag bits (Response::flags). */
-enum ResponseFlags : uint32_t
-{
-    kFlagCached = 1u << 0,    ///< Served from the result cache.
-    kFlagStale = 1u << 1,     ///< Reserved; servers never set it.
-    kFlagPipelined = 1u << 2, ///< Reserved; servers never set it.
-};
+/** Response flag bit: served from the result cache
+ *  (serve::Response::cached). The other bits are reserved and sent as
+ *  zero. */
+inline constexpr uint32_t kFlagCached = 1u << 0;
 
 /**
  * One inference request. The model seed is informational — a server
@@ -101,32 +106,6 @@ struct RequestFrame
 };
 
 /**
- * One completion record; mirrors serve::Response. `status` carries
- * the numeric value of serve::RequestStatus.
- */
-struct ResponseFrame
-{
-    uint64_t id = 0;          ///< The request's correlation id.
-    uint8_t status = 0;       ///< serve::RequestStatus value.
-    uint64_t scoreBits = 0;   ///< Raw IEEE-754 bits of the score.
-    double latencySeconds = 0.0;
-    double queueSeconds = 0.0;
-    double serviceSeconds = 0.0;
-    double neuralSeconds = 0.0;
-    double symbolicSeconds = 0.0;
-    uint32_t batchSize = 0;   ///< Reserved; servers always send 0.
-    uint32_t shared = 0;
-    uint32_t retries = 0;
-    uint32_t flags = 0;       ///< ResponseFlags bits.
-
-    /** The score as a double, bit-exact. */
-    double score() const;
-
-    /** Stores @p value's bit pattern into scoreBits. */
-    void setScore(double value);
-};
-
-/**
  * Best-effort abandonment of an earlier Request (hedged duplicates
  * that lost the race). The server may still answer the request —
  * cancellation is advisory, and the Cancel itself is never
@@ -137,13 +116,14 @@ struct CancelFrame
     uint64_t id = 0; ///< Correlation id of the request to abandon.
 };
 
-/** A decoded frame: `type` selects which member is meaningful. */
+/** A decoded frame: `type` selects which members are meaningful. */
 struct Frame
 {
     FrameType type = FrameType::Hello;
     HelloFrame hello;
     RequestFrame request;
-    ResponseFrame response;
+    uint64_t responseId = 0;  ///< A Response's correlation id.
+    serve::Response response; ///< A Response's completion record.
     CancelFrame cancel;
 };
 
@@ -173,8 +153,15 @@ void encodeHelloAck(const HelloFrame &hello,
 void encodeRequest(const RequestFrame &request,
                    std::vector<uint8_t> *out);
 
-/** Appends an encoded Response frame to @p out. */
-void encodeResponse(const ResponseFrame &response,
+/**
+ * Appends the Response frame answering request @p id to @p out. The
+ * body is u64 id | u8 status | f64 score | f64 latency, queue,
+ * service, neural, symbolic seconds | u32 reserved (zero) | u32
+ * shared | u32 retries | u32 flags; negative counts are sent as 0.
+ * Decoding maps a status byte above Canceled (a newer peer) to
+ * Failed rather than reading out of the enum's range.
+ */
+void encodeResponse(uint64_t id, const serve::Response &response,
                     std::vector<uint8_t> *out);
 
 /** Appends an encoded Cancel frame to @p out (protocol v2+). */
@@ -184,12 +171,31 @@ void encodeCancel(const CancelFrame &cancel,
 /**
  * Attempts to decode one frame from the front of
  * @p buffer[0..size). On Ok fills @p frame and reports how many
- * bytes the frame occupied; the caller erases them and calls again
- * (a read may have buffered several frames). Never reads past
- * @p size.
+ * bytes the frame occupied (a read may have buffered several frames;
+ * FrameReader steps through them). Never reads past @p size.
  */
 DecodeResult tryDecode(const uint8_t *buffer, size_t size,
                        Frame *frame);
+
+/**
+ * The receive side of one connection: bytes in, whole frames out.
+ * Callers append what recv() returned, then take frames with next()
+ * until NeedMore. Malformed means the stream is dead — close it.
+ */
+class FrameReader
+{
+  public:
+    /** Buffers @p size received bytes. */
+    void append(const uint8_t *data, size_t size);
+
+    /** Decodes the next whole buffered frame into @p frame (Ok), or
+     *  reports NeedMore or Malformed and leaves @p frame unspecified. */
+    DecodeStatus next(Frame *frame);
+
+  private:
+    std::vector<uint8_t> buffer_;
+    size_t offset_ = 0; ///< Decoded prefix of buffer_.
+};
 
 } // namespace nsbench::net::wire
 

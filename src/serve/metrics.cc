@@ -212,6 +212,17 @@ ServerMetrics::recordOutcome(const std::string &workload,
     }
 }
 
+void
+ServerMetrics::recordAnswer(const std::string &workload,
+                            const Response &response)
+{
+    if (isRejection(response.status))
+        recordRejected(workload, response.status);
+    else
+        count(workload, &WorkloadMetrics::submitted);
+    recordOutcome(workload, response);
+}
+
 NetStats
 ServerMetrics::netStats() const
 {

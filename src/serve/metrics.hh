@@ -192,6 +192,15 @@ class ServerMetrics
     void recordOutcome(const std::string &workload,
                        const Response &response);
 
+    /**
+     * Notes the answer to a request no admission counted — a
+     * single-flight follower's, or one a router relayed: a rejection
+     * counts as rejected, anything else as submitted plus its
+     * outcome, so every answered request lands in one column.
+     */
+    void recordAnswer(const std::string &workload,
+                      const Response &response);
+
     /** Snapshot of one workload's aggregates (zeroes if unseen). */
     WorkloadMetrics workload(const std::string &name) const;
 

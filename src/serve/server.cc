@@ -217,13 +217,11 @@ void
 Server::answer(const Flight &flight, const Waiter &waiter,
                const Response &response)
 {
-    if (waiter.id != flight.leaderId) {
-        if (isRejection(response.status))
-            metrics_.recordRejected(flight.workload, response.status);
-        else
-            metrics_.count(flight.workload, &WorkloadMetrics::submitted);
-    }
-    metrics_.recordOutcome(flight.workload, response);
+    // The leader was counted at admission; a follower is counted now.
+    if (waiter.id != flight.leaderId)
+        metrics_.recordAnswer(flight.workload, response);
+    else
+        metrics_.recordOutcome(flight.workload, response);
     deliver(flight.workload, waiter.done, response);
 }
 

@@ -188,7 +188,8 @@ TEST_F(NetClient, DroppedConnectionFailsEveryPendingRequest)
     std::thread villain([&] {
         int fd = ::accept(listener, nullptr, nullptr);
         ASSERT_GE(fd, 0);
-        std::vector<uint8_t> buf;
+        net::wire::FrameReader reader;
+        net::wire::Frame frame;
         size_t requests_seen = 0;
         bool acked = false;
         while (requests_seen < kPending) {
@@ -196,16 +197,8 @@ TEST_F(NetClient, DroppedConnectionFailsEveryPendingRequest)
             ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
             if (n <= 0)
                 break;
-            buf.insert(buf.end(), chunk, chunk + n);
-            size_t offset = 0;
-            while (true) {
-                net::wire::Frame frame;
-                auto result = net::wire::tryDecode(
-                    buf.data() + offset, buf.size() - offset,
-                    &frame);
-                if (result.status != net::wire::DecodeStatus::Ok)
-                    break;
-                offset += result.consumed;
+            reader.append(chunk, static_cast<size_t>(n));
+            while (reader.next(&frame) == net::wire::DecodeStatus::Ok) {
                 if (frame.type == net::wire::FrameType::Hello &&
                     !acked) {
                     std::vector<uint8_t> ack;
@@ -218,8 +211,6 @@ TEST_F(NetClient, DroppedConnectionFailsEveryPendingRequest)
                     requests_seen++;
                 }
             }
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<long>(offset));
         }
         {
             std::lock_guard<std::mutex> lock(mu);

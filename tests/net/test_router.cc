@@ -4,7 +4,10 @@
  * placement is deterministic and cache-affine (the same key always
  * lands on the same backend), scores relay byte-identically, a dead
  * backend fails over to the survivors, and an all-down fleet sheds
- * with RejectedUnreachable instead of queueing.
+ * with RejectedUnreachable instead of queueing. The router's own
+ * accounting is checked against its backends': a relayed rejection
+ * is counted as one, and `cancels` equals the Cancel frames the
+ * backends received.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +18,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +30,7 @@
 #include "net/client.hh"
 #include "net/router.hh"
 #include "net/tcp_server.hh"
+#include "net/wire.hh"
 #include "serve/presets.hh"
 #include "serve/server.hh"
 #include "util/rng.hh"
@@ -83,6 +89,90 @@ clientFor(uint16_t port)
     options.backoffInitialSeconds = 0.01;
     return options;
 }
+
+/**
+ * A backend that takes one connection, stops listening, acks the
+ * handshake, reads the first request and hangs up with it in flight.
+ */
+class DroppingBackend
+{
+  public:
+    DroppingBackend()
+    {
+        listener_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::bind(listener_, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listener_, 4), 0);
+        socklen_t len = sizeof(addr);
+        ::getsockname(listener_, reinterpret_cast<sockaddr *>(&addr),
+                      &len);
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this, listener = listener_] {
+            int fd = ::accept(listener, nullptr, nullptr);
+            {
+                // Later dials are refused, never left hanging.
+                std::lock_guard<std::mutex> lock(mu_);
+                ::close(listener);
+                listener_ = -1;
+            }
+            if (fd >= 0)
+                serveOneRequest(fd);
+        });
+    }
+
+    ~DroppingBackend()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (listener_ >= 0)
+                ::shutdown(listener_, SHUT_RDWR); // Unblocks accept.
+        }
+        thread_.join();
+    }
+
+    std::string
+    endpoint() const
+    {
+        return "127.0.0.1:" + std::to_string(port_);
+    }
+
+  private:
+    static void
+    serveOneRequest(int fd)
+    {
+        net::wire::FrameReader reader;
+        net::wire::Frame frame;
+        while (true) {
+            uint8_t chunk[512];
+            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+            if (n <= 0)
+                break;
+            reader.append(chunk, static_cast<size_t>(n));
+            bool requested = false;
+            while (!requested &&
+                   reader.next(&frame) == net::wire::DecodeStatus::Ok) {
+                requested = frame.type == net::wire::FrameType::Request;
+                if (frame.type == net::wire::FrameType::Hello) {
+                    std::vector<uint8_t> ack;
+                    net::wire::encodeHelloAck(frame.hello, &ack);
+                    ::send(fd, ack.data(), ack.size(), MSG_NOSIGNAL);
+                }
+            }
+            if (requested)
+                break;
+        }
+        ::close(fd);
+    }
+
+    std::mutex mu_;
+    int listener_ = -1;
+    uint16_t port_ = 0;
+    std::thread thread_;
+};
 
 class NetRouter : public ::testing::Test
 {
@@ -325,6 +415,106 @@ TEST_F(NetRouter, RelaysBackendRejectionsVerbatim)
     serve::Response response = client.call("NoSuchWorkload", 1);
     EXPECT_EQ(response.status,
               serve::RequestStatus::RejectedUnknownWorkload);
+    // The router counts the relayed verdict once, as the rejection
+    // it is (before it reaches the client).
+    serve::WorkloadMetrics total = router.metrics().total();
+    EXPECT_EQ(total.rejectedUnknown, 1u);
+    EXPECT_EQ(total.submitted, 0u);
+    EXPECT_EQ(total.offered(), 1u);
+}
+
+TEST_F(NetRouter, CancelsCountOnlyFramesWritten)
+{
+    // Backends that reject every request at once: an answer can
+    // arrive before the router has even published its attempt, and
+    // then there is no Cancel frame to write — nor one to count.
+    std::vector<std::unique_ptr<Backend>> backends;
+    backends.push_back(makeBackend({"LNN"}));
+    backends.push_back(makeBackend({"LNN"}));
+    net::RouterOptions options = routerOptions(backends);
+    // A burst of 400 queues up in the router; keep the latency
+    // trip from opening a breaker and shedding part of it.
+    options.breaker.minSamples = ~0ull;
+    net::Router router(options);
+    net::Client client(clientFor(router.port()));
+
+    const size_t kRequests = 400;
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t outstanding = kRequests;
+    for (uint64_t seed = 0; seed < kRequests; seed++)
+        ASSERT_EQ(client.submit("NoSuchWorkload", seed,
+                                [&](const serve::Response &) {
+                                    std::lock_guard<std::mutex> lock(mu);
+
+                                    if (--outstanding == 0)
+                                        cv.notify_all();
+                                }),
+                  serve::RequestStatus::Ok);
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return outstanding == 0; }));
+    }
+
+    // Cancel frames received = frames in minus requests forwarded. A
+    // forward is counted after its send returns, which can be after
+    // its answer arrived, and a Cancel frame is read after it is
+    // written: let both settle.
+    uint64_t forwarded = 0, counted = 0, received = 0;
+    for (int i = 0; i < 200; i++) {
+        std::vector<net::BackendStats> stats = router.backendStats();
+        uint64_t frames_in = 0;
+        forwarded = 0;
+        for (size_t b = 0; b < backends.size(); b++) {
+            frames_in += backends[b]->server->metrics().netStats().framesIn;
+            forwarded += stats[b].forwarded;
+        }
+        counted = router.hedgeStats().cancelsSent;
+        received = frames_in - forwarded;
+        if (forwarded == kRequests && received >= counted)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(forwarded, kRequests);
+    EXPECT_EQ(counted, received);
+    EXPECT_EQ(router.metrics().total().rejectedUnknown, kRequests);
+}
+
+TEST_F(NetRouter, NoCancelIsCountedForADroppedAttempt)
+{
+    // The primary's connection drops under it, the router fails over
+    // and the survivor answers. The dropped attempt is a loser with
+    // no connection left to carry a Cancel frame: none is written,
+    // so none may be counted.
+    DroppingBackend dropping;
+    std::vector<std::unique_ptr<Backend>> live;
+    live.push_back(makeBackend({"LNN"}));
+    net::RouterOptions options;
+    options.backends = {dropping.endpoint(), live[0]->endpoint()};
+    net::Router router(options);
+    net::Client client(clientFor(router.port()));
+
+    uint64_t dropped_seed = 0, live_seed = 0;
+    while (router.shardOf("LNN", 0, dropped_seed) != 0)
+        dropped_seed++;
+    while (router.shardOf("LNN", 0, live_seed) != 1)
+        live_seed++;
+    EXPECT_EQ(client.call("LNN", dropped_seed).status,
+              serve::RequestStatus::Ok);
+    // The router sweeps losers after it relays the winner. The
+    // survivor's answers complete one at a time on one connection, so
+    // once a second call through it is answered, the first sweep is
+    // done.
+    EXPECT_EQ(client.call("LNN", live_seed).status,
+              serve::RequestStatus::Ok);
+
+    std::vector<net::BackendStats> stats = router.backendStats();
+    EXPECT_EQ(stats[0].forwarded, 1u);
+    EXPECT_GE(stats[0].failovers, 1u);
+    EXPECT_EQ(router.hedgeStats().cancelsSent, 0u);
+    // Both requests reached the survivor, and no Cancel frame did.
+    EXPECT_EQ(live[0]->server->metrics().netStats().framesIn, 2u);
 }
 
 } // namespace

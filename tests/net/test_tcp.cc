@@ -7,8 +7,9 @@
  * paper workloads, with the result cache on and off. Around that,
  * the robustness contract from the wire layer is enforced end to
  * end: a connection that speaks garbage (bad hello, unknown frame,
- * length bombs) is closed cleanly, counted, and never disturbs the
- * sessions next to it.
+ * length bombs, an id already in flight) is closed cleanly, counted,
+ * and never disturbs the sessions next to it; and a session answers
+ * each delivered id exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -105,6 +106,26 @@ rawDrainUntilClose(int fd)
     }
 }
 
+/** Reads the next whole frame from a raw socket into @p frame;
+ *  false on close, malformed input or a 5 s timeout. */
+bool
+rawNextFrame(int fd, net::wire::FrameReader &reader,
+             net::wire::Frame *frame)
+{
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    while (true) {
+        net::wire::DecodeStatus status = reader.next(frame);
+        if (status != net::wire::DecodeStatus::NeedMore)
+            return status == net::wire::DecodeStatus::Ok;
+        uint8_t chunk[512];
+        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (n <= 0)
+            return false;
+        reader.append(chunk, static_cast<size_t>(n));
+    }
+}
+
 /** Performs the Hello/HelloAck handshake on a raw socket. */
 void
 rawHandshake(int fd)
@@ -112,21 +133,23 @@ rawHandshake(int fd)
     std::vector<uint8_t> hello;
     net::wire::encodeHello(net::wire::HelloFrame{}, &hello);
     rawSend(fd, hello);
-    std::vector<uint8_t> buf;
-    while (true) {
-        uint8_t chunk[64];
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        ASSERT_GT(n, 0) << "no HelloAck";
-        buf.insert(buf.end(), chunk, chunk + n);
-        net::wire::Frame frame;
-        auto result =
-            net::wire::tryDecode(buf.data(), buf.size(), &frame);
-        if (result.status == net::wire::DecodeStatus::NeedMore)
-            continue;
-        ASSERT_EQ(result.status, net::wire::DecodeStatus::Ok);
-        ASSERT_EQ(frame.type, net::wire::FrameType::HelloAck);
-        return;
-    }
+    net::wire::FrameReader reader;
+    net::wire::Frame frame;
+    ASSERT_TRUE(rawNextFrame(fd, reader, &frame)) << "no HelloAck";
+    ASSERT_EQ(frame.type, net::wire::FrameType::HelloAck);
+}
+
+/** One encoded LNN request frame. */
+std::vector<uint8_t>
+requestBytes(uint64_t id, uint64_t episodeSeed)
+{
+    net::wire::RequestFrame request;
+    request.id = id;
+    request.episodeSeed = episodeSeed;
+    request.workload = "LNN";
+    std::vector<uint8_t> bytes;
+    net::wire::encodeRequest(request, &bytes);
+    return bytes;
 }
 
 class NetTcp : public ::testing::Test
@@ -301,7 +324,7 @@ TEST_F(NetTcp, MalformedFramesCloseCleanlyWithoutKillingTheServer)
     {
         // A Response frame sent client->server.
         std::vector<uint8_t> bytes;
-        net::wire::encodeResponse(net::wire::ResponseFrame{}, &bytes);
+        net::wire::encodeResponse(0, serve::Response{}, &bytes);
         corpus.push_back(bytes);
     }
     {
@@ -342,6 +365,96 @@ TEST_F(NetTcp, MalformedFramesCloseCleanlyWithoutKillingTheServer)
     net::Client client(clientOptions(tcp.port()));
     EXPECT_EQ(client.call("LNN", 1).status,
               serve::RequestStatus::Ok);
+}
+
+TEST_F(NetTcp, ReusingAnIdStillInFlightClosesTheSession)
+{
+    // A bare transport: requests with episode seed 0 are answered at
+    // once, the rest are held, so their ids stay in flight.
+    serve::ServerMetrics metrics;
+    std::mutex mu;
+    std::vector<net::FrameServer::SessionPtr> held;
+    net::FrameServer frames(
+        {},
+        [&](const net::FrameServer::SessionPtr &session,
+            const net::wire::RequestFrame &request,
+            const serve::CancelToken &) {
+            if (request.episodeSeed == 0) {
+                session->respond(request.id, serve::Response{});
+                return;
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            held.push_back(session);
+        },
+        metrics);
+
+    int fd = rawDial(frames.port());
+    rawHandshake(fd);
+    net::wire::FrameReader reader;
+    net::wire::Frame frame;
+    // A retired id may come back ...
+    for (int lap = 0; lap < 2; lap++) {
+        rawSend(fd, requestBytes(7, 0));
+        ASSERT_TRUE(rawNextFrame(fd, reader, &frame));
+        EXPECT_EQ(frame.type, net::wire::FrameType::Response);
+        EXPECT_EQ(frame.responseId, 7u);
+    }
+    // ... one still in flight may not: responses are matched by id
+    // alone, so the session is closed.
+    rawSend(fd, requestBytes(1, 1));
+    rawSend(fd, requestBytes(1, 1));
+    EXPECT_TRUE(rawDrainUntilClose(fd));
+    ::close(fd);
+
+    for (int i = 0; i < 100; i++) {
+        if (metrics.netStats().malformedFrames >= 1)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    serve::NetStats stats = metrics.netStats();
+    EXPECT_EQ(stats.malformedFrames, 1u);
+    EXPECT_EQ(stats.framesIn, 3u);
+    frames.shutdown();
+}
+
+TEST_F(NetTcp, SecondRespondForAnIdWritesNothing)
+{
+    // A handler that answers every request twice: only the first
+    // respond() retires the id and writes a frame.
+    serve::ServerMetrics metrics;
+    net::FrameServer frames(
+        {},
+        [](const net::FrameServer::SessionPtr &session,
+           const net::wire::RequestFrame &request,
+           const serve::CancelToken &) {
+            serve::Response response;
+            response.score = static_cast<double>(request.id);
+            session->respond(request.id, response);
+            response.score = -1.0;
+            session->respond(request.id, response);
+        },
+        metrics);
+
+    int fd = rawDial(frames.port());
+    rawHandshake(fd);
+    // Frames on one connection arrive in order, so every frame
+    // written for ids 1 and 2 lands before id 3's answer.
+    for (uint64_t id = 1; id <= 3; id++)
+        rawSend(fd, requestBytes(id, 0));
+    net::wire::FrameReader reader;
+    net::wire::Frame frame;
+    std::vector<uint64_t> ids;
+    while (ids.empty() || ids.back() != 3) {
+        ASSERT_TRUE(rawNextFrame(fd, reader, &frame));
+        ASSERT_EQ(frame.type, net::wire::FrameType::Response);
+        EXPECT_EQ(frame.response.score,
+                  static_cast<double>(frame.responseId));
+        ids.push_back(frame.responseId);
+    }
+    EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3}));
+    ::close(fd);
+    frames.shutdown();
+    EXPECT_EQ(metrics.netStats().framesOut, 4u); // HelloAck + 3.
 }
 
 TEST_F(NetTcp, HalfFrameThenDisconnectLeaksNothing)

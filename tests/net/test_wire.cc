@@ -1,16 +1,20 @@
 /**
  * @file
  * Wire-protocol unit tests: encode/decode round-trip properties over
- * randomized frames, incremental (streamed) delivery, and a
- * malformed-input corpus — truncations, oversized and zero lengths,
- * unknown types, bad name lengths, trailing junk, and raw garbage —
- * that must always produce a clean NeedMore/Malformed verdict, never
- * a crash or an over-read (ASan/TSan in CI back that claim).
+ * randomized frames, the encoded bytes of every frame type pinned as
+ * hex, incremental (streamed) delivery through tryDecode and through
+ * FrameReader, and a malformed-input corpus — truncations, oversized
+ * and zero lengths, unknown types, bad name lengths, trailing junk,
+ * and raw garbage — that must always produce a clean
+ * NeedMore/Malformed verdict, never a crash or an over-read
+ * (ASan/TSan in CI back that claim).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -57,6 +61,18 @@ wire::DecodeResult
 decode(const std::vector<uint8_t> &bytes, wire::Frame *frame)
 {
     return wire::tryDecode(bytes.data(), bytes.size(), frame);
+}
+
+std::string
+hex(const std::vector<uint8_t> &bytes)
+{
+    std::string out;
+    char byte[3];
+    for (uint8_t b : bytes) {
+        std::snprintf(byte, sizeof byte, "%02x", b);
+        out += byte;
+    }
+    return out;
 }
 
 TEST(Wire, HelloRoundTrip)
@@ -112,44 +128,57 @@ TEST(Wire, RequestRoundTripProperty)
 
 TEST(Wire, ResponseRoundTripProperty)
 {
+    constexpr int kCanceled =
+        static_cast<int>(serve::RequestStatus::Canceled);
     std::mt19937_64 rng(777);
     std::uniform_real_distribution<double> uniform(-1e6, 1e6);
     for (int trial = 0; trial < 500; trial++) {
-        wire::ResponseFrame response;
-        response.id = rng();
-        response.status = static_cast<uint8_t>(rng());
-        response.scoreBits = rng(); // Arbitrary bits, incl. NaNs.
+        uint64_t id = rng();
+        serve::Response response;
+        response.status =
+            static_cast<serve::RequestStatus>(rng() % (kCanceled + 1));
         response.latencySeconds = uniform(rng);
         response.queueSeconds = uniform(rng);
         response.serviceSeconds = uniform(rng);
         response.neuralSeconds = uniform(rng);
         response.symbolicSeconds = uniform(rng);
-        response.batchSize = static_cast<uint32_t>(rng());
-        response.shared = static_cast<uint32_t>(rng());
-        response.retries = static_cast<uint32_t>(rng());
-        response.flags = static_cast<uint32_t>(rng());
+        // Arbitrary score bits, incl. NaNs, and the full int range.
+        uint64_t bits = rng();
+        std::memcpy(&response.score, &bits, sizeof bits);
+        response.shared = static_cast<int>(rng() & 0x7fffffff);
+        response.retries = static_cast<int>(rng() & 0x7fffffff);
+        response.cached = rng() & 1;
 
         std::vector<uint8_t> bytes;
-        wire::encodeResponse(response, &bytes);
+        wire::encodeResponse(id, response, &bytes);
         wire::Frame frame;
         wire::DecodeResult result = decode(bytes, &frame);
         ASSERT_EQ(result.status, wire::DecodeStatus::Ok);
         ASSERT_EQ(frame.type, wire::FrameType::Response);
-        const wire::ResponseFrame &got = frame.response;
-        EXPECT_EQ(got.id, response.id);
+        EXPECT_EQ(frame.responseId, id);
+        const serve::Response &got = frame.response;
         EXPECT_EQ(got.status, response.status);
         // Bit-exact: the determinism contract travels as raw IEEE
         // bits, so even NaN payloads must survive.
-        EXPECT_EQ(got.scoreBits, response.scoreBits);
+        EXPECT_EQ(std::memcmp(&got.score, &response.score,
+                              sizeof got.score),
+                  0);
         EXPECT_EQ(got.latencySeconds, response.latencySeconds);
         EXPECT_EQ(got.queueSeconds, response.queueSeconds);
         EXPECT_EQ(got.serviceSeconds, response.serviceSeconds);
         EXPECT_EQ(got.neuralSeconds, response.neuralSeconds);
         EXPECT_EQ(got.symbolicSeconds, response.symbolicSeconds);
-        EXPECT_EQ(got.batchSize, response.batchSize);
         EXPECT_EQ(got.shared, response.shared);
         EXPECT_EQ(got.retries, response.retries);
-        EXPECT_EQ(got.flags, response.flags);
+        EXPECT_EQ(got.cached, response.cached);
+
+        // A status byte above Canceled (a newer peer's) reads as
+        // Failed, never as an out-of-range enum value. The status
+        // sits after the 4-byte length, the type byte and the id.
+        bytes[4 + 1 + 8] =
+            static_cast<uint8_t>(kCanceled + 1 + rng() % (255 - kCanceled));
+        ASSERT_EQ(decode(bytes, &frame).status, wire::DecodeStatus::Ok);
+        EXPECT_EQ(frame.response.status, serve::RequestStatus::Failed);
     }
 }
 
@@ -160,16 +189,78 @@ TEST(Wire, ScoreBitsPreserveNonFiniteDoubles)
           std::numeric_limits<double>::infinity(),
           -std::numeric_limits<double>::infinity(),
           std::numeric_limits<double>::denorm_min()}) {
-        wire::ResponseFrame response;
-        response.setScore(value);
+        serve::Response response;
+        response.score = value;
         std::vector<uint8_t> bytes;
-        wire::encodeResponse(response, &bytes);
+        wire::encodeResponse(1, response, &bytes);
         wire::Frame frame;
         ASSERT_EQ(decode(bytes, &frame).status,
                   wire::DecodeStatus::Ok);
-        double got = frame.response.score();
+        double got = frame.response.score;
         EXPECT_EQ(std::memcmp(&got, &value, sizeof value), 0);
     }
+}
+
+TEST(Wire, EncodedBytesArePinned)
+{
+    // Every frame type as the protocol-v2 encoder wrote it before the
+    // wire shared serve::Response: the bytes may never change within
+    // a protocol version.
+    std::vector<uint8_t> bytes;
+    wire::encodeHello(wire::HelloFrame{}, &bytes);
+    EXPECT_EQ(hex(bytes), "07000000014e5342570200");
+
+    bytes.clear();
+    wire::HelloFrame v1;
+    v1.version = 1;
+    wire::encodeHelloAck(v1, &bytes);
+    EXPECT_EQ(hex(bytes), "07000000024e5342570100");
+
+    bytes.clear();
+    wire::RequestFrame request;
+    request.id = 0x0102030405060708ULL;
+    request.episodeSeed = 42;
+    request.modelSeed = 7;
+    request.deadlineUs = 250000;
+    request.workload = "ZeroC";
+    wire::encodeRequest(request, &bytes);
+    EXPECT_EQ(hex(bytes),
+              "280000000308070605040302012a0000000000000007000000"
+              "0000000090d003000000000005005a65726f43");
+
+    bytes.clear();
+    serve::Response ok;
+    ok.score = 0.625;
+    ok.latencySeconds = 0.5;
+    ok.queueSeconds = 0.25;
+    ok.serviceSeconds = 0.125;
+    ok.neuralSeconds = 0.0625;
+    ok.symbolicSeconds = 0.03125;
+    ok.shared = 3;
+    ok.retries = 1;
+    ok.cached = true;
+    wire::encodeResponse(9, ok, &bytes);
+    EXPECT_EQ(hex(bytes),
+              "4a00000004090000000000000000000000000000e43f00000000"
+              "0000e03f000000000000d03f000000000000c03f000000000000"
+              "b03f000000000000a03f00000000030000000100000001000000");
+
+    // A negative count goes out as 0; the reserved word stays 0.
+    bytes.clear();
+    serve::Response canceled;
+    canceled.status = serve::RequestStatus::Canceled;
+    canceled.latencySeconds = 1.5;
+    canceled.shared = -1;
+    wire::encodeResponse(0xfffffffffffffffeULL, canceled, &bytes);
+    EXPECT_EQ(hex(bytes),
+              "4a00000004feffffffffffffff09000000000000000000000000"
+              "0000f83f00000000000000000000000000000000000000000000"
+              "0000000000000000000000000000000000000000000000000000");
+
+    bytes.clear();
+    wire::encodeCancel(wire::CancelFrame{0x1122334455667788ULL},
+                       &bytes);
+    EXPECT_EQ(hex(bytes), "09000000058877665544332211");
 }
 
 TEST(Wire, EveryTruncationNeedsMore)
@@ -191,11 +282,10 @@ TEST(Wire, EveryTruncationNeedsMore)
 
 TEST(Wire, StreamedDeliveryDecodesAtExactCompletion)
 {
-    wire::ResponseFrame response;
-    response.id = 9;
-    response.setScore(0.25);
+    serve::Response response;
+    response.score = 0.25;
     std::vector<uint8_t> bytes;
-    wire::encodeResponse(response, &bytes);
+    wire::encodeResponse(9, response, &bytes);
 
     std::vector<uint8_t> buffer;
     for (size_t i = 0; i < bytes.size(); i++) {
@@ -207,7 +297,8 @@ TEST(Wire, StreamedDeliveryDecodesAtExactCompletion)
             EXPECT_EQ(result.status, wire::DecodeStatus::NeedMore);
         } else {
             ASSERT_EQ(result.status, wire::DecodeStatus::Ok);
-            EXPECT_EQ(frame.response.id, 9u);
+            EXPECT_EQ(frame.responseId, 9u);
+            EXPECT_EQ(frame.response.score, 0.25);
         }
     }
 }
@@ -231,6 +322,67 @@ TEST(Wire, BackToBackFramesConsumeExactly)
     ASSERT_EQ(second.status, wire::DecodeStatus::Ok);
     EXPECT_EQ(frame.type, wire::FrameType::Request);
     EXPECT_EQ(first.consumed + second.consumed, bytes.size());
+}
+
+TEST(Wire, FrameReaderCutsAnyChunkingIntoTheSameFrames)
+{
+    std::vector<uint8_t> stream;
+    wire::encodeHello(wire::HelloFrame{}, &stream);
+    for (uint64_t id = 1; id <= 20; id++) {
+        wire::RequestFrame request;
+        request.id = id;
+        request.workload = "LNN";
+        wire::encodeRequest(request, &stream);
+        serve::Response response;
+        response.score = static_cast<double>(id) / 8.0;
+        wire::encodeResponse(id, response, &stream);
+        wire::encodeCancel(wire::CancelFrame{id}, &stream);
+    }
+
+    std::mt19937_64 rng(5150);
+    for (int trial = 0; trial < 50; trial++) {
+        wire::FrameReader reader;
+        std::vector<wire::FrameType> types;
+        uint64_t idSum = 0;
+        size_t offset = 0;
+        while (offset < stream.size()) {
+            size_t chunk =
+                std::min<size_t>(1 + rng() % 64, stream.size() - offset);
+            reader.append(stream.data() + offset, chunk);
+            offset += chunk;
+            wire::Frame frame;
+            wire::DecodeStatus status;
+            while ((status = reader.next(&frame)) ==
+                   wire::DecodeStatus::Ok) {
+                types.push_back(frame.type);
+                if (frame.type == wire::FrameType::Response) {
+                    idSum += frame.responseId;
+                    EXPECT_EQ(frame.response.score,
+                              static_cast<double>(frame.responseId) / 8.0);
+                }
+            }
+            ASSERT_EQ(status, wire::DecodeStatus::NeedMore);
+        }
+        ASSERT_EQ(types.size(), 61u) << "trial " << trial;
+        EXPECT_EQ(types.front(), wire::FrameType::Hello);
+        for (size_t i = 1; i < types.size(); i += 3) {
+            EXPECT_EQ(types[i], wire::FrameType::Request);
+            EXPECT_EQ(types[i + 1], wire::FrameType::Response);
+            EXPECT_EQ(types[i + 2], wire::FrameType::Cancel);
+        }
+        EXPECT_EQ(idSum, 210u);
+    }
+
+    // Garbage after whole frames: they still come out, then the
+    // stream is reported dead.
+    wire::FrameReader reader;
+    std::vector<uint8_t> bytes;
+    wire::encodeHello(wire::HelloFrame{}, &bytes);
+    putU32(&bytes, 0xffffffffu);
+    reader.append(bytes.data(), bytes.size());
+    wire::Frame frame;
+    EXPECT_EQ(reader.next(&frame), wire::DecodeStatus::Ok);
+    EXPECT_EQ(reader.next(&frame), wire::DecodeStatus::Malformed);
 }
 
 TEST(Wire, ZeroLengthFrameIsMalformed)
@@ -258,15 +410,18 @@ TEST(Wire, OversizedLengthIsMalformed)
 
 TEST(Wire, UnknownFrameTypeIsMalformed)
 {
-    for (uint8_t type : {uint8_t(0), uint8_t(5), uint8_t(0xff)}) {
+    // 5 is Cancel since protocol v2; 6 is the first unassigned type.
+    for (uint8_t type : {uint8_t(0), uint8_t(6), uint8_t(0xff)}) {
         std::vector<uint8_t> bytes;
         putU32(&bytes, 1);
         putU8(&bytes, type);
         wire::Frame frame;
         EXPECT_EQ(decode(bytes, &frame).status,
-                  wire::DecodeStatus::Malformed);
+                  wire::DecodeStatus::Malformed)
+            << "type " << int(type);
     }
 }
+
 
 /** Builds a request body by hand with a chosen workload length
  *  field, so length-field lies are testable. */
@@ -327,17 +482,23 @@ TEST(Wire, TrailingJunkInBodyIsMalformed)
 
 TEST(Wire, TruncatedFixedFieldsAreMalformed)
 {
-    // A request body shorter than its fixed fields: the length
-    // prefix is honest (body complete), but the cursor runs dry.
-    std::vector<uint8_t> body;
-    putU8(&body, static_cast<uint8_t>(wire::FrameType::Request));
-    putU64(&body, 1); // id only; everything else missing
-    std::vector<uint8_t> bytes;
-    putU32(&bytes, static_cast<uint32_t>(body.size()));
-    bytes.insert(bytes.end(), body.begin(), body.end());
-    wire::Frame frame;
-    EXPECT_EQ(decode(bytes, &frame).status,
-              wire::DecodeStatus::Malformed);
+    // Bodies shorter than their fixed fields: the length prefix is
+    // honest (body complete), but the cursor runs dry. A Request
+    // with its id only, and a Cancel without its id.
+    std::vector<uint8_t> request;
+    putU8(&request, static_cast<uint8_t>(wire::FrameType::Request));
+    putU64(&request, 1);
+    std::vector<uint8_t> cancel;
+    putU8(&cancel, static_cast<uint8_t>(wire::FrameType::Cancel));
+    for (const std::vector<uint8_t> &body : {request, cancel}) {
+        std::vector<uint8_t> bytes;
+        putU32(&bytes, static_cast<uint32_t>(body.size()));
+        bytes.insert(bytes.end(), body.begin(), body.end());
+        wire::Frame frame;
+        EXPECT_EQ(decode(bytes, &frame).status,
+                  wire::DecodeStatus::Malformed)
+            << "type " << int(body[0]);
+    }
 }
 
 TEST(Wire, GarbageFuzzNeverCrashesOrOverreads)

@@ -9,7 +9,8 @@
  *  - Wire boundaries: relative-deadline encoding at its edge cases,
  *    and the v2 Cancel frame round-trip.
  *  - Cancellation semantics: a canceled queued request answers
- *    Canceled without running, in-process and over the wire.
+ *    Canceled without running, in-process and over the wire, and a
+ *    wire Cancel reaches only its own connection's request.
  *  - Version compatibility: a v1 client handshakes against the v2
  *    server and is served normally.
  *  - Bounded client calls: a connected-but-mute server cannot hang
@@ -392,6 +393,51 @@ TEST_F(Tail, WireCancelPrunesAQueuedRequest)
     server.shutdown();
 }
 
+TEST_F(Tail, CancelIsScopedToItsOwnConnection)
+{
+    // Every run sleeps 400ms on the one worker, so both id-1 requests
+    // below are still waiting behind the blocker when the Cancel
+    // frame arrives.
+    ASSERT_EQ(fp::configure("serve.worker.run=1.0@3~400000"), "");
+    serve::Server server(singleWorkerOptions());
+    net::TcpServer tcp(server);
+    net::ClientOptions client_options;
+    client_options.port = tcp.port();
+    net::Client blocker(client_options);
+    net::Client first(client_options);
+    net::Client second(client_options);
+
+    Waiter blocked;
+    ASSERT_EQ(blocker.submitSeeded("LNN", 1, 0, blocked.callback()),
+              serve::RequestStatus::Ok);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // Each connection numbers its requests from 1; a Cancel names an
+    // id on its own session only.
+    Waiter canceled, kept;
+    uint64_t first_id = 0, second_id = 0;
+    ASSERT_EQ(first.submitSeeded("LNN", 2, 0, canceled.callback(),
+                                 serve::noDeadline(), &first_id),
+              serve::RequestStatus::Ok);
+    ASSERT_EQ(second.submitSeeded("LNN", 3, 0, kept.callback(),
+                                  serve::noDeadline(), &second_id),
+              serve::RequestStatus::Ok);
+    ASSERT_EQ(first_id, 1u);
+    ASSERT_EQ(second_id, 1u);
+    EXPECT_TRUE(first.cancel(first_id));
+
+    EXPECT_EQ(canceled.wait().status, serve::RequestStatus::Canceled);
+    EXPECT_EQ(kept.wait().status, serve::RequestStatus::Ok);
+    EXPECT_EQ(blocked.wait().status, serve::RequestStatus::Ok);
+    EXPECT_EQ(second.stats().cancelsSent, 0u);
+
+    blocker.close();
+    first.close();
+    second.close();
+    tcp.shutdown();
+    server.shutdown();
+}
+
 // --- Version compatibility --------------------------------------------
 
 int
@@ -422,24 +468,22 @@ rawReadFrame(int fd, net::wire::FrameType wanted)
 {
     timeval tv{10, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    std::vector<uint8_t> buf;
+    net::wire::FrameReader reader;
+    net::wire::Frame frame;
     while (true) {
-        net::wire::Frame frame;
-        auto result =
-            net::wire::tryDecode(buf.data(), buf.size(), &frame);
-        if (result.status == net::wire::DecodeStatus::Ok) {
-            buf.erase(buf.begin(), buf.begin() + result.consumed);
+        net::wire::DecodeStatus status = reader.next(&frame);
+        if (status == net::wire::DecodeStatus::Ok) {
             if (frame.type == wanted)
                 return frame;
             continue;
         }
-        EXPECT_EQ(result.status, net::wire::DecodeStatus::NeedMore);
+        EXPECT_EQ(status, net::wire::DecodeStatus::NeedMore);
         uint8_t chunk[512];
         ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
         EXPECT_GT(n, 0) << "connection closed or timed out";
         if (n <= 0)
             return frame;
-        buf.insert(buf.end(), chunk, chunk + n);
+        reader.append(chunk, static_cast<size_t>(n));
     }
 }
 
@@ -470,9 +514,8 @@ TEST_F(Tail, V1ClientHandshakesAndIsServedByTheV2Server)
     rawSend(fd, bytes);
     net::wire::Frame response =
         rawReadFrame(fd, net::wire::FrameType::Response);
-    EXPECT_EQ(response.response.id, 1u);
-    EXPECT_EQ(response.response.status,
-              static_cast<uint8_t>(serve::RequestStatus::Ok));
+    EXPECT_EQ(response.responseId, 1u);
+    EXPECT_EQ(response.response.status, serve::RequestStatus::Ok);
 
     ::close(fd);
     tcp.shutdown();
@@ -525,7 +568,7 @@ class MuteServer
         // Complete the handshake so the client trusts the
         // connection, then read and discard everything: requests go
         // in, nothing ever comes out.
-        std::vector<uint8_t> buf;
+        net::wire::FrameReader reader;
         timeval tv{10, 0};
         ::setsockopt(client_, SOL_SOCKET, SO_RCVTIMEO, &tv,
                      sizeof(tv));
@@ -535,21 +578,16 @@ class MuteServer
             ssize_t n = ::recv(client_, chunk, sizeof(chunk), 0);
             if (n <= 0)
                 return;
-            buf.insert(buf.end(), chunk, chunk + n);
-            if (!acked) {
-                net::wire::Frame frame;
-                auto result = net::wire::tryDecode(
-                    buf.data(), buf.size(), &frame);
-                if (result.status != net::wire::DecodeStatus::Ok)
-                    continue;
-                buf.erase(buf.begin(),
-                          buf.begin() + result.consumed);
-                std::vector<uint8_t> ack;
-                net::wire::encodeHelloAck(frame.hello, &ack);
-                ::send(client_, ack.data(), ack.size(),
-                       MSG_NOSIGNAL);
-                acked = true;
-            }
+            if (acked)
+                continue;
+            reader.append(chunk, static_cast<size_t>(n));
+            net::wire::Frame frame;
+            if (reader.next(&frame) != net::wire::DecodeStatus::Ok)
+                continue;
+            std::vector<uint8_t> ack;
+            net::wire::encodeHelloAck(frame.hello, &ack);
+            ::send(client_, ack.data(), ack.size(), MSG_NOSIGNAL);
+            acked = true;
         }
     }
 
