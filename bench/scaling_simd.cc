@@ -6,8 +6,9 @@
  * again under the AVX2 backend, reporting wall time and speedup while
  * checking that the two backends agree (<= 1e-5 relative for float
  * reductions and fused kernels; exactly equal checksums for the
- * order-preserving circular_conv and conv2d kernels and the tanh, exp
- * and sigmoid twins). A
+ * order-preserving circular_conv, FFT (fft_circular_conv,
+ * vsa_conv_power) and conv2d kernels and the tanh, exp and sigmoid
+ * twins). A
  * third column times the AVX2 backend at the full default pool width,
  * showing how vectorization composes with the thread runtime. The
  * final BENCH_JSON line is machine-readable so the perf trajectory of
@@ -115,6 +116,7 @@ main(int argc, char **argv)
         vsa::BinaryVector::random(16384, rng);
     Tensor cc_a = Tensor::randn({2048}, rng);
     Tensor cc_b = Tensor::randn({2048}, rng);
+    Tensor unitary = vsa::unitaryVector(2048, rng);
     Tensor conv_x = Tensor::randn({1, 8, 48, 48}, rng);
     Tensor conv_w = Tensor::randn({16, 8, 3, 3}, rng);
     Tensor conv_bias = Tensor::randn({16}, rng);
@@ -151,6 +153,13 @@ main(int argc, char **argv)
         {"circular_conv_2048",
          [&] { return orderedSum(vsa::circularConvolve(cc_a, cc_b)); },
          true},
+        {"fft_circular_conv_2048",
+         [&] {
+             return orderedSum(vsa::fftCircularConvolve(cc_a, cc_b));
+         },
+         true},
+        {"vsa_conv_power_2048",
+         [&] { return orderedSum(vsa::convPower(unitary, 7)); }, true},
         {"conv2d_48x48_8to16",
          [&] {
              return orderedSum(

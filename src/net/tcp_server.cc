@@ -86,13 +86,16 @@ FrameServer::Session::respond(uint64_t id,
                               const serve::Response &response)
 {
     FrameServer *server = server_;
+    size_t bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (inflight_.erase(id) == 0 || closed_)
             return;
+        size_t before = out_.size();
         wire::encodeResponse(id, response, &out_);
+        bytes = out_.size() - before;
     }
-    server->metrics_.count(&NetStats::framesOut);
+    server->countQueued(bytes);
     server->requestFlush(shared_from_this());
 }
 
@@ -344,13 +347,16 @@ FrameServer::handleFrame(const SessionPtr &session,
         // a version defining them.
         session->handshaken_ = true;
         session->version_ = frame.hello.version;
+        size_t bytes = 0;
         {
             std::lock_guard<std::mutex> lock(session->mu_);
             wire::HelloFrame ack;
             ack.version = session->version_;
+            size_t before = session->out_.size();
             wire::encodeHelloAck(ack, &session->out_);
+            bytes = session->out_.size() - before;
         }
-        metrics_.count(&NetStats::framesOut);
+        countQueued(bytes);
         if (!flushSession(session))
             closeSession(session);
         else
@@ -397,6 +403,13 @@ FrameServer::handleFrame(const SessionPtr &session,
     handler_(session, frame.request, token);
 }
 
+void
+FrameServer::countQueued(size_t bytes)
+{
+    metrics_.count(&NetStats::framesOut);
+    metrics_.count(&NetStats::bytesWritten, bytes);
+}
+
 bool
 FrameServer::flushSession(const SessionPtr &session)
 {
@@ -410,7 +423,6 @@ FrameServer::flushSession(const SessionPtr &session)
             session->fd_, session->out_.data() + session->outOffset_,
             session->out_.size() - session->outOffset_, MSG_NOSIGNAL);
         if (n > 0) {
-            metrics_.count(&NetStats::bytesWritten, static_cast<uint64_t>(n));
             session->outOffset_ += static_cast<size_t>(n);
             continue;
         }

@@ -170,6 +170,9 @@ class FrameServer
     void updateWriteInterest(const SessionPtr &session);
     /** Called by Session::respond() to schedule a flush. */
     void requestFlush(const SessionPtr &session);
+    /** Counts one frame of @p bytes as queued: frames_out and
+     *  bytes_out move together, before the flush that sends it. */
+    void countQueued(size_t bytes);
     void wake();
     /** True when every session is idle (no in-flight request, no
      *  queued output). */

@@ -156,7 +156,9 @@ struct NetStats
     uint64_t connectionsAccepted = 0; ///< Sockets accepted.
     uint64_t connectionsClosed = 0;   ///< Sockets closed (any cause).
     uint64_t bytesRead = 0;           ///< Payload bytes received.
-    uint64_t bytesWritten = 0;        ///< Payload bytes sent.
+    /// Bytes of the frames counted in framesOut, counted with them when
+    /// queued: once a peer has read a frame, it is in both counters.
+    uint64_t bytesWritten = 0;
     uint64_t framesIn = 0;            ///< Well-formed frames decoded.
     uint64_t framesOut = 0;           ///< Frames encoded and queued.
     uint64_t malformedFrames = 0;     ///< Protocol violations seen.

@@ -30,7 +30,8 @@
  * 1e-5 relative tolerance, which the equivalence suite enforces.
  *
  * The order-preserving kernels (conv2dPlane, circularConvRows,
- * circularCorrRows; simd_exact.cc) are exact across backends as well:
+ * circularCorrRows, fftButterflies, complexMulInPlace; simd_exact.cc)
+ * are exact across backends as well:
  * the AVX2 version puts independent outputs in different lanes and
  * gives each output the scalar twin's operations in the scalar twin's
  * order, so both return the bits of the historical loops. Their source
@@ -57,6 +58,7 @@
 #ifndef NSBENCH_UTIL_SIMD_HH
 #define NSBENCH_UTIL_SIMD_HH
 
+#include <complex>
 #include <cstdint>
 
 namespace nsbench::util::simd
@@ -214,6 +216,25 @@ void circularConvRows(const double *a, const double *bb, float *out,
 /** Circular correlation: as circularConvRows with bb[i + j]. */
 void circularCorrRows(const double *a, const double *bb, float *out,
                       int64_t i0, int64_t i1, int64_t d);
+
+/**
+ * The butterfly stages of an in-place radix-2 FFT of n = 2^k values,
+ * already in bit-reversed order. @p twiddles holds each stage's
+ * factors in turn, for half = 1, 2, 4, ..., n / 2: w_0..w_{half-1},
+ * n - 1 in all. Every butterfly is the std::complex loop's
+ *   v = x[j] * w;  x[i] = u + v;  x[j] = u - v;   (u = x[i])
+ * with the product (ac - bd, bc + ad) and, when both of its parts are
+ * NaN, the libgcc __muldc3 recovery that std::complex<double>'s
+ * product calls there. The AVX2 version runs two butterflies per
+ * vector (the first stage across blocks) and redoes a pair through
+ * std::complex when a product lane is NaN.
+ */
+void fftButterflies(std::complex<double> *values,
+                    const std::complex<double> *twiddles, int64_t n);
+
+/** a[i] *= b[i] (std::complex<double>'s product, as above). */
+void complexMulInPlace(std::complex<double> *a,
+                       const std::complex<double> *b, int64_t n);
 /// @}
 
 /// @name Float transcendentals: glibc 2.36's bits on every input.

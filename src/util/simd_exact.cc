@@ -5,7 +5,9 @@
  * Each kernel has a scalar twin and an AVX2 version that give every
  * output the same operations in the same order, so the two backends
  * return the same bits. The AVX2 versions gain by putting independent
- * outputs in different lanes, never by splitting one output's sum.
+ * outputs in different lanes, never by splitting one output's sum:
+ * FFT butterflies of one stage are independent too, two complex
+ * doubles to a vector.
  *
  * This file is compiled with -ffp-contract=off (src/util/CMakeLists.txt).
  * With contraction on, GCC fuses _mm256_add_ps(acc, _mm256_mul_ps(x,
@@ -180,6 +182,37 @@ circularRows(const double *a, const double *bb, float *out, int64_t i0,
             acc += a[j] * p[Step * j];
         out[i] = static_cast<float>(acc);
     }
+}
+
+/** One butterfly: u + x * w and u - x * w in std::complex. */
+[[gnu::always_inline]] inline void
+butterfly(std::complex<double> *lo, std::complex<double> *hi,
+          std::complex<double> w)
+{
+    std::complex<double> u = *lo;
+    std::complex<double> v = *hi * w;
+    *lo = u + v;
+    *hi = u - v;
+}
+
+void
+fftButterflies(std::complex<double> *x, const std::complex<double> *tw,
+               int64_t n)
+{
+    for (int64_t half = 1; half < n; tw += half, half <<= 1) {
+        for (int64_t i = 0; i < n; i += 2 * half) {
+            for (int64_t k = 0; k < half; k++)
+                butterfly(x + i + k, x + i + k + half, tw[k]);
+        }
+    }
+}
+
+[[gnu::always_inline]] inline void
+complexMulInPlace(std::complex<double> *a, const std::complex<double> *b,
+                  int64_t i0, int64_t n)
+{
+    for (int64_t i = i0; i < n; i++)
+        a[i] *= b[i];
 }
 
 /**
@@ -458,6 +491,90 @@ circularRows(const double *a, const double *bb, float *out, int64_t i0,
     scalar::circularRows<Step>(a, bb, out, i, i1, d);
 }
 
+/**
+ * x * w for the two complex lanes (re, im, re, im) of @p x and @p w:
+ * (ac - bd, bc + ad) from two multiplies and an addsub, the inline
+ * part of std::complex<double>'s product. That product calls __muldc3
+ * when both parts come out NaN, so a pair with any NaN lane is redone
+ * through std::complex.
+ */
+NSBENCH_TGT inline __m256d
+complexMul2(__m256d x, __m256d w)
+{
+    __m256d p = _mm256_addsub_pd(
+        _mm256_mul_pd(x, _mm256_movedup_pd(w)),
+        _mm256_mul_pd(_mm256_permute_pd(x, 0x5),
+                      _mm256_permute_pd(w, 0xf)));
+    if (_mm256_movemask_pd(_mm256_cmp_pd(p, p, _CMP_UNORD_Q)) == 0)
+        [[likely]]
+        return p;
+    alignas(32) std::complex<double> xs[2], ws[2];
+    _mm256_store_pd(reinterpret_cast<double *>(xs), x);
+    _mm256_store_pd(reinterpret_cast<double *>(ws), w);
+    xs[0] *= ws[0];
+    xs[1] *= ws[1];
+    return _mm256_load_pd(reinterpret_cast<const double *>(xs));
+}
+
+NSBENCH_TGT void
+fftButterflies(std::complex<double> *values,
+               const std::complex<double> *twiddles, int64_t n)
+{
+    if (n < 4) {
+        scalar::fftButterflies(values, twiddles, n);
+        return;
+    }
+    // std::complex<double> arrays may be read as interleaved doubles
+    // (array-oriented access, [complex.numbers]).
+    auto *x = reinterpret_cast<double *>(values);
+    const auto *tw = reinterpret_cast<const double *>(twiddles);
+    // half = 1: blocks (x[i], x[i + 1]) and (x[i + 2], x[i + 3]) side
+    // by side, both multiplied by w_0 = (1, 0) as the scalar twin
+    // does (for a = -0 and b < 0, a * 1 - b * 0 is +0).
+    __m256d w0 = _mm256_broadcast_pd(reinterpret_cast<const __m128d *>(tw));
+    for (int64_t i = 0; i < 2 * n; i += 8) {
+        __m256d p = _mm256_loadu_pd(x + i);
+        __m256d q = _mm256_loadu_pd(x + i + 4);
+        __m256d u = _mm256_permute2f128_pd(p, q, 0x20);
+        __m256d v =
+            complexMul2(_mm256_permute2f128_pd(p, q, 0x31), w0);
+        __m256d sum = _mm256_add_pd(u, v);
+        __m256d diff = _mm256_sub_pd(u, v);
+        _mm256_storeu_pd(x + i, _mm256_permute2f128_pd(sum, diff, 0x20));
+        _mm256_storeu_pd(x + i + 4,
+                         _mm256_permute2f128_pd(sum, diff, 0x31));
+    }
+    tw += 2;
+    // half >= 2: two consecutive butterflies of a block per vector.
+    for (int64_t half = 2; half < n; tw += 2 * half, half <<= 1) {
+        for (int64_t i = 0; i < 2 * n; i += 4 * half) {
+            double *lo = x + i;
+            double *hi = lo + 2 * half;
+            for (int64_t k = 0; k < 2 * half; k += 4) {
+                __m256d u = _mm256_loadu_pd(lo + k);
+                __m256d v = complexMul2(_mm256_loadu_pd(hi + k),
+                                        _mm256_loadu_pd(tw + k));
+                _mm256_storeu_pd(lo + k, _mm256_add_pd(u, v));
+                _mm256_storeu_pd(hi + k, _mm256_sub_pd(u, v));
+            }
+        }
+    }
+}
+
+NSBENCH_TGT void
+complexMulInPlace(std::complex<double> *a, const std::complex<double> *b,
+                  int64_t n)
+{
+    auto *pa = reinterpret_cast<double *>(a);
+    const auto *pb = reinterpret_cast<const double *>(b);
+    int64_t i = 0;
+    for (; i + 2 <= n; i += 2)
+        _mm256_storeu_pd(pa + 2 * i,
+                         complexMul2(_mm256_loadu_pd(pa + 2 * i),
+                                     _mm256_loadu_pd(pb + 2 * i)));
+    scalar::complexMulInPlace(a, b, i, n);
+}
+
 NSBENCH_TGT inline __m256i
 splat(int32_t v)
 {
@@ -711,6 +828,28 @@ circularCorrRows(const double *a, const double *bb, float *out,
         return avx2::circularRows<1>(a, bb, out, i0, i1, d);
 #endif
     scalar::circularRows<1>(a, bb, out, i0, i1, d);
+}
+
+void
+fftButterflies(std::complex<double> *values,
+               const std::complex<double> *twiddles, int64_t n)
+{
+#if NSBENCH_HAVE_AVX2_KERNELS
+    if (useAvx2())
+        return avx2::fftButterflies(values, twiddles, n);
+#endif
+    scalar::fftButterflies(values, twiddles, n);
+}
+
+void
+complexMulInPlace(std::complex<double> *a, const std::complex<double> *b,
+                  int64_t n)
+{
+#if NSBENCH_HAVE_AVX2_KERNELS
+    if (useAvx2())
+        return avx2::complexMulInPlace(a, b, n);
+#endif
+    scalar::complexMulInPlace(a, b, 0, n);
 }
 
 void

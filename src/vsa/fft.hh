@@ -17,6 +17,10 @@ bool isPowerOfTwo(size_t n);
 
 /**
  * In-place iterative radix-2 FFT. The length must be a power of two.
+ * The bit-reversal swaps and the twiddles come from a plan built once
+ * per (length, direction) and shared by every thread; the butterflies
+ * run in util::simd::fftButterflies, which returns the same bits on
+ * both backends.
  * @param values Signal, replaced by its spectrum.
  * @param inverse Run the inverse transform (including 1/n scaling).
  */

@@ -183,17 +183,14 @@ fftCircularConvolve(const Tensor &a, const Tensor &b)
                   "fft_circular_conv: dimension must be a power of 2");
 
     ScopedOp op("fft_circular_conv", OpCategory::VectorElementwise);
-    std::vector<std::complex<double>> fa(d), fb(d);
     auto pa = a.data();
     auto pb = b.data();
-    for (size_t i = 0; i < d; i++) {
-        fa[i] = pa[i];
-        fb[i] = pb[i];
-    }
+    std::vector<std::complex<double>> fa(pa.begin(), pa.end());
+    std::vector<std::complex<double>> fb(pb.begin(), pb.end());
     fft(fa, false);
     fft(fb, false);
-    for (size_t i = 0; i < d; i++)
-        fa[i] *= fb[i];
+    util::simd::complexMulInPlace(fa.data(), fb.data(),
+                                  static_cast<int64_t>(d));
     fft(fa, true);
 
     Tensor out = Tensor::uninitialized({static_cast<int64_t>(d)});
@@ -245,10 +242,8 @@ convPower(const Tensor &base, int power)
 
     core::ScopedOp op("vsa_conv_power",
                       core::OpCategory::VectorElementwise);
-    std::vector<std::complex<double>> spectrum(d);
     auto pb = base.data();
-    for (size_t i = 0; i < d; i++)
-        spectrum[i] = pb[i];
+    std::vector<std::complex<double>> spectrum(pb.begin(), pb.end());
     fft(spectrum, false);
     for (auto &c : spectrum) {
         double mag = std::abs(c);

@@ -7,12 +7,16 @@
  * depends on: a non-zero exit code, a clear one-line message on
  * stderr, and no hang — validation happens before the server spins
  * up, so a bad flag can never leave worker threads behind.
+ *
+ * CliRun.* checks one positive surface of `run` that nothing else
+ * reads: the `setup:` header line.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <utility>
@@ -378,6 +382,50 @@ TEST(CliNegative, MalformedEnvSpecWarnsAndServesCleanly)
         runCli("serve --workloads LNN --duration 0.1 --clients 1",
                "NSBENCH_FAILPOINTS=nonsense");
     EXPECT_EQ(result.exitCode, 0) << result.output;
+}
+
+/** The lines of @p output that start with "setup:". */
+std::vector<std::string>
+setupLines(const std::string &output)
+{
+    std::vector<std::string> lines;
+    std::istringstream stream(output);
+    std::string line;
+    while (std::getline(stream, line))
+        if (line.rfind("setup:", 0) == 0)
+            lines.push_back(line);
+    return lines;
+}
+
+/** True when @p line is "setup:" and one util::humanSeconds value. */
+bool
+isDuration(const std::string &line)
+{
+    std::istringstream fields(line);
+    std::string key, unit;
+    double value = -1.0;
+    fields >> key >> value >> unit;
+    bool known_unit = unit == "ns" || unit == "us" || unit == "ms" ||
+                      unit == "s" || unit == "min";
+    return fields && key == "setup:" && value >= 0.0 && known_unit &&
+           (fields >> std::ws).eof();
+}
+
+TEST(CliRun, HeaderPrintsTheSetUpTimeOnce)
+{
+    // setUp runs before the profiler resets, so the cold build shows
+    // nowhere else in the report.
+    for (const char *args : {"run ZeroC --runs 1",
+                             "run ZeroC --runs 2 --pipeline"}) {
+        CliResult result = runCli(args);
+        ASSERT_EQ(result.exitCode, 0) << args << "\n" << result.output;
+        std::vector<std::string> lines = setupLines(result.output);
+        ASSERT_EQ(lines.size(), 1u) << args << "\n" << result.output;
+        EXPECT_TRUE(isDuration(lines[0])) << args << ": " << lines[0];
+    }
+    CliResult csv = runCli("run ZeroC --runs 1 --csv");
+    ASSERT_EQ(csv.exitCode, 0) << csv.output;
+    EXPECT_TRUE(setupLines(csv.output).empty()) << csv.output;
 }
 
 } // namespace

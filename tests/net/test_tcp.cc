@@ -16,6 +16,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "net/client.hh"
+#include "net/router.hh"
 #include "net/tcp_server.hh"
 #include "net/wire.hh"
 #include "serve/presets.hh"
@@ -503,6 +505,94 @@ TEST_F(NetTcp, NetCountersAccountForTraffic)
     EXPECT_GT(stats.bytesRead, 0u);
     EXPECT_GT(stats.bytesWritten, 0u);
     EXPECT_EQ(stats.malformedFrames, 0u);
+}
+
+/**
+ * Pins the calling thread, and every thread it starts while this
+ * lives, to the first CPU it may run on; restores its affinity on
+ * destruction. Pinning is best effort: if the kernel refuses, the
+ * threads run where they would have.
+ */
+class OneCpu
+{
+  public:
+    OneCpu()
+    {
+        if (::sched_getaffinity(0, sizeof(saved_), &saved_) != 0)
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+            if (CPU_ISSET(cpu, &saved_)) {
+                CPU_SET(cpu, &one);
+                break;
+            }
+        }
+        pinned_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+    }
+    ~OneCpu()
+    {
+        if (pinned_)
+            ::sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+    OneCpu(const OneCpu &) = delete;
+    OneCpu &operator=(const OneCpu &) = delete;
+
+  private:
+    cpu_set_t saved_{};
+    bool pinned_ = false;
+};
+
+TEST_F(NetTcp, BytesOutHoldsEveryFrameThePeerHasRead)
+{
+    // A burst of instant rejections through a router to one backend.
+    // Once the client has read every response, the router's and the
+    // backend's bytes_out must already hold each frame they sent:
+    // the HelloAck and the responses. On one CPU the reader that
+    // send() wakes usually runs before the sender returns from it,
+    // so a count taken after send() returned lags here in most
+    // repetitions instead of rarely.
+    OneCpu pin;
+    const uint64_t kRequests = 200;
+    std::vector<uint8_t> ack;
+    net::wire::encodeHelloAck(net::wire::HelloFrame{}, &ack);
+    for (int rep = 0; rep < 20; rep++) {
+        serve::Server server(serverOptions({"LNN"}));
+        net::TcpServer tcp(server);
+        net::RouterOptions options;
+        options.backends = {"127.0.0.1:" + std::to_string(tcp.port())};
+        options.hedging = false;
+        // Answers queued behind each other read as a slow backend to
+        // the latency trip; keep it from shedding part of the burst.
+        options.breaker.minSamples = ~0ull;
+        net::Router router(options);
+
+        int fd = rawDial(router.port());
+        rawHandshake(fd);
+        std::vector<uint8_t> burst;
+        for (uint64_t id = 1; id <= kRequests; id++) {
+            net::wire::RequestFrame request;
+            request.id = id;
+            request.workload = "NoSuchWorkload";
+            net::wire::encodeRequest(request, &burst);
+        }
+        rawSend(fd, burst);
+        net::wire::FrameReader reader;
+        net::wire::Frame frame;
+        std::vector<uint8_t> responses;
+        for (uint64_t n = 0; n < kRequests; n++) {
+            ASSERT_TRUE(rawNextFrame(fd, reader, &frame));
+            ASSERT_EQ(frame.type, net::wire::FrameType::Response);
+            net::wire::encodeResponse(frame.responseId, frame.response,
+                                      &responses);
+        }
+        uint64_t router_out = router.metrics().netStats().bytesWritten;
+        uint64_t backend_out = server.metrics().netStats().bytesWritten;
+        uint64_t want = ack.size() + responses.size();
+        EXPECT_EQ(router_out, want) << "repetition " << rep;
+        EXPECT_EQ(backend_out, want) << "repetition " << rep;
+        ::close(fd);
+    }
 }
 
 TEST_F(NetTcp, ShutdownDrainsThenRefusesNewWork)

@@ -4,7 +4,11 @@
  *
  * circular_conv / circular_corr, conv2d, nlm_expand and the
  * template_match IoU run many outputs at once but keep each output's
- * exact accumulation order. The loops they replaced stay here as
+ * exact accumulation order. The FFT runs two butterflies per vector
+ * with each butterfly's std::complex operations, from twiddles its
+ * plan built by the loop's own recurrence; fft_circular_conv,
+ * vsa_conv_power and unitaryVector are checked as compositions over
+ * the old loop. The loops they replaced stay here as
  * oracles, and every output is compared byte for byte (memcmp) under
  * the scalar backend and, on AVX2 hosts, the AVX2 backend, each at pool
  * widths 1, 4 and 13.
@@ -25,10 +29,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +44,7 @@
 #include "util/rng.hh"
 #include "util/simd.hh"
 #include "util/threadpool.hh"
+#include "vsa/fft.hh"
 #include "vsa/ops.hh"
 #include "workloads/nlm.hh"
 #include "workloads/perception.hh"
@@ -268,6 +275,112 @@ pixelIoUOracle(const Tensor &image, int64_t cell_row, int64_t cell_col,
                    : 0.0f;
 }
 
+using Spectrum = std::vector<std::complex<double>>;
+
+/** The radix-2 FFT as it ran before its plan: bit reversal, then each
+ * block's twiddles by recurrence, w *= wlen after every butterfly. */
+void
+fftOracle(Spectrum &values, bool inverse)
+{
+    size_t n = values.size();
+    if (n == 1)
+        return;
+    for (size_t i = 1, j = 0; i < n; i++) {
+        size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            std::swap(values[i], values[j]);
+    }
+    for (size_t len = 2; len <= n; len <<= 1) {
+        double angle = 2.0 * std::numbers::pi /
+                       static_cast<double>(len) * (inverse ? 1.0 : -1.0);
+        std::complex<double> wlen(std::cos(angle), std::sin(angle));
+        for (size_t i = 0; i < n; i += len) {
+            std::complex<double> w(1.0, 0.0);
+            for (size_t k = 0; k < len / 2; k++) {
+                std::complex<double> u = values[i + k];
+                std::complex<double> v = values[i + k + len / 2] * w;
+                values[i + k] = u + v;
+                values[i + k + len / 2] = u - v;
+                w *= wlen;
+            }
+        }
+    }
+    if (inverse) {
+        for (auto &v : values)
+            v /= static_cast<double>(n);
+    }
+}
+
+/** The real parts of @p spectrum, rounded to float. */
+Tensor
+realParts(const Spectrum &spectrum)
+{
+    Tensor out({static_cast<int64_t>(spectrum.size())});
+    for (size_t i = 0; i < spectrum.size(); i++)
+        out.flat(static_cast<int64_t>(i)) =
+            static_cast<float>(spectrum[i].real());
+    return out;
+}
+
+Spectrum
+widened(const Tensor &t)
+{
+    auto p = t.data();
+    return Spectrum(p.begin(), p.end());
+}
+
+/** vsa::fftCircularConvolve over the oracle FFT. */
+Tensor
+fftCircularConvolveOracle(const Tensor &a, const Tensor &b)
+{
+    Spectrum fa = widened(a);
+    Spectrum fb = widened(b);
+    fftOracle(fa, false);
+    fftOracle(fb, false);
+    for (size_t i = 0; i < fa.size(); i++)
+        fa[i] *= fb[i];
+    fftOracle(fa, true);
+    return realParts(fa);
+}
+
+/** vsa::unitaryVector over the oracle FFT. */
+Tensor
+unitaryVectorOracle(int64_t dim, Rng &rng)
+{
+    auto d = static_cast<size_t>(dim);
+    Spectrum spectrum(d);
+    spectrum[0] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    spectrum[d / 2] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    for (size_t i = 1; i < d / 2; i++) {
+        double theta = rng.uniformDouble(0.0, 2.0 * 3.14159265358979);
+        spectrum[i] = {std::cos(theta), std::sin(theta)};
+        spectrum[d - i] = std::conj(spectrum[i]);
+    }
+    fftOracle(spectrum, true);
+    return realParts(spectrum);
+}
+
+/** vsa::convPower over the oracle FFT. */
+Tensor
+convPowerOracle(const Tensor &base, int power)
+{
+    Spectrum spectrum = widened(base);
+    fftOracle(spectrum, false);
+    for (auto &c : spectrum) {
+        double mag = std::abs(c);
+        double phase = std::arg(c);
+        double new_mag = std::pow(mag, power);
+        double new_phase = phase * power;
+        c = {new_mag * std::cos(new_phase),
+             new_mag * std::sin(new_phase)};
+    }
+    fftOracle(spectrum, true);
+    return realParts(spectrum);
+}
+
 // ---------------------------------------------------------------------
 // circular_conv / circular_corr
 // ---------------------------------------------------------------------
@@ -297,6 +410,128 @@ TEST_F(ExactSimdEquivalence, CircularConvolutionMatchesSchoolbook)
             if (HasFailure())
                 return;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// FFT: the plan and its butterfly twins
+// ---------------------------------------------------------------------
+
+/**
+ * One class of FFT input: about half of the real and imaginary parts
+ * of a random finite signal are replaced by the class's values, or,
+ * for a class marked @c negativeZeroReal, every value is -0 + bi with
+ * b < 0. A class carries at most one NaN bit pattern: where two
+ * different NaNs meet in one add or multiply, IEEE 754 leaves open
+ * which survives and the compiler may commute the operands, so neither
+ * the loop nor the twins fix those bits.
+ */
+struct FftInputClass
+{
+    std::string name;
+    std::vector<double> values;
+    bool negativeZeroReal = false;
+};
+
+const double kInf = std::numeric_limits<double>::infinity();
+
+const std::vector<FftInputClass> kFftClasses = {
+    {"finite", {}},
+    {"signed zeros", {0.0, -0.0}},
+    // The first stage's product by w_0 = (1, 0) turns -0 + bi, b < 0,
+    // into +0 + bi; a stage that skipped it would keep the -0.
+    {"-0 + bi, b < 0", {}, true},
+    {"subnormals", {0x1p-1074, -0x1p-1074, 0x1.8p-1030, -0x1.fffp-1023}},
+    {"infinities", {kInf, -kInf}},
+    {"NaN", {std::numeric_limits<double>::quiet_NaN()}},
+};
+
+Spectrum
+fftInput(size_t n, const FftInputClass &cls, Rng &rng)
+{
+    Spectrum x(n);
+    for (size_t i = 0; i < n; i++) {
+        double part[2];
+        for (double &p : part) {
+            p = rng.uniformDouble(-10.0, 10.0);
+            if (!cls.values.empty() && rng.bernoulli(0.5))
+                p = cls.values[static_cast<size_t>(rng.uniformInt(
+                    0, static_cast<int64_t>(cls.values.size()) - 1))];
+        }
+        x[i] = cls.negativeZeroReal
+                   ? std::complex<double>(-0.0, -std::abs(part[1]) - 1.0)
+                   : std::complex<double>(part[0], part[1]);
+    }
+    return x;
+}
+
+/** Index of the first complex value whose bytes differ, or -1. */
+int64_t
+firstMismatch(const Spectrum &got, const Spectrum &want)
+{
+    for (size_t i = 0; i < want.size(); i++) {
+        if (std::memcmp(&got[i], &want[i], sizeof(want[i])) != 0)
+            return static_cast<int64_t>(i);
+    }
+    return -1;
+}
+
+TEST_F(ExactSimdEquivalence, FftMatchesPerBlockLoop)
+{
+    Rng rng(2718);
+    for (const FftInputClass &cls : kFftClasses) {
+        for (size_t n = 1; n <= 4096; n *= 2) {
+            for (bool inverse : {false, true}) {
+                Spectrum input = fftInput(n, cls, rng);
+                Spectrum want = input;
+                fftOracle(want, inverse);
+                for (simd::Backend backend : backends()) {
+                    simd::setBackend(backend);
+                    Spectrum got = input;
+                    vsa::fft(got, inverse);
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                          n * sizeof(want[0])),
+                              0)
+                        << cls.name << ", n " << n
+                        << (inverse ? " inverse, " : " forward, ")
+                        << simd::backendName(backend)
+                        << " backend: first mismatch at "
+                        << firstMismatch(got, want);
+                }
+            }
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, FftOpsMatchCompositionsOverTheLoop)
+{
+    for (int64_t d = 1; d <= 4096; d *= 2) {
+        Rng rng(static_cast<uint64_t>(3000 + d));
+        Tensor a = Tensor::randn({d}, rng);
+        Tensor b = Tensor::randn({d}, rng);
+        std::string at = "d " + std::to_string(d);
+        expectSameBytes(fftCircularConvolveOracle(a, b),
+                        [&] { return vsa::fftCircularConvolve(a, b); },
+                        "fft_circular_conv " + at);
+
+        auto seed = static_cast<uint64_t>(4000 + d);
+        Rng oracle_rng(seed);
+        Tensor base = unitaryVectorOracle(d, oracle_rng);
+        expectSameBytes(base,
+                        [&] {
+                            Rng op_rng(seed);
+                            return vsa::unitaryVector(d, op_rng);
+                        },
+                        "unitaryVector " + at);
+        for (const Tensor *v : {&base, &a}) {
+            for (int power : {-3, 0, 1, 2, 7})
+                expectSameBytes(
+                    convPowerOracle(*v, power),
+                    [&] { return vsa::convPower(*v, power); },
+                    "convPower " + std::to_string(power) + " " + at);
+        }
+        if (HasFailure())
+            return;
     }
 }
 

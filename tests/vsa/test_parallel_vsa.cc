@@ -6,13 +6,22 @@
  * parallelized over dimension or entry slices with a fixed traversal
  * order per output element, so every result must be bit-identical to
  * the width-1 run at any pool width.
+ *
+ * The FFT's plans are the one piece of shared mutable state on these
+ * paths: built on first use, then read by every thread. Threads that
+ * race to build them must get the bytes a single thread gets.
  */
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <cstring>
 #include <functional>
+#include <thread>
 #include <vector>
 
+#include "cache/config.hh"
+#include "serve/presets.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
 #include "util/threadpool.hh"
@@ -145,6 +154,78 @@ TEST_F(VsaParallelEquivalence, ResonatorFactorization)
             << "width " << width;
         EXPECT_EQ(got.converged, expect.converged)
             << "width " << width;
+    }
+}
+
+/** Every FFT op at lengths nothing else in this test has used. */
+std::vector<Tensor>
+fftOpOutputs()
+{
+    std::vector<Tensor> out;
+    for (int64_t d : {32, 64, 128, 4096, 8192}) {
+        Rng rng(static_cast<uint64_t>(d));
+        Tensor a = Tensor::randn({d}, rng);
+        Tensor b = Tensor::randn({d}, rng);
+        out.push_back(vsa::fftCircularConvolve(a, b));
+        Tensor base = vsa::unitaryVector(d, rng);
+        out.push_back(base);
+        for (int power : {-3, 2, 7})
+            out.push_back(vsa::convPower(base, power));
+    }
+    return out;
+}
+
+/** Scores of serve-preset NVSA (hvDim 256) over three puzzles. */
+std::vector<double>
+servePresetNvsaScores()
+{
+    auto nvsa = serve::serveFactory("NVSA");
+    nvsa->setUp(7);
+    std::vector<double> scores;
+    for (uint64_t seed = 1; seed <= 3; seed++) {
+        nvsa->reseedEpisodes(seed);
+        scores.push_back(nvsa->run());
+    }
+    return scores;
+}
+
+TEST_F(VsaParallelEquivalence, ConcurrentFftPlanBuildsMatchOneThread)
+{
+    // Four threads start together, so they race to build each plan;
+    // the single-thread reference runs after them.
+    cache::setEnabled(false);
+    constexpr int kThreads = 4;
+    std::barrier start(kThreads);
+    std::vector<std::vector<Tensor>> outputs(kThreads);
+    std::vector<std::vector<double>> scores(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++)
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            outputs[t] = fftOpOutputs();
+            scores[t] = servePresetNvsaScores();
+        });
+    for (auto &thread : threads)
+        thread.join();
+
+    std::vector<Tensor> want = fftOpOutputs();
+    std::vector<double> want_scores = servePresetNvsaScores();
+    cache::resetEnabled();
+    for (int t = 0; t < kThreads; t++) {
+        ASSERT_EQ(outputs[t].size(), want.size());
+        for (size_t i = 0; i < want.size(); i++) {
+            ASSERT_EQ(outputs[t][i].shape(), want[i].shape());
+            EXPECT_EQ(std::memcmp(outputs[t][i].data().data(),
+                                  want[i].data().data(),
+                                  want[i].data().size_bytes()),
+                      0)
+                << "thread " << t << " output " << i;
+        }
+        ASSERT_EQ(scores[t].size(), want_scores.size());
+        EXPECT_EQ(std::memcmp(scores[t].data(), want_scores.data(),
+                              want_scores.size() * sizeof(double)),
+                  0)
+            << "thread " << t;
     }
 }
 

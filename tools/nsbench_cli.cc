@@ -282,7 +282,7 @@ cmdDevices()
  */
 int
 runPipelinedReport(core::Workload &workload, uint64_t seed, int runs,
-                   int depth, bool csv)
+                   int depth, bool csv, double setup_s)
 {
     // A single run is not a pipeline; default to a short episode
     // train when --runs was left at 1.
@@ -328,7 +328,9 @@ runPipelinedReport(core::Workload &workload, uint64_t seed, int runs,
                   << ")\nepisodes:  " << episodes << " (seeds "
                   << seed << ".." << seed + episodes - 1
                   << ")\nstages:    " << workload.stageCount()
-                  << "  queue depth " << depth << "\n\n";
+                  << "  queue depth " << depth
+                  << "\nsetup:     " << util::humanSeconds(setup_s)
+                  << "\n\n";
     }
     printTable(table, csv);
     std::cout << "\nserial:    " << util::humanSeconds(serial_wall)
@@ -439,11 +441,13 @@ cmdRun(int argc, char **argv)
     }
 
     auto workload = registry.create(name);
+    util::WallTimer setup_timer;
     workload->setUp(seed);
+    double setup_s = setup_timer.elapsed();
 
     if (pipeline_depth > 0)
         return runPipelinedReport(*workload, seed, runs,
-                                  pipeline_depth, csv);
+                                  pipeline_depth, csv, setup_s);
 
     auto &prof = core::globalProfiler();
     prof.reset();
@@ -471,7 +475,9 @@ cmdRun(int argc, char **argv)
                   << "\nthreads:  " << util::ThreadPool::globalThreads()
                   << "\nsimd:     " << util::simd::activeBackendName()
                   << "\ncache:    "
-                  << (cache::enabled() ? "on" : "off") << "\n\n";
+                  << (cache::enabled() ? "on" : "off")
+                  << "\nsetup:    " << util::humanSeconds(setup_s)
+                  << "\n\n";
     }
 
     printTable(core::phaseBreakdownTable(prof), csv);
