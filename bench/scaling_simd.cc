@@ -120,6 +120,14 @@ main(int argc, char **argv)
     Tensor conv_x = Tensor::randn({1, 8, 48, 48}, rng);
     Tensor conv_w = Tensor::randn({16, 8, 3, 3}, rng);
     Tensor conv_bias = Tensor::randn({16}, rng);
+    // The workload layers: PrAE's second (a batch of 16 panels),
+    // VSAIT's widest, and ZeroC's largest energy map (unpadded).
+    Tensor prae_x = Tensor::randn({16, 8, 24, 24}, rng);
+    Tensor prae_w = Tensor::randn({16, 8, 3, 3}, rng);
+    Tensor vsait_x = Tensor::randn({1, 16, 32, 32}, rng);
+    Tensor vsait_w = Tensor::randn({16, 16, 3, 3}, rng);
+    Tensor zeroc_x = Tensor::randn({1, 1, 32, 32}, rng);
+    Tensor zeroc_w = Tensor::randn({1, 1, 10, 10}, rng);
     Tensor tr_x = tensor::mulScalar(Tensor::randn({4096}, rng), 2.0f);
 
     std::vector<Kernel> kernels = {
@@ -164,6 +172,24 @@ main(int argc, char **argv)
          [&] {
              return orderedSum(
                  tensor::conv2d(conv_x, conv_w, conv_bias, 1, 1));
+         },
+         true},
+        {"conv2d_prae_24x24_8to16_n16",
+         [&] {
+             return orderedSum(
+                 tensor::conv2d(prae_x, prae_w, conv_bias, 1, 1));
+         },
+         true},
+        {"conv2d_vsait_32x32_16to16",
+         [&] {
+             return orderedSum(
+                 tensor::conv2d(vsait_x, vsait_w, conv_bias, 1, 1));
+         },
+         true},
+        {"conv2d_zeroc_32x32_k10",
+         [&] {
+             return orderedSum(
+                 tensor::conv2d(zeroc_x, zeroc_w, Tensor(), 1, 0));
          },
          true},
         {"tanh_4096", [&] { return orderedSum(tensor::tanhOp(tr_x)); },

@@ -44,21 +44,25 @@ conv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
     const util::simd::ConvGeometry geom{
         c, h, w, kh, kw, stride, padding, oh, ow};
 
-    // Parallel over (batch, output-channel) planes: each lane writes
+    // Parallel over (batch, output-channel block): each lane writes
     // disjoint output planes, and every output's arithmetic is the
     // same at any thread count and on either backend.
-    double plane_macs = static_cast<double>(oh * ow) *
+    const int64_t block = util::simd::kConvPlaneBlock;
+    int64_t blocks = (o + block - 1) / block;
+    double block_macs = static_cast<double>(block * oh * ow) *
                         static_cast<double>(c * kh * kw);
+    const float *bias_data = has_bias ? bias.data().data() : nullptr;
     util::parallelFor(
-        0, n * o, util::grainFor(2.0 * plane_macs),
+        0, n * blocks, util::grainFor(2.0 * block_macs),
         [&](int64_t p0, int64_t p1) {
             for (int64_t p = p0; p < p1; p++) {
-                int64_t b = p / o;
-                int64_t oc = p % o;
-                util::simd::conv2dPlane(
+                int64_t b = p / blocks;
+                int64_t oc = p % blocks * block;
+                util::simd::conv2dPlanes(
                     src + b * c * h * w, wt + oc * c * kh * kw,
-                    has_bias ? bias.flat(oc) : 0.0f,
-                    dst + p * oh * ow, geom);
+                    bias_data ? bias_data + oc : nullptr,
+                    dst + (b * o + oc) * oh * ow,
+                    std::min(block, o - oc), geom);
             }
         });
 

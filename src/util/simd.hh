@@ -29,7 +29,7 @@
  * reassociate or fuse (reductions, FMA accumulation) agree within
  * 1e-5 relative tolerance, which the equivalence suite enforces.
  *
- * The order-preserving kernels (conv2dPlane, circularConvRows,
+ * The order-preserving kernels (conv2dPlanes, circularConvRows,
  * circularCorrRows, fftButterflies, complexMulInPlace; simd_exact.cc)
  * are exact across backends as well:
  * the AVX2 version puts independent outputs in different lanes and
@@ -192,16 +192,23 @@ struct ConvGeometry
 };
 
 /**
- * One output plane of a 2-D convolution. @p in is one image
- * [channels, height, width], @p weight one filter [channels, kernelH,
- * kernelW] and @p out the [outH, outW] plane. Each output starts at
- * @p bias and adds in * weight one float product at a time over
- * (channel, ky, kx) in increasing order, skipping the taps that fall
- * in the padding. The AVX2 version vectorizes stride-1 interior
- * columns 8 to a vector and keeps borders and stride > 1 scalar.
+ * @p planes consecutive output planes of a 2-D convolution. @p in is
+ * one image [channels, height, width], @p weight the planes' filters
+ * [planes, channels, kernelH, kernelW], @p bias their @p planes biases
+ * (nullptr: all 0) and @p out the [planes, outH, outW] outputs. Each
+ * output starts at its bias and adds in * weight one float product at
+ * a time over (channel, ky, kx) in increasing order, skipping the taps
+ * that fall in the padding. The AVX2 version runs stride 1 on blocks
+ * of up to kConvPlaneBlock planes that share each input load, 8
+ * columns to a vector, borders included: a tap with lanes outside the
+ * input row loads and adds only the lanes inside. Stride > 1 stays
+ * scalar.
  */
-void conv2dPlane(const float *in, const float *weight, float bias,
-                 float *out, const ConvGeometry &g);
+void conv2dPlanes(const float *in, const float *weight, const float *bias,
+                  float *out, int64_t planes, const ConvGeometry &g);
+
+/** Planes per block of the AVX2 conv2dPlanes: callers split by it. */
+constexpr int64_t kConvPlaneBlock = 4;
 
 /**
  * Circular convolution outputs i in [i0, i1): out[i] is the double

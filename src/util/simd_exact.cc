@@ -124,10 +124,7 @@ namespace scalar
 
 /**
  * Output (oy, ox) of a convolution plane: the bias, then each tap that
- * lands inside the input, in (channel, ky, kx) order. Always inlined,
- * so the AVX2 kernel's border pixels are VEX-encoded too: a call into
- * legacy-SSE code with dirty upper YMM halves stalls on every
- * instruction on many x86 cores.
+ * lands inside the input, in (channel, ky, kx) order.
  */
 [[gnu::always_inline]] inline float
 convPixel(const float *in, const float *weight, float bias,
@@ -164,10 +161,23 @@ conv2dPlane(const float *in, const float *weight, float bias,
     }
 }
 
+void
+conv2dPlanes(const float *in, const float *weight, const float *bias,
+             float *out, int64_t planes, const ConvGeometry &g)
+{
+    const int64_t filter = g.channels * g.kernelH * g.kernelW;
+    const int64_t plane = g.outH * g.outW;
+    for (int64_t p = 0; p < planes; p++)
+        conv2dPlane(in, weight + p * filter, bias ? bias[p] : 0.0f,
+                    out + p * plane, g);
+}
+
 /**
  * Circular convolution (Step = -1, operand bb[d + i - j]) or
  * correlation (Step = +1, operand bb[i + j]) outputs [i0, i1). Always
- * inlined, as convPixel, for the AVX2 kernel's tail.
+ * inlined, so the AVX2 kernel's tail is VEX-encoded too: a call into
+ * legacy-SSE code with dirty upper YMM halves stalls on every
+ * instruction on many x86 cores.
  */
 template <int Step>
 [[gnu::always_inline]] inline void
@@ -360,92 +370,366 @@ namespace avx2
 {
 
 /**
- * Stride-1 output columns [ox, ox + 8N) of one row, every kx tap of
- * which lies inside the input row: lane l of vector n is output
- * ox + 8n + l, and each lane adds its taps in the scalar order.
+ * acc + x * w: a multiply, then an add with the running sum as its
+ * first source, each rounded, as the scalar twin's `acc += x * w`.
+ * Where both operands of an add are NaN, x86 returns the first
+ * source's NaN, as the scalar twin's add does; GCC may commute the
+ * operands of _mm256_add_ps, so the instructions are written out
+ * (which also keeps the scheduler from hoisting every product of a tap
+ * ahead of its adds).
  */
-template <int N>
-NSBENCH_TGT inline void
-convColumns(const float *in, const float *weight, float bias,
-            float *orow, const ConvGeometry &g, int64_t iy0,
-            int64_t ky0, int64_t ky1, int64_t ox)
+[[gnu::always_inline]] NSBENCH_TGT inline __m256
+mulAdd(__m256 acc, __m256 x, __m256 w)
 {
-    __m256 acc[N];
-#pragma GCC unroll 4
-    for (int n = 0; n < N; n++)
-        acc[n] = _mm256_set1_ps(bias);
-    int64_t ix0 = ox - g.padding;
-    for (int64_t ic = 0; ic < g.channels; ic++) {
-        for (int64_t ky = ky0; ky < ky1; ky++) {
-            const float *irow =
-                in + (ic * g.height + iy0 + ky) * g.width + ix0;
-            const float *wrow =
-                weight + (ic * g.kernelH + ky) * g.kernelW;
-            for (int64_t kx = 0; kx < g.kernelW; kx++) {
-                __m256 wv = _mm256_set1_ps(wrow[kx]);
-#pragma GCC unroll 4
-                for (int n = 0; n < N; n++)
-                    acc[n] = _mm256_add_ps(
-                        acc[n],
-                        _mm256_mul_ps(
-                            _mm256_loadu_ps(irow + kx + 8 * n), wv));
+    __m256 product;
+    asm("vmulps %[x], %[w], %[product]\n\t"
+        "vaddps %[product], %[acc], %[acc]"
+        : [acc] "+x"(acc), [product] "=&x"(product)
+        : [x] "x"(x), [w] "x"(w));
+    return acc;
+}
+
+/** mulAdd with x the 8 floats at @p p, which the multiply reads from
+ * memory: for an input that no other sum of the tap uses. */
+[[gnu::always_inline]] NSBENCH_TGT inline __m256
+mulAddAt(__m256 acc, const float *p, __m256 w)
+{
+    __m256 product;
+    asm("vmulps %[x], %[w], %[product]\n\t"
+        "vaddps %[product], %[acc], %[acc]"
+        : [acc] "+x"(acc), [product] "=&x"(product)
+        : [x] "m"(*reinterpret_cast<const __m256_u *>(p)), [w] "x"(w));
+    return acc;
+}
+
+/**
+ * The lanes of a vector that a tap with lanes outside the input row
+ * reads inside it: @c inside is all ones in those lanes, and @c
+ * outside is -0 in the others.
+ */
+struct EdgeMask
+{
+    __m256i inside;
+    __m256 outside;
+};
+
+/** Lanes l whose column @p col + l lies in [0, @p width), as a mask. */
+[[gnu::always_inline]] NSBENCH_TGT inline __m256i
+columnsInside(int64_t col, int64_t width)
+{
+    __m256i lane = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(col)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    return _mm256_and_si256(
+        _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(-1)),
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int32_t>(width)), lane));
+}
+
+/** The EdgeMask of lanes reading columns @p col + l. */
+[[gnu::always_inline]] NSBENCH_TGT inline EdgeMask
+edgeMask(int64_t col, int64_t width)
+{
+    __m256i inside = columnsInside(col, width);
+    return {inside, _mm256_andnot_ps(_mm256_castsi256_ps(inside),
+                                     _mm256_set1_ps(-0.0f))};
+}
+
+/**
+ * mulAdd in the lanes inside @p m; the lanes outside add -0 instead.
+ * x + -0 is x, bit for bit, for every float but a signalling NaN,
+ * which it quiets. A sum is one only while it is still a signalling-NaN
+ * bias, which the first tap that reaches it quiets too; an output that
+ * no tap reaches is its bias, which convPlanes stores afresh. So the
+ * outside lanes keep their sums. Never 0 * w: -0 + 0 is +0, and
+ * 0 * inf is NaN.
+ */
+[[gnu::always_inline]] NSBENCH_TGT inline __m256
+maskedMulAdd(__m256 acc, __m256 x, __m256 w, const EdgeMask &m)
+{
+    __m256 product;
+    asm("vmulps %[x], %[w], %[product]\n\t"
+        "vandps %[inside], %[product], %[product]\n\t"
+        "vorps %[outside], %[product], %[product]\n\t"
+        "vaddps %[product], %[acc], %[acc]"
+        : [acc] "+x"(acc), [product] "=&x"(product)
+        : [x] "x"(x), [w] "x"(w), [inside] "x"(m.inside),
+          [outside] "x"(m.outside));
+    return acc;
+}
+
+/**
+ * One kx tap of a tile: acc[c][r][v] += x[r * width + 8 * v + l] *
+ * w[c * filter] in lane l. Masked, vector v loads and adds only the
+ * lanes inside m[v]; unmasked, @p m is not read.
+ */
+template <int C, int R, int V, bool Masked>
+[[gnu::always_inline]] NSBENCH_TGT inline void
+convTap(__m256 (&acc)[C][R][V], const float *x, const float *w,
+        int64_t width, int64_t filter, const EdgeMask *m)
+{
+    __m256 wv[C];
+#pragma GCC unroll 8
+    for (int c = 0; c < C; c++)
+        wv[c] = _mm256_broadcast_ss(w + c * filter);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; r++) {
+#pragma GCC unroll 8
+        for (int v = 0; v < V; v++) {
+            const float *p = x + r * width + 8 * v;
+            if constexpr (Masked) {
+                __m256 xv = _mm256_maskload_ps(p, m[v].inside);
+#pragma GCC unroll 8
+                for (int c = 0; c < C; c++)
+                    acc[c][r][v] = maskedMulAdd(acc[c][r][v], xv, wv[c], m[v]);
+            } else if constexpr (C == 1) {
+                acc[0][r][v] = mulAddAt(acc[0][r][v], p, wv[0]);
+            } else {
+                __m256 xv = _mm256_loadu_ps(p);
+#pragma GCC unroll 8
+                for (int c = 0; c < C; c++)
+                    acc[c][r][v] = mulAdd(acc[c][r][v], xv, wv[c]);
             }
         }
     }
-#pragma GCC unroll 4
-    for (int n = 0; n < N; n++)
-        _mm256_storeu_ps(orow + ox + 8 * n, acc[n]);
+}
+
+/**
+ * The kx taps of an edge vector, whose lane l reads column col + kx + l
+ * for tap kx: [ka, kl) have lanes outside the input row, left of it
+ * among them; [kl, kh) have none; [kh, kb) have lanes right of it; the
+ * others have no lane inside and are skipped. A tap with lanes left of
+ * the row has col + kx in [-7, 0), one with lanes right of it col + kx
+ * in (width - 8, width), so each masked run holds at most 7 taps, and
+ * left[kx - ka] and right[kx - kh] are their masks.
+ */
+struct EdgeTaps
+{
+    int64_t ka, kl, kh, kb;
+    EdgeMask left[7], right[7];
+};
+
+/**
+ * The taps of a tile in (ic, ky, kx) order: @p rows kernel rows of
+ * each input channel, from @p x and @p w on. With @p edge (one vector
+ * a row), its masked taps load and add only the lanes inside the row;
+ * without, every tap has all its lanes inside.
+ */
+template <int C, int R, int V, bool Edges>
+[[gnu::always_inline]] NSBENCH_TGT inline void
+convTaps(__m256 (&acc)[C][R][V], const float *x, const float *w,
+         const ConvGeometry &g, int64_t rows, const EdgeTaps *edge)
+{
+    const int64_t filter = g.channels * g.kernelH * g.kernelW;
+    const int64_t skip = (g.height - rows) * g.width;
+    const int64_t wskip = (g.kernelH - rows) * g.kernelW;
+    const int64_t ka = Edges ? edge->ka : 0;
+    const int64_t kh = Edges ? edge->kh : g.kernelW;
+    for (int64_t ic = 0; ic < g.channels; ic++) {
+        for (int64_t row = 0; row < rows; row++) {
+            int64_t kx = ka;
+            if constexpr (Edges) {
+                for (; kx < edge->kl; kx++)
+                    convTap<C, R, V, true>(acc, x + kx, w + kx, g.width,
+                                           filter, edge->left + (kx - ka));
+            }
+            for (; kx < kh; kx++)
+                convTap<C, R, V, false>(acc, x + kx, w + kx, g.width,
+                                        filter, nullptr);
+            if constexpr (Edges) {
+                for (; kx < edge->kb; kx++)
+                    convTap<C, R, V, true>(acc, x + kx, w + kx, g.width,
+                                           filter, edge->right + (kx - kh));
+            }
+            x += g.width;
+            w += g.kernelW;
+        }
+        x += skip;
+        w += wskip;
+    }
+}
+
+/** Start of a row's vector @p i: 8i, but a last partial vector
+ * overlaps the one before it and recomputes identical values, and a
+ * plane narrower than a vector stores its live lanes only. */
+inline int64_t
+vectorStart(const ConvGeometry &g, int64_t i)
+{
+    return std::min(8 * i, std::max<int64_t>(0, g.outW - 8));
+}
+
+/**
+ * Stride-1 outputs of C consecutive planes, rows [oy, oy + R), row
+ * vectors [first, last), in tiles of V vectors (the rest in smaller
+ * tiles): one vector per plane, row and start, each lane one output
+ * that adds its taps in the scalar order. Every row takes the ky taps
+ * of the first (callers pass R > 1 only for rows that take them all).
+ * Without Edges every tap of every vector lies inside the input row;
+ * with (one vector a tile), a tap with some lanes outside loads and
+ * adds the lanes inside only, and one with none is skipped. Lanes past
+ * the plane's width are computed, never stored.
+ */
+template <int C, int R, int V, bool Edges>
+NSBENCH_TGT void
+convRun(const float *in, const float *weight, const float *bias,
+        float *out, const ConvGeometry &g, int64_t oy, int64_t first,
+        int64_t last)
+{
+    static_assert(!Edges || V == 1, "an edge tile is one vector wide");
+    const int64_t iy0 = oy - g.padding;
+    const int64_t ky0 = std::max<int64_t>(0, -iy0);
+    const int64_t rows = std::min(g.kernelH, g.height - iy0) - ky0;
+    const float *x = in + (iy0 + ky0) * g.width - g.padding;
+    const float *w = weight + ky0 * g.kernelW;
+    const int64_t plane = g.outH * g.outW;
+    for (; first + V <= last; first += V) {
+        // Vector v of the tile starts at ox + 8v: a wider tile stops
+        // short of a last vector that overlaps the one before it.
+        const int64_t ox = vectorStart(g, first);
+        if (V > 1 && vectorStart(g, first + V - 1) != ox + 8 * (V - 1))
+            break;
+        __m256 acc[C][R][V];
+#pragma GCC unroll 8
+        for (int c = 0; c < C; c++) {
+            __m256 b = _mm256_set1_ps(bias ? bias[c] : 0.0f);
+#pragma GCC unroll 8
+            for (int r = 0; r < R; r++) {
+#pragma GCC unroll 8
+                for (int v = 0; v < V; v++)
+                    acc[c][r][v] = b;
+            }
+        }
+        if constexpr (Edges) {
+            const int64_t col = ox - g.padding;
+            EdgeTaps e;
+            e.ka = std::clamp<int64_t>(-col - 7, 0, g.kernelW);
+            e.kb = std::clamp<int64_t>(g.width - col, 0, g.kernelW);
+            e.kl = std::clamp<int64_t>(-col, e.ka, e.kb);
+            e.kh = std::clamp<int64_t>(g.width - 7 - col, e.kl, e.kb);
+            for (int64_t kx = e.ka; kx < e.kl; kx++)
+                e.left[kx - e.ka] = edgeMask(col + kx, g.width);
+            for (int64_t kx = e.kh; kx < e.kb; kx++)
+                e.right[kx - e.kh] = edgeMask(col + kx, g.width);
+            convTaps<C, R, V, true>(acc, x + ox, w, g, rows, &e);
+        } else {
+            convTaps<C, R, V, false>(acc, x + ox, w, g, rows, nullptr);
+        }
+#pragma GCC unroll 8
+        for (int v = 0; v < V; v++) {
+            float *o = out + oy * g.outW + ox + 8 * v;
+            __m256i live = columnsInside(ox, g.outW);
+#pragma GCC unroll 8
+            for (int c = 0; c < C; c++) {
+#pragma GCC unroll 8
+                for (int r = 0; r < R; r++) {
+                    float *p = o + c * plane + r * g.outW;
+                    if (!Edges || ox + 8 <= g.outW)
+                        _mm256_storeu_ps(p, acc[c][r][v]);
+                    else
+                        _mm256_maskstore_ps(p, live, acc[c][r][v]);
+                }
+            }
+        }
+    }
+    if constexpr (V > 1) {
+        if (first < last)
+            convRun<C, R, V - 1, Edges>(in, weight, bias, out, g, oy, first,
+                                        last);
+    }
+}
+
+/** Rows [oy, oy + R) of C planes: the vectors whose taps all lie
+ * inside the input row in tiles of V, the others one at a time. */
+template <int C, int R, int V>
+NSBENCH_TGT void
+convRows(const float *in, const float *weight, const float *bias,
+         float *out, const ConvGeometry &g, int64_t oy)
+{
+    const int64_t count = (g.outW + 7) / 8;
+    int64_t first = 0;
+    while (first < count && vectorStart(g, first) < g.padding)
+        first++;
+    int64_t last = count;
+    while (last > first && vectorStart(g, last - 1) + 7 + g.kernelW -
+                                   1 - g.padding >=
+                               g.width)
+        last--;
+    convRun<C, R, 1, true>(in, weight, bias, out, g, oy, 0, first);
+    convRun<C, R, V, false>(in, weight, bias, out, g, oy, first, last);
+    convRun<C, R, 1, true>(in, weight, bias, out, g, oy, last, count);
+}
+
+/**
+ * C consecutive output planes in tiles of R rows by V vectors: C * R *
+ * V sums in flight per tap, enough to cover the add's latency. Rows
+ * that lose ky taps to the padding run one at a time.
+ */
+template <int C, int R, int V>
+NSBENCH_TGT void
+convPlanes(const float *in, const float *weight, const float *bias,
+           float *out, const ConvGeometry &g)
+{
+    // Rows [y0, y1) take every ky tap.
+    const int64_t y0 = std::min(g.padding, g.outH);
+    const int64_t y1 = std::max(
+        y0, std::min(g.outH, g.height + g.padding - g.kernelH + 1));
+    int64_t oy = 0;
+    for (; oy < y0; oy++)
+        convRows<C, 1, V>(in, weight, bias, out, g, oy);
+    for (; oy + R <= y1; oy += R)
+        convRows<C, R, V>(in, weight, bias, out, g, oy);
+    // The last partial block overlaps the one before it, as vectors do.
+    if (oy < y1 && y1 - y0 >= R) {
+        convRows<C, R, V>(in, weight, bias, out, g, y1 - R);
+        oy = y1;
+    }
+    for (; oy < g.outH; oy++)
+        convRows<C, 1, V>(in, weight, bias, out, g, oy);
+    // With padding >= kernelW, the columns [0, left) and [right, outW)
+    // have no tap inside the input: each output there is its bias, to
+    // which the masked taps added -0. That keeps every value but a
+    // signalling NaN, so store the biases as they are.
+    if (bias && g.padding >= g.kernelW) {
+        const int64_t left = g.padding - g.kernelW + 1;
+        const int64_t right = g.width + g.padding;
+        for (int c = 0; c < C; c++) {
+            for (int64_t y = 0; y < g.outH; y++) {
+                float *row = out + (c * g.outH + y) * g.outW;
+                std::fill(row, row + left, bias[c]);
+                std::fill(row + right, row + g.outW, bias[c]);
+            }
+        }
+    }
 }
 
 NSBENCH_TGT void
-conv2dPlane(const float *in, const float *weight, float bias,
-            float *out, const ConvGeometry &g)
+conv2dPlanes(const float *in, const float *weight, const float *bias,
+             float *out, int64_t planes, const ConvGeometry &g)
 {
-    // Interior columns [x0, x1): all kx taps inside the input row.
-    int64_t x0 = std::min(g.padding, g.outW);
-    int64_t x1 = std::max(
-        x0, std::min(g.outW, g.width + g.padding - g.kernelW + 1));
-    if (g.stride != 1 || x1 - x0 < 8) {
-        scalar::conv2dPlane(in, weight, bias, out, g);
+    if (g.stride != 1) {
+        scalar::conv2dPlanes(in, weight, bias, out, planes, g);
         return;
     }
-    for (int64_t oy = 0; oy < g.outH; oy++) {
-        float *orow = out + oy * g.outW;
-        int64_t iy0 = oy - g.padding;
-        int64_t ky0 = std::max<int64_t>(0, -iy0);
-        int64_t ky1 = std::min(g.kernelH, g.height - iy0);
-        for (int64_t ox = 0; ox < x0; ox++)
-            orow[ox] = scalar::convPixel(in, weight, bias, g, oy, ox);
-        int64_t ox = x0;
-        for (; ox + 32 <= x1; ox += 32)
-            convColumns<4>(in, weight, bias, orow, g, iy0, ky0, ky1,
-                           ox);
-        switch ((x1 - ox) / 8) {
+    const int64_t filter = g.channels * g.kernelH * g.kernelW;
+    const int64_t plane = g.outH * g.outW;
+    for (int64_t p = 0; p < planes; p += kConvPlaneBlock) {
+        const float *w = weight + p * filter;
+        const float *b = bias ? bias + p : nullptr;
+        float *o = out + p * plane;
+        switch (std::min(kConvPlaneBlock, planes - p)) {
+        case 4:
+            convPlanes<4, 2, 1>(in, w, b, o, g);
+            break;
         case 3:
-            convColumns<3>(in, weight, bias, orow, g, iy0, ky0, ky1,
-                           ox);
-            ox += 24;
+            convPlanes<3, 3, 1>(in, w, b, o, g);
             break;
         case 2:
-            convColumns<2>(in, weight, bias, orow, g, iy0, ky0, ky1,
-                           ox);
-            ox += 16;
-            break;
-        case 1:
-            convColumns<1>(in, weight, bias, orow, g, iy0, ky0, ky1,
-                           ox);
-            ox += 8;
+            convPlanes<2, 4, 1>(in, w, b, o, g);
             break;
         default:
+            convPlanes<1, 4, 2>(in, w, b, o, g);
             break;
         }
-        // The last partial vector overlaps the one before it and
-        // recomputes those columns' identical values.
-        if (ox < x1)
-            convColumns<1>(in, weight, bias, orow, g, iy0, ky0, ky1,
-                           x1 - 8);
-        for (ox = x1; ox < g.outW; ox++)
-            orow[ox] = scalar::convPixel(in, weight, bias, g, oy, ox);
     }
 }
 
@@ -798,14 +1082,14 @@ useAvx2()
 } // namespace
 
 void
-conv2dPlane(const float *in, const float *weight, float bias,
-            float *out, const ConvGeometry &g)
+conv2dPlanes(const float *in, const float *weight, const float *bias,
+             float *out, int64_t planes, const ConvGeometry &g)
 {
 #if NSBENCH_HAVE_AVX2_KERNELS
     if (useAvx2())
-        return avx2::conv2dPlane(in, weight, bias, out, g);
+        return avx2::conv2dPlanes(in, weight, bias, out, planes, g);
 #endif
-    scalar::conv2dPlane(in, weight, bias, out, g);
+    scalar::conv2dPlanes(in, weight, bias, out, planes, g);
 }
 
 void

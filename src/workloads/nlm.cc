@@ -39,6 +39,36 @@ copyRow(const float *from, int64_t c, float *dst)
     return dst + c;
 }
 
+/**
+ * The six permutation rows of nlmExpandBinaryPerms for every (i, j, k).
+ * Width is c when c is 1, 2 or 4 (NLM's layers carry 2 and 4): each
+ * row is then one fixed-size copy, where copyRow would run its
+ * per-float tail below 4. Width 0 copies c floats a row through
+ * copyRow.
+ */
+template <int64_t Width>
+void
+copyPermRows(const float *src, int64_t n, int64_t c, float *dst)
+{
+    auto row = [&](int64_t a, int64_t b) { return src + (a * n + b) * c; };
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < n; j++) {
+            for (int64_t k = 0; k < n; k++) {
+                for (const float *from : {row(i, j), row(i, k),
+                                          row(j, i), row(j, k),
+                                          row(k, i), row(k, j)}) {
+                    if constexpr (Width > 0) {
+                        std::memcpy(dst, from, Width * sizeof(float));
+                        dst += Width;
+                    } else {
+                        dst = copyRow(from, c, dst);
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 
 Tensor
@@ -72,16 +102,19 @@ nlmExpandBinaryPerms(const Tensor &binary)
     Tensor out = Tensor::uninitialized({n, n, n, 6 * c});
     const float *src = binary.data().data();
     float *dst = out.data().data();
-    auto row = [&](int64_t a, int64_t b) { return src + (a * n + b) * c; };
-    for (int64_t i = 0; i < n; i++) {
-        for (int64_t j = 0; j < n; j++) {
-            for (int64_t k = 0; k < n; k++) {
-                for (const float *from : {row(i, j), row(i, k),
-                                          row(j, i), row(j, k),
-                                          row(k, i), row(k, j)})
-                    dst = copyRow(from, c, dst);
-            }
-        }
+    switch (c) {
+    case 1:
+        copyPermRows<1>(src, n, c, dst);
+        break;
+    case 2:
+        copyPermRows<2>(src, n, c, dst);
+        break;
+    case 4:
+        copyPermRows<4>(src, n, c, dst);
+        break;
+    default:
+        copyPermRows<0>(src, n, c, dst);
+        break;
     }
     op.setBytesRead(static_cast<double>(out.numel()) * 4.0);
     op.setBytesWritten(static_cast<double>(out.numel()) * 4.0);

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -626,6 +627,201 @@ TEST_F(ExactSimdEquivalence, Conv2dStrideAndWorkloadShapes)
     }
 }
 
+/**
+ * Special values a conv case mixes into its operands. The classes
+ * never meet: where two NaNs of different bit patterns meet in one
+ * add, which survives is not pinned (DESIGN.md §7b), and every NaN an
+ * invalid operation makes (inf - inf, 0 * inf) is the one default NaN.
+ */
+enum class Specials
+{
+    /// ±0 and subnormals in inputs, weights and bias, ±inf in inputs
+    /// and weights; no NaN goes in.
+    ZerosInfs,
+    /// Inputs NaN of one payload; no inf anywhere.
+    NanInputs,
+    /// Biases signalling NaNs (no other NaN, no inf): an output that
+    /// no tap reaches keeps its bias's bits, a reached one quiets it.
+    SignallingBiases,
+};
+
+/** Replaces about @p rate of @p t's elements with @p kind's specials
+ * (infs at a tenth of that rate, so that most sums stay finite). */
+void
+sprinkle(Tensor &t, Specials kind, double rate, Rng &rng, bool infs)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> small = {0.0f,  -0.0f,  tiny,
+                                      -tiny, 3e-39f, -1.5e-40f};
+    const float nan = std::bit_cast<float>(0x7fc01234u);
+    for (float &v : t.data()) {
+        if (!rng.bernoulli(rate))
+            continue;
+        if (kind == Specials::NanInputs)
+            v = nan;
+        else if (infs && rng.bernoulli(0.1))
+            v = rng.bernoulli(0.5) ? inf : -inf;
+        else
+            v = small[static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(small.size()) - 1))];
+    }
+}
+
+/** checkConv with @p kind's specials in the operands; @p rate 1 makes
+ * the input all specials. */
+void
+checkConvSpecials(const ConvCase &cc, Specials kind, double rate, Rng &rng)
+{
+    Tensor input = Tensor::randn({cc.n, cc.c, cc.h, cc.w}, rng);
+    Tensor weight = Tensor::randn({cc.o, cc.c, cc.k, cc.k}, rng);
+    Tensor bias = cc.bias ? Tensor::randn({cc.o}, rng) : Tensor();
+    if (kind == Specials::SignallingBiases) {
+        for (int64_t i = 0; i < bias.numel(); i++)
+            bias.flat(i) = std::bit_cast<float>(
+                (i % 2 ? 0xff800000u : 0x7f800000u) +
+                static_cast<uint32_t>(1 + 4099 * i));
+    } else {
+        sprinkle(input, kind,
+                 kind == Specials::NanInputs ? rate / 8 : rate, rng, true);
+    }
+    if (kind == Specials::ZerosInfs) {
+        sprinkle(weight, kind, 0.25, rng, true);
+        if (cc.bias) {
+            sprinkle(bias, kind, 0.5, rng, false);
+            bias.flat(0) = -0.0f;
+        }
+    }
+    expectSameBytes(
+        conv2dOracle(input, weight, bias, cc.stride, cc.padding),
+        [&] {
+            return tensor::conv2d(input, weight, bias, cc.stride,
+                                  cc.padding);
+        },
+        describe(cc) +
+            (kind == Specials::ZerosInfs   ? " zeros/infs"
+             : kind == Specials::NanInputs ? " NaN inputs"
+                                           : " sNaN biases") +
+            " rate " + std::to_string(rate));
+}
+
+/** Shapes whose edges differ: widths around a vector, padding beyond
+ * the kernel, plane counts that leave block remainders. */
+const std::vector<ConvCase> kEdgeCases = {
+    {2, 3, 9, 17, 5, 3, 1, 1, true},
+    {1, 2, 7, 13, 7, 3, 1, 2, true},
+    // Pad 2, kernel 1: 17 outputs over a 13-wide row put outside lanes
+    // in the middle vector too; then a 17-wide row.
+    {1, 1, 6, 13, 1, 1, 1, 2, true},
+    {1, 2, 5, 17, 3, 1, 1, 2, false},
+    // Padding beyond the kernel: some outputs are the bias alone.
+    {1, 3, 8, 8, 2, 5, 1, 6, true},
+    {1, 1, 4, 4, 16, 3, 1, 4, true},
+    {1, 2, 3, 5, 3, 2, 1, 3, false},
+    {1, 8, 24, 24, 16, 3, 1, 1, true},
+    {1, 1, 32, 32, 1, 7, 1, 0, false},
+    {2, 3, 9, 9, 2, 3, 2, 1, true},
+};
+
+TEST_F(ExactSimdEquivalence, Conv2dZerosSubnormalsAndInfs)
+{
+    Rng rng(1601);
+    for (const ConvCase &cc : kEdgeCases) {
+        for (double rate : {0.3, 1.0}) {
+            checkConvSpecials(cc, Specials::ZerosInfs, rate, rng);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dNanInputs)
+{
+    Rng rng(1602);
+    for (const ConvCase &cc : kEdgeCases) {
+        for (double rate : {0.05, 0.5}) {
+            checkConvSpecials(cc, Specials::NanInputs, rate, rng);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dSignallingNanBiases)
+{
+    Rng rng(1605);
+    for (const ConvCase &cc : kEdgeCases) {
+        if (!cc.bias)
+            continue;
+        checkConvSpecials(cc, Specials::SignallingBiases, 0.0, rng);
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dPlaneBlocksAndWidths)
+{
+    // Plane counts that fill blocks of four or leave 1-3 over, output
+    // widths across one, two and six vectors, row counts that leave
+    // partial row blocks, and padding from none to beyond the kernel.
+    Rng rng(1603);
+    std::vector<int64_t> widths;
+    for (int64_t ow = 1; ow <= 17; ow++)
+        widths.push_back(ow);
+    for (int64_t ow : {24, 32, 48})
+        widths.push_back(ow);
+    int index = 0;
+    for (int64_t o : {1, 2, 3, 5, 7, 16}) {
+        for (int64_t ow : widths) {
+            ConvCase cc{};
+            cc.n = 1;
+            cc.c = 1 + index % 3;
+            cc.o = o;
+            cc.k = ow % 3 == 0 ? 1 : 3;
+            cc.padding = std::min<int64_t>(index % 5, (ow + cc.k - 2) / 2);
+            cc.w = ow + cc.k - 1 - 2 * cc.padding;
+            cc.h = 3 + index % 7;
+            cc.stride = 1;
+            cc.bias = index % 4 != 0;
+            index++;
+            ASSERT_GE(cc.w, 1) << describe(cc);
+            checkConv(cc, rng);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_F(ExactSimdEquivalence, Conv2dWorkloadLayers)
+{
+    Rng rng(1604);
+    std::vector<ConvCase> cases = {
+        // PrAE's perception trunk: 16 panels a batch.
+        {16, 1, 48, 48, 8, 3, 1, 1, true},
+        {16, 8, 24, 24, 16, 3, 1, 1, true},
+        // VSAIT's extractor, then its generator.
+        {1, 1, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 16, 3, 1, 1, true},
+        {1, 16, 32, 32, 16, 3, 1, 1, true},
+        {1, 1, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 1, 3, 1, 1, true},
+        // ZeroC's shared net.
+        {1, 1, 32, 32, 8, 3, 1, 1, true},
+        {1, 8, 32, 32, 8, 3, 1, 1, true},
+    };
+    // ZeroC's energy maps.
+    for (int64_t k = 5; k <= 10; k++)
+        cases.push_back({1, 1, 32, 32, 1, k, 1, 0, false});
+    for (const ConvCase &cc : cases) {
+        checkConv(cc, rng);
+        if (HasFailure())
+            return;
+    }
+}
+
 // ---------------------------------------------------------------------
 // nlm_expand
 // ---------------------------------------------------------------------
@@ -651,7 +847,7 @@ TEST_F(ExactSimdEquivalence, NlmExpandBinaryPermsMatchesLoop)
 {
     Rng rng(37);
     for (int64_t n : {1, 2, 5, 24}) {
-        for (int64_t c : {1, 2, 8}) {
+        for (int64_t c : {1, 2, 4, 8}) {
             Tensor binary = Tensor::randn({n, n, c}, rng);
             expectSameBytes(
                 expandBinaryPermsOracle(binary),
