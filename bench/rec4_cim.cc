@@ -36,7 +36,7 @@ const std::set<std::string> cimOps = {
     "pmf_to_vsa",   "vsa_to_pmf",      "codebook_cleanup",
     "vsa_bind",     "vsa_unbind",      "vsa_bundle",
     "vsa_majority", "circular_conv",   "circular_corr",
-    "vsa_cosine",   "resonator_project", "resonator_recombine",
+    "vsa_cosine",
 };
 
 /**

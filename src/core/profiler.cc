@@ -289,35 +289,6 @@ Profiler::opsByTime() const
     return out;
 }
 
-std::vector<NamedOpStats>
-Profiler::opsByTime(Phase phase) const
-{
-    auto all = opsByTime();
-    std::erase_if(all, [phase](const NamedOpStats &s) {
-        return s.phase != phase;
-    });
-    return all;
-}
-
-std::vector<NamedOpStats>
-Profiler::opsInRegion(const std::string &region) const
-{
-    std::vector<NamedOpStats> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[key, stats] : ops_) {
-            if (key.region == region)
-                out.push_back(
-                    {key.name, key.phase, key.category, stats});
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const NamedOpStats &a, const NamedOpStats &b) {
-                  return a.stats.seconds > b.stats.seconds;
-              });
-    return out;
-}
-
 OpStats
 Profiler::regionTotals(const std::string &region) const
 {

@@ -257,12 +257,6 @@ class Profiler
     /** All named-op aggregates, sorted by descending runtime. */
     std::vector<NamedOpStats> opsByTime() const;
 
-    /** Named-op aggregates for one phase, sorted by descending time. */
-    std::vector<NamedOpStats> opsByTime(Phase phase) const;
-
-    /** All named-op aggregates for one region label. */
-    std::vector<NamedOpStats> opsInRegion(const std::string &region) const;
-
     /** Aggregate over one region label. */
     OpStats regionTotals(const std::string &region) const;
 

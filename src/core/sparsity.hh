@@ -29,17 +29,6 @@ countZeros(std::span<const T> values, T eps = T(0))
     return zeros;
 }
 
-/** Zero fraction of a span in [0, 1]; 0 for an empty span. */
-template <typename T>
-double
-sparsityRatio(std::span<const T> values, T eps = T(0))
-{
-    if (values.empty())
-        return 0.0;
-    return static_cast<double>(countZeros(values, eps)) /
-           static_cast<double>(values.size());
-}
-
 /**
  * Measures a span's sparsity and records it on the profiler under the
  * given stage label.

@@ -69,15 +69,6 @@ PipelineResult::busySeconds() const
     return total;
 }
 
-double
-PipelineResult::bottleneckSeconds() const
-{
-    double worst = 0.0;
-    for (const StageReport &stage : stages)
-        worst = std::max(worst, stage.busySeconds);
-    return worst;
-}
-
 uint64_t
 episodeSeed(uint64_t base, int index)
 {
@@ -214,19 +205,6 @@ runPipelined(core::Workload &workload,
         result.stages.push_back(std::move(report));
     }
     return result;
-}
-
-PipelineResult
-runPipelined(core::Workload &workload, int episodes,
-             uint64_t baseSeed, const PipelineOptions &options)
-{
-    util::panicIf(episodes < 1,
-                  "runPipelined: need at least one episode");
-    std::vector<uint64_t> seeds;
-    seeds.reserve(static_cast<size_t>(episodes));
-    for (int i = 0; i < episodes; i++)
-        seeds.push_back(episodeSeed(baseSeed, i));
-    return runPipelined(workload, seeds, options);
 }
 
 std::vector<double>

@@ -72,9 +72,6 @@ struct PipelineResult
     /** Sum of stage busy time — the serial-equivalent work. */
     double busySeconds() const;
 
-    /** Busy time of the slowest stage — the pipeline's floor. */
-    double bottleneckSeconds() const;
-
     /** Measured overlap: serial-equivalent work over wall time. */
     double
     overlapSpeedup() const
@@ -97,11 +94,6 @@ uint64_t episodeSeed(uint64_t base, int index);
  */
 PipelineResult runPipelined(core::Workload &workload,
                             const std::vector<uint64_t> &seeds,
-                            const PipelineOptions &options = {});
-
-/** Convenience overload: seeds episodeSeed(baseSeed, 0..episodes). */
-PipelineResult runPipelined(core::Workload &workload, int episodes,
-                            uint64_t baseSeed,
                             const PipelineOptions &options = {});
 
 /**

@@ -38,13 +38,6 @@ boundsAnd(const TruthBounds &a, const TruthBounds &b)
 }
 
 TruthBounds
-boundsOr(const TruthBounds &a, const TruthBounds &b)
-{
-    return {tConorm(TNormKind::Lukasiewicz, a.lower, b.lower),
-            tConorm(TNormKind::Lukasiewicz, a.upper, b.upper)};
-}
-
-TruthBounds
 boundsImplies(const TruthBounds &a, const TruthBounds &b)
 {
     // a -> b is decreasing in a and increasing in b.

@@ -68,9 +68,6 @@ TruthBounds boundsNot(const TruthBounds &a);
 /** Lukasiewicz interval conjunction. */
 TruthBounds boundsAnd(const TruthBounds &a, const TruthBounds &b);
 
-/** Lukasiewicz interval disjunction. */
-TruthBounds boundsOr(const TruthBounds &a, const TruthBounds &b);
-
 /** Lukasiewicz interval implication a -> b. */
 TruthBounds boundsImplies(const TruthBounds &a, const TruthBounds &b);
 

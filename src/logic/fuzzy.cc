@@ -53,13 +53,6 @@ tConorm(TNormKind kind, float a, float b)
 }
 
 float
-fuzzyNot(float a)
-{
-    checkUnit(a, "fuzzyNot");
-    return 1.0f - a;
-}
-
-float
 residuum(TNormKind kind, float a, float b)
 {
     checkUnit(a, "residuum");

@@ -30,9 +30,6 @@ float tNorm(TNormKind kind, float a, float b);
 /** Fuzzy disjunction (the dual t-conorm). */
 float tConorm(TNormKind kind, float a, float b);
 
-/** Standard fuzzy negation 1 - a. */
-float fuzzyNot(float a);
-
 /**
  * The residuum (fuzzy implication) of the family:
  * Lukasiewicz min(1, 1-a+b); Goedel (a<=b ? 1 : b);

@@ -16,6 +16,7 @@
 
 #include "util/failpoint.hh"
 #include "util/fields.hh"
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace nsbench::net
@@ -75,6 +76,26 @@ setRecvTimeout(int fd, double seconds)
 
 } // namespace
 
+std::optional<Endpoint>
+parseEndpoint(const std::string &spec)
+{
+    size_t colon = spec.rfind(':');
+    if (colon == std::string::npos)
+        return std::nullopt;
+    Endpoint endpoint;
+    endpoint.host = spec.substr(0, colon);
+    if (endpoint.host == "localhost")
+        endpoint.host = "127.0.0.1";
+    in_addr addr{};
+    int port = 0;
+    if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr) != 1 ||
+        !util::parseWhole(spec.substr(colon + 1), &port) || port < 1 ||
+        port > 65535)
+        return std::nullopt;
+    endpoint.port = static_cast<uint16_t>(port);
+    return endpoint;
+}
+
 uint32_t
 encodeDeadlineUs(serve::TimePoint deadline, serve::TimePoint now)
 {
@@ -107,12 +128,11 @@ Client::~Client()
 int
 Client::dial(uint16_t *ackedVersion)
 {
-    const std::string host =
-        options_.host == "localhost" ? "127.0.0.1" : options_.host;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) !=
+        1) {
         warn("net: bad server address '" + options_.host + "'");
         return -1;
     }

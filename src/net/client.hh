@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +48,21 @@
 
 namespace nsbench::net
 {
+
+/** A TCP endpoint: an IPv4 address and a port. */
+struct Endpoint
+{
+    std::string host; ///< IPv4 dotted quad.
+    uint16_t port = 0;
+};
+
+/**
+ * The one endpoint rule for `--listen`, `--connect` and `--backends`:
+ * "HOST:PORT", where HOST is an IPv4 dotted quad or `localhost` (the
+ * one place that name becomes 127.0.0.1) and PORT a whole number in
+ * 1..65535. Returns nullopt for anything else.
+ */
+std::optional<Endpoint> parseEndpoint(const std::string &spec);
 
 /** Connection knobs. */
 struct ClientOptions

@@ -1,7 +1,6 @@
 #include "net/router.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/fields.hh"
 #include "util/hash.hh"
@@ -44,21 +43,6 @@ keyHash(const std::string &workload, uint64_t modelSeed,
     hash = fnv1a(&modelSeed, sizeof(modelSeed), hash);
     hash = fnv1a(&episodeSeed, sizeof(episodeSeed), hash);
     return fmix64(hash);
-}
-
-/** Splits "host:port"; dies on nonsense — a router with a bad
- *  backend list has nothing to route to. */
-std::pair<std::string, uint16_t>
-parseEndpoint(const std::string &endpoint)
-{
-    size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= endpoint.size())
-        fatal("net: backend '" + endpoint + "' is not host:port");
-    int port = std::atoi(endpoint.c_str() + colon + 1);
-    if (port <= 0 || port > 65535)
-        fatal("net: backend '" + endpoint + "' has a bad port");
-    return {endpoint.substr(0, colon), static_cast<uint16_t>(port)};
 }
 
 using B = BackendStats;
@@ -116,15 +100,20 @@ Router::Router(const RouterOptions &options) : options_(options)
         fatal("net: router needs at least one backend");
 
     for (size_t i = 0; i < options_.backends.size(); ++i) {
-        auto [host, port] = parseEndpoint(options_.backends[i]);
+        // A router with a bad backend list has nothing to route to.
+        std::optional<Endpoint> endpoint =
+            parseEndpoint(options_.backends[i]);
+        if (!endpoint)
+            fatal("net: backend '" + options_.backends[i] +
+                  "' is not HOST:PORT");
         auto backend = std::make_unique<Backend>(options_.breaker);
         backend->endpoint = options_.backends[i];
         // Forwarding runs on the event-loop thread, so reconnect
         // patience is traded for fast failover: one connect attempt,
         // and the breaker's open window provides the backoff.
         ClientOptions client;
-        client.host = host;
-        client.port = port;
+        client.host = endpoint->host;
+        client.port = endpoint->port;
         client.connectAttempts = 1;
         backend->client = std::make_unique<Client>(client);
         backends_.push_back(std::move(backend));

@@ -49,9 +49,7 @@ listenSocket(const FrameServerOptions &options, uint16_t *boundPort)
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(options.port);
-    const std::string &host =
-        options.host == "localhost" ? "127.0.0.1" : options.host;
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
         ::close(fd);
         fatal("net: bad bind address '" + options.host +
               "' (IPv4 dotted quad expected)");
@@ -60,7 +58,7 @@ listenSocket(const FrameServerOptions &options, uint16_t *boundPort)
         0) {
         int err = errno;
         ::close(fd);
-        fatal("net: bind(" + host + ":" +
+        fatal("net: bind(" + options.host + ":" +
               std::to_string(options.port) +
               ") failed: " + std::strerror(err));
     }

@@ -324,18 +324,6 @@ tanhV(const Variable &a)
 }
 
 Variable
-reluV(const Variable &a)
-{
-    return Variable::makeResult(
-        tensor::relu(a.value()), {a}, [](Variable::Node &n) {
-            Tensor mask = tensor::clamp(
-                tensor::sign(n.inputs[0].value()), 0.0f, 1.0f);
-            n.inputs[0].node_->accumulate(
-                tensor::mul(n.grad, mask));
-        });
-}
-
-Variable
 powV(const Variable &a, float exponent)
 {
     return Variable::makeResult(
@@ -346,26 +334,6 @@ powV(const Variable &a, float exponent)
                 exponent);
             n.inputs[0].node_->accumulate(
                 tensor::mul(n.grad, dpow));
-        });
-}
-
-Variable
-logV(const Variable &a)
-{
-    return Variable::makeResult(
-        tensor::logOp(a.value()), {a}, [](Variable::Node &n) {
-            n.inputs[0].node_->accumulate(
-                tensor::div(n.grad, n.inputs[0].value()));
-        });
-}
-
-Variable
-addScalarV(const Variable &a, float s)
-{
-    return Variable::makeResult(
-        tensor::addScalar(a.value(), s), {a},
-        [](Variable::Node &n) {
-            n.inputs[0].node_->accumulate(n.grad);
         });
 }
 
@@ -394,18 +362,6 @@ meanAllV(const Variable &a)
         });
 }
 
-Variable
-sumAllV(const Variable &a)
-{
-    float sum = tensor::sumAll(a.value());
-    return Variable::makeResult(
-        Tensor({1}, {sum}), {a}, [](Variable::Node &n) {
-            const Tensor &input = n.inputs[0].value();
-            n.inputs[0].node_->accumulate(
-                Tensor::full(input.shape(), n.grad.flat(0)));
-        });
-}
-
 void
 SgdOptimizer::addParameter(const Variable &param)
 {
@@ -421,13 +377,6 @@ SgdOptimizer::step()
         param.applyGradientStep(lr_);
         param.zeroGrad();
     }
-}
-
-void
-SgdOptimizer::zeroGrad()
-{
-    for (auto &param : params_)
-        param.zeroGrad();
 }
 
 } // namespace nsbench::nn

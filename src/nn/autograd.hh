@@ -91,16 +91,11 @@ class Variable
                             int64_t padding);
     friend Variable sigmoidV(const Variable &a);
     friend Variable tanhV(const Variable &a);
-    friend Variable reluV(const Variable &a);
     /** Element-wise power with a constant, positive-base exponent. */
     friend Variable powV(const Variable &a, float exponent);
-    friend Variable logV(const Variable &a);
-    friend Variable addScalarV(const Variable &a, float s);
     friend Variable mulScalarV(const Variable &a, float s);
     /** Mean over all elements, as a [1] tensor. */
     friend Variable meanAllV(const Variable &a);
-    /** Sum over all elements, as a [1] tensor. */
-    friend Variable sumAllV(const Variable &a);
     /** @} */
 
   private:
@@ -130,9 +125,6 @@ class SgdOptimizer
 
     /** Applies one descent step and clears gradients. */
     void step();
-
-    /** Clears all registered gradients. */
-    void zeroGrad();
 
   private:
     float lr_;

@@ -159,6 +159,8 @@ runOpenLoop(LoadTarget &target, const LoadgenOptions &options)
 
     util::panicIf(options.rateHz <= 0.0,
                   "loadgen: open loop needs a positive rate");
+    util::panicIf(options.rateHz > kMaxRateHz,
+                  "loadgen: open-loop rate above kMaxRateHz");
     util::WallTimer wall;
     TimePoint start = ServeClock::now();
     TimePoint windowEnd =
@@ -166,7 +168,9 @@ runOpenLoop(LoadTarget &target, const LoadgenOptions &options)
                     options.durationSeconds * 1e6));
     // Poisson process: exponential inter-arrival gaps at rateHz,
     // scheduled against absolute times so submit cost never skews the
-    // offered rate.
+    // offered rate. Arrival times accumulate in double seconds, so a
+    // gap shorter than one clock tick still moves the schedule on.
+    double arrival = 0.0;
     TimePoint next = start;
     while (next < windowEnd) {
         std::this_thread::sleep_until(next);
@@ -178,10 +182,9 @@ runOpenLoop(LoadTarget &target, const LoadgenOptions &options)
         report.submitted++;
         if (status != RequestStatus::Ok)
             tracker.count(status, true);
-        double gap = -std::log(1.0 - rng.uniformDouble()) /
-                     options.rateHz;
-        next += std::chrono::microseconds(
-            static_cast<int64_t>(gap * 1e6));
+        arrival += -std::log(1.0 - rng.uniformDouble()) / options.rateHz;
+        next = start + std::chrono::duration_cast<ServeClock::duration>(
+                           std::chrono::duration<double>(arrival));
     }
 
     tracker.drain();

@@ -137,11 +137,18 @@ class ServerTarget : public LoadTarget
     Server &server_;
 };
 
+/**
+ * Highest open-loop rate: a mean gap of one microsecond. Faster
+ * schedules only measure how fast one thread can call submit().
+ */
+inline constexpr double kMaxRateHz = 1e6;
+
 /** Load-generation knobs. */
 struct LoadgenOptions
 {
     bool openLoop = true;        ///< Poisson arrivals vs closed loop.
-    double rateHz = 200.0;       ///< Offered rate (open loop only).
+    double rateHz = 200.0;       ///< Offered rate (open loop only),
+                                 ///< at most kMaxRateHz.
     int clients = 4;             ///< In-flight requests (closed loop).
     double durationSeconds = 2.0;///< Submission window length.
     uint64_t seed = 1;           ///< Generator seed (determinism).

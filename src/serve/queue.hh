@@ -101,16 +101,6 @@ class BoundedQueue
         return takeLocked(lock);
     }
 
-    /** Dequeues without blocking. */
-    std::optional<T>
-    tryPop()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (items_.empty())
-            return std::nullopt;
-        return takeLocked(lock);
-    }
-
     /**
      * Closes the queue: subsequent pushes fail, pops drain what is
      * already queued. Idempotent.
@@ -149,9 +139,6 @@ class BoundedQueue
         std::lock_guard<std::mutex> lock(mu_);
         return items_.size();
     }
-
-    /** The hard capacity. */
-    size_t capacity() const { return capacity_; }
 
   private:
     /**

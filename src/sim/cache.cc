@@ -100,7 +100,6 @@ void
 CacheHierarchy::access(uint64_t addr, uint64_t bytes)
 {
     util::panicIf(bytes == 0, "CacheHierarchy: zero-byte access");
-    requestedBytes_ += bytes;
     uint64_t line_bytes = l1_.lineBytes();
     uint64_t first = addr / line_bytes;
     uint64_t last = (addr + bytes - 1) / line_bytes;
@@ -119,7 +118,6 @@ CacheHierarchy::resetCounters()
     l1_.resetCounters();
     l2_.resetCounters();
     dramBytes_ = 0;
-    requestedBytes_ = 0;
 }
 
 void
@@ -128,7 +126,6 @@ CacheHierarchy::reset()
     l1_.reset();
     l2_.reset();
     dramBytes_ = 0;
-    requestedBytes_ = 0;
 }
 
 } // namespace nsbench::sim

@@ -42,9 +42,6 @@ class Cache
     /** Line size in bytes. */
     uint64_t lineBytes() const { return config_.lineBytes; }
 
-    /** Number of sets. */
-    uint64_t sets() const { return sets_; }
-
     /** Hits so far. */
     uint64_t hits() const { return hits_; }
 
@@ -98,12 +95,6 @@ class CacheHierarchy
     /** Bytes that had to come from DRAM. */
     uint64_t dramBytes() const { return dramBytes_; }
 
-    /** Total bytes requested by the program. */
-    uint64_t requestedBytes() const { return requestedBytes_; }
-
-    /** Total L1 line accesses. */
-    uint64_t l1Accesses() const { return l1_.hits() + l1_.misses(); }
-
     /** Clears both levels and the traffic counters. */
     void reset();
 
@@ -114,7 +105,6 @@ class CacheHierarchy
     Cache l1_;
     Cache l2_;
     uint64_t dramBytes_ = 0;
-    uint64_t requestedBytes_ = 0;
 };
 
 } // namespace nsbench::sim

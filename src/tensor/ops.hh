@@ -26,8 +26,6 @@ Tensor add(const Tensor &a, const Tensor &b);
 Tensor sub(const Tensor &a, const Tensor &b);
 Tensor mul(const Tensor &a, const Tensor &b);
 Tensor div(const Tensor &a, const Tensor &b);
-Tensor minimum(const Tensor &a, const Tensor &b);
-Tensor maximum(const Tensor &a, const Tensor &b);
 /// @}
 
 /// @name Scalar ops.
@@ -51,10 +49,6 @@ void addInPlace(Tensor &dst, const Tensor &src);
 void subInPlace(Tensor &dst, const Tensor &src);
 /** dst *= src. */
 void mulInPlace(Tensor &dst, const Tensor &src);
-/** dst = min(dst, src). */
-void minimumInPlace(Tensor &dst, const Tensor &src);
-/** dst = max(dst, src). */
-void maximumInPlace(Tensor &dst, const Tensor &src);
 /** dst += s. */
 void addScalarInPlace(Tensor &dst, float s);
 /** dst *= s. */
@@ -76,10 +70,7 @@ Tensor relu(const Tensor &a);
 Tensor sigmoid(const Tensor &a);
 Tensor tanhOp(const Tensor &a);
 Tensor expOp(const Tensor &a);
-Tensor logOp(const Tensor &a);
-Tensor sqrtOp(const Tensor &a);
 Tensor neg(const Tensor &a);
-Tensor absOp(const Tensor &a);
 Tensor sign(const Tensor &a);
 Tensor clamp(const Tensor &a, float lo, float hi);
 /** Element-wise power with a constant exponent (base must be
@@ -90,7 +81,6 @@ Tensor powOp(const Tensor &a, float exponent);
 /// @name Full reductions.
 /// @{
 float sumAll(const Tensor &a);
-float maxAll(const Tensor &a);
 float meanAll(const Tensor &a);
 /** Index of the largest element. */
 int64_t argmaxAll(const Tensor &a);
@@ -100,7 +90,6 @@ int64_t argmaxAll(const Tensor &a);
 /// @{
 Tensor sumAxis(const Tensor &a, int64_t axis);
 Tensor maxAxis(const Tensor &a, int64_t axis);
-Tensor meanAxis(const Tensor &a, int64_t axis);
 /// @}
 
 /// @name Normalizations over the last dimension.
@@ -164,8 +153,6 @@ Tensor oneHot(const std::vector<int64_t> &indices, int64_t classes);
 
 /// @name Data movement.
 /// @{
-/** Explicit copy, recorded as data movement. */
-Tensor copyTensor(const Tensor &a);
 /**
  * Simulated host/device transfer: a copy recorded as data movement
  * under the given label ("h2d"/"d2h"), so the transfer overhead the

@@ -55,18 +55,6 @@ div(const Tensor &a, const Tensor &b)
 }
 
 Tensor
-minimum(const Tensor &a, const Tensor &b)
-{
-    return fusedMap("minimum", a, b, 1.0, simd::minimum);
-}
-
-Tensor
-maximum(const Tensor &a, const Tensor &b)
-{
-    return fusedMap("maximum", a, b, 1.0, simd::maximum);
-}
-
-Tensor
 addScalar(const Tensor &a, float s)
 {
     return fusedMapUnary("add_scalar", a, 1.0,
@@ -109,29 +97,9 @@ expOp(const Tensor &a)
 }
 
 Tensor
-logOp(const Tensor &a)
-{
-    return fusedMapUnary("log", a, 2.0,
-                         perElement([](float x) { return std::log(x); }));
-}
-
-Tensor
-sqrtOp(const Tensor &a)
-{
-    return fusedMapUnary("sqrt", a, 2.0,
-                         perElement([](float x) { return std::sqrt(x); }));
-}
-
-Tensor
 neg(const Tensor &a)
 {
     return fusedMapUnary("neg", a, 1.0, simd::negate);
-}
-
-Tensor
-absOp(const Tensor &a)
-{
-    return fusedMapUnary("abs", a, 1.0, simd::absolute);
 }
 
 Tensor
@@ -174,20 +142,6 @@ sumAll(const Tensor &a)
 }
 
 float
-maxAll(const Tensor &a)
-{
-    util::panicIf(a.numel() == 0, "maxAll: empty tensor");
-    const float *pa = a.data().data();
-    return detail::reduceAll(
-        "max", core::OpCategory::VectorElementwise, a.numel(), 1, 1.0,
-        pa[0],
-        [pa](int64_t lo, int64_t hi) {
-            return simd::maxChunk(pa + lo, hi - lo);
-        },
-        [](float best, float p) { return std::max(best, p); });
-}
-
-float
 meanAll(const Tensor &a)
 {
     util::panicIf(a.numel() == 0, "meanAll: empty tensor");
@@ -222,7 +176,7 @@ namespace
 template <typename Fold>
 Tensor
 reduceAxis(const char *name, const Tensor &a, int64_t axis, float init,
-           Fold fold, bool mean)
+           Fold fold)
 {
     auto rank = static_cast<int64_t>(a.dim());
     util::panicIf(axis < 0 || axis >= rank,
@@ -260,8 +214,6 @@ reduceAxis(const char *name, const Tensor &a, int64_t axis, float init,
                                src[static_cast<size_t>(
                                    (o * axis_n + k) * inner + i)]);
                 }
-                if (mean && axis_n > 0)
-                    acc /= static_cast<float>(axis_n);
                 dst[static_cast<size_t>(e)] = acc;
             }
         });
@@ -279,8 +231,7 @@ Tensor
 sumAxis(const Tensor &a, int64_t axis)
 {
     return reduceAxis("sum_axis", a, axis, 0.0f,
-                      [](float acc, float v) { return acc + v; },
-                      false);
+                      [](float acc, float v) { return acc + v; });
 }
 
 Tensor
@@ -288,15 +239,7 @@ maxAxis(const Tensor &a, int64_t axis)
 {
     return reduceAxis(
         "max_axis", a, axis, -std::numeric_limits<float>::infinity(),
-        [](float acc, float v) { return std::max(acc, v); }, false);
-}
-
-Tensor
-meanAxis(const Tensor &a, int64_t axis)
-{
-    return reduceAxis("mean_axis", a, axis, 0.0f,
-                      [](float acc, float v) { return acc + v; },
-                      true);
+        [](float acc, float v) { return std::max(acc, v); });
 }
 
 namespace

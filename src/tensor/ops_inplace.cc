@@ -45,18 +45,6 @@ mulInPlace(Tensor &dst, const Tensor &src)
 }
 
 void
-minimumInPlace(Tensor &dst, const Tensor &src)
-{
-    fusedMap("minimum_inplace", dst, dst, src, 1.0, simd::minimum);
-}
-
-void
-maximumInPlace(Tensor &dst, const Tensor &src)
-{
-    fusedMap("maximum_inplace", dst, dst, src, 1.0, simd::maximum);
-}
-
-void
 addScalarInPlace(Tensor &dst, float s)
 {
     fusedMapUnary("add_scalar_inplace", dst, dst, 1.0,

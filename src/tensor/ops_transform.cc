@@ -242,17 +242,6 @@ oneHot(const std::vector<int64_t> &indices, int64_t classes)
 }
 
 Tensor
-copyTensor(const Tensor &a)
-{
-    core::ScopedOp op("copy", core::OpCategory::DataMovement);
-    Tensor out = a.clone();
-    auto numel = static_cast<double>(a.numel());
-    op.setBytesRead(numel * elemBytes);
-    op.setBytesWritten(numel * elemBytes);
-    return out;
-}
-
-Tensor
 transfer(const Tensor &a, const char *label)
 {
     core::ScopedOp op(label, core::OpCategory::DataMovement);

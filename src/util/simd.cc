@@ -154,20 +154,6 @@ div(const float *a, const float *b, float *out, int64_t n)
 }
 
 void
-minimum(const float *a, const float *b, float *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = std::min(a[i], b[i]);
-}
-
-void
-maximum(const float *a, const float *b, float *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = std::max(a[i], b[i]);
-}
-
-void
 addScalar(const float *a, float s, float *out, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
@@ -193,13 +179,6 @@ negate(const float *a, float *out, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = -a[i];
-}
-
-void
-absolute(const float *a, float *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = std::abs(a[i]);
 }
 
 void
@@ -237,15 +216,6 @@ sumChunk(const float *a, int64_t n)
     for (int64_t i = 0; i < n; i++)
         s += a[i];
     return s;
-}
-
-float
-maxChunk(const float *a, int64_t n)
-{
-    float m = a[0];
-    for (int64_t i = 1; i < n; i++)
-        m = std::max(m, a[i]);
-    return m;
 }
 
 int64_t
@@ -428,32 +398,6 @@ div(const float *a, const float *b, float *out, int64_t n)
 }
 
 NSBENCH_TGT void
-minimum(const float *a, const float *b, float *out, int64_t n)
-{
-    int64_t i = 0;
-    // minps(b, a) is `b < a ? b : a`, std::min(a, b) to the bit.
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i,
-                         _mm256_min_ps(_mm256_loadu_ps(b + i),
-                                       _mm256_loadu_ps(a + i)));
-    for (; i < n; i++)
-        out[i] = std::min(a[i], b[i]);
-}
-
-NSBENCH_TGT void
-maximum(const float *a, const float *b, float *out, int64_t n)
-{
-    int64_t i = 0;
-    // maxps(b, a) is `b > a ? b : a`, std::max(a, b) to the bit.
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i,
-                         _mm256_max_ps(_mm256_loadu_ps(b + i),
-                                       _mm256_loadu_ps(a + i)));
-    for (; i < n; i++)
-        out[i] = std::max(a[i], b[i]);
-}
-
-NSBENCH_TGT void
 addScalar(const float *a, float s, float *out, int64_t n)
 {
     __m256 vs = _mm256_set1_ps(s);
@@ -503,18 +447,6 @@ negate(const float *a, float *out, int64_t n)
             out + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
     for (; i < n; i++)
         out[i] = -a[i];
-}
-
-NSBENCH_TGT void
-absolute(const float *a, float *out, int64_t n)
-{
-    __m256 sign = _mm256_set1_ps(-0.0f);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(
-            out + i, _mm256_andnot_ps(sign, _mm256_loadu_ps(a + i)));
-    for (; i < n; i++)
-        out[i] = std::abs(a[i]);
 }
 
 NSBENCH_TGT void
@@ -596,7 +528,8 @@ sumChunk(const float *a, int64_t n)
     return s;
 }
 
-NSBENCH_TGT float
+/** Maximum of a[0..n), n >= 1: argmaxChunk's first pass. */
+NSBENCH_TGT inline float
 maxChunk(const float *a, int64_t n)
 {
     float m = a[0];
@@ -1011,18 +944,6 @@ div(const float *a, const float *b, float *out, int64_t n)
 }
 
 void
-minimum(const float *a, const float *b, float *out, int64_t n)
-{
-    NSBENCH_SIMD_DISPATCH(minimum, a, b, out, n);
-}
-
-void
-maximum(const float *a, const float *b, float *out, int64_t n)
-{
-    NSBENCH_SIMD_DISPATCH(maximum, a, b, out, n);
-}
-
-void
 addScalar(const float *a, float s, float *out, int64_t n)
 {
     NSBENCH_SIMD_DISPATCH(addScalar, a, s, out, n);
@@ -1044,12 +965,6 @@ void
 negate(const float *a, float *out, int64_t n)
 {
     NSBENCH_SIMD_DISPATCH(negate, a, out, n);
-}
-
-void
-absolute(const float *a, float *out, int64_t n)
-{
-    NSBENCH_SIMD_DISPATCH(absolute, a, out, n);
 }
 
 void
@@ -1080,12 +995,6 @@ double
 sumChunk(const float *a, int64_t n)
 {
     NSBENCH_SIMD_DISPATCH(sumChunk, a, n);
-}
-
-float
-maxChunk(const float *a, int64_t n)
-{
-    NSBENCH_SIMD_DISPATCH(maxChunk, a, n);
 }
 
 int64_t

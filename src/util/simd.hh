@@ -99,24 +99,19 @@ const char *activeBackendName();
 /// @name Element-wise float maps over [0, n). Out must not partially
 /// alias the inputs (out == a or out == b exactly is allowed).
 ///
-/// minimum, maximum and clampRange return std::min(a[i], b[i]),
-/// std::max(a[i], b[i]) and std::clamp(a[i], lo, hi) bit for bit on
-/// both backends, NaN and signed-zero ties included. MINPS and MAXPS
+/// clampRange returns std::clamp(a[i], lo, hi) bit for bit on both
+/// backends, NaN and signed-zero ties included. MINPS and MAXPS
 /// return their second operand on NaN and on a +/-0 tie, so the AVX2
-/// twins fix the operand order: minps(b, a), maxps(b, a) and
-/// minps(hi, maxps(lo, v)).
+/// twin fixes the operand order: minps(hi, maxps(lo, v)).
 /// @{
 void add(const float *a, const float *b, float *out, int64_t n);
 void sub(const float *a, const float *b, float *out, int64_t n);
 void mul(const float *a, const float *b, float *out, int64_t n);
 void div(const float *a, const float *b, float *out, int64_t n);
-void minimum(const float *a, const float *b, float *out, int64_t n);
-void maximum(const float *a, const float *b, float *out, int64_t n);
 void addScalar(const float *a, float s, float *out, int64_t n);
 void mulScalar(const float *a, float s, float *out, int64_t n);
 void relu(const float *a, float *out, int64_t n);
 void negate(const float *a, float *out, int64_t n);
-void absolute(const float *a, float *out, int64_t n);
 void clampRange(const float *a, float lo, float hi, float *out,
                 int64_t n);
 /** out[i] = a[i] >= 0 ? +1 : -1 (majority-bundle thresholding). */
@@ -132,8 +127,6 @@ void axpy(float *acc, const float *v, float s, int64_t n);
 /// @{
 /** Double-precision sum of a[0..n). */
 double sumChunk(const float *a, int64_t n);
-/** Maximum of a[0..n); n must be >= 1. */
-float maxChunk(const float *a, int64_t n);
 /** Index of the first strict maximum of a[0..n); n must be >= 1. */
 int64_t argmaxChunk(const float *a, int64_t n);
 /** Double-precision dot product of a[0..n) and b[0..n). */

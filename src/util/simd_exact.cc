@@ -880,9 +880,21 @@ below(__m256i a, uint32_t w)
 }
 
 /**
- * scalar::tanh1 in eight lanes. Every branch of tanh1 and
- * expm1ForTanh is computed and the lane picks its own by blends, so
- * each lane sees exactly its scalar path's operations.
+ * scalar::tanh1 in eight lanes. The branches of tanh1 and expm1ForTanh
+ * are computed and each lane picks its own by blends, except two that
+ * no output can tell apart from the branch the lane takes instead:
+ *
+ *  - expm1's k = 23..56 branch (|x| above about 7.8). Those lanes take
+ *    the k = 2..22 form, whose expm1 may differ in its last bits.
+ *    There 2 / (t + 2) is below 2^-21, so that moves it by a few times
+ *    2^-45, against a result ulp of 2^-24.
+ *  - fdlibm's forced k = -1 below 1.5 ln2. The lanes where
+ *    invln2 * a - 0.5 rounds to -2 (|x| near 0.52) keep k = -2 and
+ *    take the k <= -2 form.
+ *
+ * tests/util/exhaustive_transcendental_test.cc holds this twin to the
+ * scalar one and to glibc on all 2^32 inputs, so neither shortcut
+ * changes a bit.
  */
 [[gnu::always_inline]] NSBENCH_TGT inline __m256
 tanh8(__m256 x)
@@ -898,15 +910,12 @@ tanh8(__m256 x)
     __m256 a = _mm256_or_ps(u, _mm256_andnot_ps(ge_one, sign_bit));
     __m256i hu = _mm256_castps_si256(u);
 
-    // k: 0 up to 0.5 ln2, -1 below 1.5 ln2 (a < 0 there, and fdlibm
-    // forces k even where invln2 * a - 0.5 rounds to -2), else
-    // invln2 * a +- 0.5 truncated. t * ln2_hi is exact.
+    // k: 0 up to 0.5 ln2, else invln2 * a +- 0.5 truncated (-1 below
+    // 1.5 ln2, where a < 0, but for the lanes that round to -2).
+    // t * ln2_hi is exact.
     __m256 half = _mm256_or_ps(splat(0.5f), _mm256_and_ps(a, sign_bit));
     __m256i k = _mm256_cvttps_epi32(
         _mm256_add_ps(_mm256_mul_ps(splat(kInvLn2), a), half));
-    k = _mm256_castps_si256(_mm256_blendv_ps(
-        _mm256_castsi256_ps(k), _mm256_castsi256_ps(splat(-1)),
-        below(hu, kThreeHalvesLn2)));
     k = _mm256_andnot_si256(
         _mm256_castps_si256(below(hu, kHalfLn2 + 1)), k);
     __m256 t = _mm256_cvtepi32_ps(k);
@@ -933,19 +942,13 @@ tanh8(__m256 x)
 
     // The k cases. 0x1000000 >> k is 0 for k < 0 or k >= 32
     // (vpsrlvd), so `low` is fdlibm's 1 - 2^-k for 2 <= k <= 22 and
-    // its 1 for k <= -2 or k > 56.
+    // its 1 for k <= -2 or k > 56; k = 23..56 takes it too (above).
     __m256i k23 = _mm256_slli_epi32(k, 23);
     __m256 e_minus_x = _mm256_sub_ps(e, xr);
     __m256 low = _mm256_castsi256_ps(_mm256_sub_epi32(
         splat(0x3f800000), _mm256_srlv_epi32(splat(0x1000000), k)));
     low = _mm256_castsi256_ps(_mm256_add_epi32(
         _mm256_castps_si256(_mm256_sub_ps(low, e_minus_x)), k23));
-    __m256 two_mk = _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_sub_epi32(splat(0x7f), k), 23));
-    __m256 high = _mm256_add_ps(
-        _mm256_sub_ps(xr, _mm256_add_ps(e, two_mk)), splat(1.0f));
-    high = _mm256_castsi256_ps(
-        _mm256_add_epi32(_mm256_castps_si256(high), k23));
 
     __m256 em = _mm256_sub_ps(xr, e); // k = 0
     __m256 k_minus_one =
@@ -957,8 +960,6 @@ tanh8(__m256 x)
         k_minus_one);
     em = _mm256_blendv_ps(
         em, low, _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, splat(1))));
-    em = _mm256_blendv_ps(
-        em, high, _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, splat(22))));
     __m256 far = _mm256_castsi256_ps(
         _mm256_or_si256(_mm256_cmpgt_epi32(splat(-1), k),
                         _mm256_cmpgt_epi32(k, splat(56))));

@@ -4,8 +4,8 @@
  *
  * A persistent fork-join worker pool with a static-chunking
  * parallelFor. Every hot kernel in the suite (tensor ops, VSA sweeps,
- * resonator iterations) funnels its loops through here, so one knob —
- * the pool width — controls the parallelism of the whole suite.
+ * codebook cleanups) funnels its loops through here, so one knob — the
+ * pool width — controls the parallelism of the whole suite.
  *
  * Determinism contract: parallelFor decomposes [begin, end) into
  * fixed-size chunks of `grain` iterations. The chunk boundaries depend

@@ -14,11 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <array>
 #include <cstdio>
+#include <netinet/in.h>
 #include <sstream>
 #include <string>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -301,6 +305,80 @@ TEST(CliNegative, ClientsAboveTheCapIsRejected)
         EXPECT_EQ(result.output.find("serving:"), std::string::npos)
             << result.output;
     }
+}
+
+TEST(CliNegative, RateAboveTheCapIsRejected)
+{
+    // Above a one-microsecond mean gap the open loop only measures how
+    // fast it can submit; at 1e308 every gap rounds to nothing.
+    for (const char *rate : {"2e6", "1e308"}) {
+        CliResult result = runCli(
+            std::string("loadgen --workloads LNN --duration 0.1 --rate ") +
+            rate);
+        EXPECT_EQ(result.exitCode, 2) << rate;
+        EXPECT_NE(result.output.find("--rate must be at most 1000000"),
+                  std::string::npos)
+            << result.output;
+        EXPECT_EQ(result.output.find("serving:"), std::string::npos)
+            << result.output;
+    }
+}
+
+/** A loopback port nothing listens on right now. */
+std::string
+freePort()
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ::bind(fd, reinterpret_cast<sockaddr *>(&addr), len);
+    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
+    ::close(fd);
+    return std::to_string(ntohs(addr.sin_port));
+}
+
+TEST(CliNegative, MalformedEndpointsAreRejected)
+{
+    // One rule for every endpoint flag: an IPv4 dotted quad or
+    // localhost, then a whole port in 1..65535. Each bad spec exits 2
+    // before a socket or thread exists; a short window keeps a
+    // command that wrongly accepts one from hanging the test.
+    const std::string route =
+        "route --duration 0.1 --listen 127.0.0.1:17613 --backends ";
+    const std::string loadgen =
+        "loadgen --duration 0.1 --workloads LNN --connect ";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {route + "127.0.0.1:7511x", "--backends"},
+        {route + "127.0.0.1:+7512", "--backends"},
+        {route + "127.0.0.1:7511,127.0.0.1:+7512", "--backends"},
+        {route + "127.0.0.1:99999999999999999999", "--backends"},
+        {route + "127.0.0.1:0", "--backends"},
+        {loadgen + "10.0.0:7511", "--connect"},
+        {loadgen + "127.0.0.1:7511x", "--connect"},
+        {loadgen + "127.0.0.1", "--connect"},
+        {"serve --duration 0.1 --listen :7511", "--listen"},
+        {"serve --duration 0.1 --listen 127.0.0.1:7511x", "--listen"},
+        {"serve --duration 0.1 --listen 65536", "--listen"},
+    };
+    for (const auto &[command, flag] : cases) {
+        CliResult result = runCli(command);
+        EXPECT_EQ(result.exitCode, 2) << command;
+        EXPECT_NE(result.output.find(flag + " needs "), std::string::npos)
+            << result.output;
+        for (const char *started : {"routing ", "driving ", "listening "})
+            EXPECT_EQ(result.output.find(started), std::string::npos)
+                << result.output;
+    }
+
+    // localhost is the one name, for every endpoint flag.
+    CliResult result = runCli("route --duration 0.1 --listen localhost:" +
+                              freePort() + " --backends localhost:" +
+                              freePort());
+    EXPECT_EQ(result.exitCode, 0) << result.output;
+    EXPECT_NE(result.output.find("routing 127.0.0.1:"), std::string::npos)
+        << result.output;
 }
 
 TEST(CliNegative, ZeroDelayFaultSuffixIsRejected)

@@ -199,8 +199,6 @@ TEST_F(ProfilerTest, SpanSparsityHelper)
 {
     std::vector<float> v{0.0f, 1.0f, 0.0f, 0.0f};
     EXPECT_EQ(nsbench::core::countZeros(std::span<const float>(v)), 3u);
-    EXPECT_DOUBLE_EQ(
-        nsbench::core::sparsityRatio(std::span<const float>(v)), 0.75);
     recordSpanSparsity("probe", std::span<const float>(v), 0.0f, prof);
     auto recs = prof.sparsityRecords();
     ASSERT_EQ(recs.size(), 1u);

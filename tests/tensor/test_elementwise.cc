@@ -26,8 +26,6 @@ TEST(Elementwise, BinaryOps)
     EXPECT_EQ(sub(a, b).flat(0), -3.0f);
     EXPECT_EQ(mul(a, b).flat(1), 6.0f);
     EXPECT_EQ(div(a, b).flat(3), 4.0f);
-    EXPECT_EQ(minimum(a, b).flat(0), 1.0f);
-    EXPECT_EQ(maximum(a, b).flat(0), 4.0f);
 }
 
 TEST(Elementwise, ScalarOps)
@@ -51,11 +49,7 @@ TEST(Elementwise, UnaryOps)
                 1e-6);
     EXPECT_NEAR(expOp(Tensor({1}, {1.0f})).flat(0), std::exp(1.0f),
                 1e-5);
-    EXPECT_NEAR(logOp(Tensor({1}, {std::exp(2.0f)})).flat(0), 2.0f,
-                1e-5);
-    EXPECT_EQ(sqrtOp(Tensor({1}, {9.0f})).flat(0), 3.0f);
     EXPECT_EQ(neg(a).flat(0), 2.0f);
-    EXPECT_EQ(absOp(a).flat(0), 2.0f);
     EXPECT_EQ(sign(a).flat(0), -1.0f);
     EXPECT_EQ(sign(Tensor({1}, {0.0f})).flat(0), 0.0f);
     Tensor c = clamp(a, -1.0f, 1.0f);
@@ -67,7 +61,6 @@ TEST(Elementwise, FullReductions)
 {
     Tensor a({2, 2}, {1, 2, 3, 4});
     EXPECT_EQ(sumAll(a), 10.0f);
-    EXPECT_EQ(maxAll(a), 4.0f);
     EXPECT_EQ(meanAll(a), 2.5f);
     EXPECT_EQ(argmaxAll(a), 3);
 }
@@ -88,9 +81,6 @@ TEST(Elementwise, AxisReductions)
     Tensor m1 = maxAxis(a, 1);
     EXPECT_EQ(m1(0), 3.0f);
     EXPECT_EQ(m1(1), 6.0f);
-
-    Tensor mean0 = meanAxis(a, 0);
-    EXPECT_EQ(mean0(1), 3.5f);
 }
 
 TEST(Elementwise, AxisReductionRank3)
@@ -199,18 +189,13 @@ TEST(Elementwise, ProfilerAccounting)
         {"sub", ew, e, 2 * e * f, e * f, [&] { sub(a, b); }},
         {"mul", ew, e, 2 * e * f, e * f, [&] { mul(a, b); }},
         {"div", ew, e, 2 * e * f, e * f, [&] { div(a, b); }},
-        {"minimum", ew, e, 2 * e * f, e * f, [&] { minimum(a, b); }},
-        {"maximum", ew, e, 2 * e * f, e * f, [&] { maximum(a, b); }},
         {"add_scalar", ew, e, e * f, e * f, [&] { addScalar(a, 1); }},
         {"mul_scalar", ew, e, e * f, e * f, [&] { mulScalar(a, 2); }},
         {"relu", ew, e, e * f, e * f, [&] { relu(a); }},
         {"sigmoid", ew, 4 * e, e * f, e * f, [&] { sigmoid(a); }},
         {"tanh", ew, 4 * e, e * f, e * f, [&] { tanhOp(a); }},
         {"exp", ew, 2 * e, e * f, e * f, [&] { expOp(a); }},
-        {"log", ew, 2 * e, e * f, e * f, [&] { logOp(a); }},
-        {"sqrt", ew, 2 * e, e * f, e * f, [&] { sqrtOp(a); }},
         {"neg", ew, e, e * f, e * f, [&] { neg(a); }},
-        {"abs", ew, e, e * f, e * f, [&] { absOp(a); }},
         {"sign", ew, e, e * f, e * f, [&] { sign(a); }},
         {"clamp", ew, e, e * f, e * f, [&] { clamp(a, 0, 1); }},
         {"pow", ew, 4 * e, e * f, e * f, [&] { powOp(a, 1.5f); }},
@@ -220,10 +205,6 @@ TEST(Elementwise, ProfilerAccounting)
          [&] { subInPlace(dst, a); }},
         {"mul_inplace", ew, e, 2 * e * f, e * f,
          [&] { mulInPlace(dst, a); }},
-        {"minimum_inplace", ew, e, 2 * e * f, e * f,
-         [&] { minimumInPlace(dst, a); }},
-        {"maximum_inplace", ew, e, 2 * e * f, e * f,
-         [&] { maximumInPlace(dst, a); }},
         {"add_scalar_inplace", ew, e, e * f, e * f,
          [&] { addScalarInPlace(dst, 1); }},
         {"mul_scalar_inplace", ew, e, e * f, e * f,
@@ -240,7 +221,6 @@ TEST(Elementwise, ProfilerAccounting)
         {"vsa_majority", ew, e, e * f, e * f,
          [&] { nsbench::vsa::bundleMajority({a, b, dst}); }},
         {"sum", ew, e, e * f, f, [&] { sumAll(a); }},
-        {"max", ew, e, e * f, f, [&] { maxAll(a); }},
         {"argmax", ew, e, e * f, f, [&] { argmaxAll(a); }},
         {"dot", OpCategory::MatMul, 2 * e, 2 * e * f, f,
          [&] { dot(a, b); }},
@@ -251,7 +231,7 @@ TEST(Elementwise, ProfilerAccounting)
             nsbench::core::PhaseScope scope(Phase::Symbolic, "pin");
             pin.call();
         }
-        auto ops = prof.opsByTime(Phase::Symbolic);
+        auto ops = prof.opsByTime();
         auto it = std::find_if(ops.begin(), ops.end(), [&](auto &op) {
             return op.name == pin.name;
         });

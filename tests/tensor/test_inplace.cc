@@ -56,8 +56,6 @@ TEST(InPlaceOpsTest, BinaryOpsMatchAllocatingForms)
         {"add", tensor::addInPlace, tensor::add},
         {"sub", tensor::subInPlace, tensor::sub},
         {"mul", tensor::mulInPlace, tensor::mul},
-        {"minimum", tensor::minimumInPlace, tensor::minimum},
-        {"maximum", tensor::maximumInPlace, tensor::maximum},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);

@@ -140,7 +140,6 @@ TEST_F(ParallelEquivalence, MaxAndArgmax)
 {
     Tensor a = Tensor::randn({150001}, rng);
     // Max/argmax are exact at any split.
-    expectScalarStable([&] { return maxAll(a); }, 0.0);
     expectScalarStable(
         [&] { return static_cast<double>(argmaxAll(a)); }, 0.0);
 }
@@ -157,7 +156,6 @@ TEST_F(ParallelEquivalence, AxisReductions)
     Tensor a = Tensor::randn({37, 41, 11}, rng);
     expectTensorStable([&] { return sumAxis(a, 1); });
     expectTensorStable([&] { return maxAxis(a, 0); });
-    expectTensorStable([&] { return meanAxis(a, 2); });
 }
 
 TEST_F(ParallelEquivalence, RowTransforms)

@@ -5,7 +5,6 @@
 #include "core/profiler.hh"
 #include "vsa/codebook.hh"
 #include "vsa/ops.hh"
-#include "vsa/resonator.hh"
 
 namespace
 {
@@ -120,31 +119,6 @@ TEST(Codebook, DecodeThresholdSparsifies)
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_GT(recs[0].ratio(), 0.9);
     prof.reset();
-}
-
-TEST(Resonator, FactorizesTwoFactorProduct)
-{
-    Rng rng(8);
-    Codebook book_a(8, 1024, rng);
-    Codebook book_b(8, 1024, rng);
-    Tensor composite = bind(book_a.atom(3), book_b.atom(5));
-    auto result = factorize(composite, {&book_a, &book_b});
-    EXPECT_TRUE(result.converged);
-    ASSERT_EQ(result.factors.size(), 2u);
-    EXPECT_EQ(result.factors[0], 3);
-    EXPECT_EQ(result.factors[1], 5);
-}
-
-TEST(Resonator, FactorizesThreeFactorProduct)
-{
-    Rng rng(9);
-    Codebook a(6, 2048, rng), b(6, 2048, rng), c(6, 2048, rng);
-    Tensor composite = bind(bind(a.atom(1), b.atom(4)), c.atom(2));
-    auto result = factorize(composite, {&a, &b, &c});
-    ASSERT_EQ(result.factors.size(), 3u);
-    EXPECT_EQ(result.factors[0], 1);
-    EXPECT_EQ(result.factors[1], 4);
-    EXPECT_EQ(result.factors[2], 2);
 }
 
 TEST(CodebookDeath, BadSizes)

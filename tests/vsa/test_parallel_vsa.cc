@@ -2,10 +2,10 @@
  * @file
  * Parallel-vs-serial equivalence for the VSA hot paths.
  *
- * The codebook sweeps, bundling and resonator iterations are
- * parallelized over dimension or entry slices with a fixed traversal
- * order per output element, so every result must be bit-identical to
- * the width-1 run at any pool width.
+ * The codebook sweeps and bundling are parallelized over dimension or
+ * entry slices with a fixed traversal order per output element, so
+ * every result must be bit-identical to the width-1 run at any pool
+ * width.
  *
  * The FFT's plans are the one piece of shared mutable state on these
  * paths: built on first use, then read by every thread. Threads that
@@ -27,7 +27,6 @@
 #include "util/threadpool.hh"
 #include "vsa/codebook.hh"
 #include "vsa/ops.hh"
-#include "vsa/resonator.hh"
 
 namespace
 {
@@ -127,34 +126,6 @@ TEST_F(VsaParallelEquivalence, CircularConvolution)
     Tensor b = vsa::randomHypervector(1024, rng);
     expectTensorStable([&] { return vsa::circularConvolve(a, b); });
     expectTensorStable([&] { return vsa::circularCorrelate(a, b); });
-}
-
-TEST_F(VsaParallelEquivalence, ResonatorFactorization)
-{
-    // The resonator's sims sweeps and recombine steps are parallel;
-    // the factorization must land on the same factors in the same
-    // number of iterations at every width.
-    vsa::Codebook b0(16, 2048, rng);
-    vsa::Codebook b1(16, 2048, rng);
-    vsa::Codebook b2(16, 2048, rng);
-    std::vector<const vsa::Codebook *> books = {&b0, &b1, &b2};
-    Tensor composite = vsa::bind(
-        vsa::bind(b0.atom(3), b1.atom(7)), b2.atom(11));
-
-    ThreadPool::setGlobalThreads(1);
-    auto expect = vsa::factorize(composite, books);
-    ASSERT_TRUE(expect.converged);
-    EXPECT_EQ(expect.factors, (std::vector<int64_t>{3, 7, 11}));
-
-    for (int width : kWidths) {
-        ThreadPool::setGlobalThreads(width);
-        auto got = vsa::factorize(composite, books);
-        EXPECT_EQ(got.factors, expect.factors) << "width " << width;
-        EXPECT_EQ(got.iterations, expect.iterations)
-            << "width " << width;
-        EXPECT_EQ(got.converged, expect.converged)
-            << "width " << width;
-    }
 }
 
 /** Every FFT op at lengths nothing else in this test has used. */

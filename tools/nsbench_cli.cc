@@ -60,6 +60,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -554,42 +555,49 @@ struct ServeCli
     }
 };
 
-/** Splits "[HOST:]PORT"; exits with a usage error on a bad port. */
+/**
+ * net::parseEndpoint for one value of @p flag; exits 2 on a bad spec,
+ * before any socket or thread exists. A bare PORT takes
+ * @p defaultHost when one is given (--listen).
+ */
+net::Endpoint
+endpointArg(const std::string &flag, const std::string &spec,
+            const std::string &defaultHost = "")
+{
+    bool bare = !defaultHost.empty() &&
+                spec.find(':') == std::string::npos;
+    std::optional<net::Endpoint> endpoint =
+        net::parseEndpoint(bare ? defaultHost + ":" + spec : spec);
+    if (!endpoint) {
+        std::cerr << flag << " needs "
+                  << (defaultHost.empty() ? "HOST:" : "[HOST:]")
+                  << "PORT with HOST an IPv4 address or localhost and "
+                     "PORT in 1..65535, got '"
+                  << spec << "'\n";
+        std::exit(2);
+    }
+    return *endpoint;
+}
+
+/** "[HOST:]PORT"; a bare port binds the default address. */
 net::FrameServerOptions
 parseListenSpec(const std::string &spec)
 {
     net::FrameServerOptions options;
-    std::string port_part = spec;
-    size_t colon = spec.rfind(':');
-    if (colon != std::string::npos) {
-        options.host = spec.substr(0, colon);
-        port_part = spec.substr(colon + 1);
-    }
-    int port = numberArg<int>("--listen", port_part);
-    if (port < 1 || port > 65535) {
-        std::cerr << "--listen needs [HOST:]PORT with port 1..65535\n";
-        std::exit(2);
-    }
-    options.port = static_cast<uint16_t>(port);
+    net::Endpoint endpoint = endpointArg("--listen", spec, options.host);
+    options.host = endpoint.host;
+    options.port = endpoint.port;
     return options;
 }
 
-/** Splits "HOST:PORT"; exits with a usage error on nonsense. */
+/** "HOST:PORT" of the server to drive. */
 net::ClientOptions
 parseConnectSpec(const std::string &spec)
 {
+    net::Endpoint endpoint = endpointArg("--connect", spec);
     net::ClientOptions options;
-    size_t colon = spec.rfind(':');
-    int port = colon == std::string::npos
-                   ? 0
-                   : numberArg<int>("--connect", spec.substr(colon + 1));
-    if (colon == std::string::npos || colon == 0 || port < 1 ||
-        port > 65535) {
-        std::cerr << "--connect needs HOST:PORT\n";
-        std::exit(2);
-    }
-    options.host = spec.substr(0, colon);
-    options.port = static_cast<uint16_t>(port);
+    options.host = endpoint.host;
+    options.port = endpoint.port;
     return options;
 }
 
@@ -837,6 +845,11 @@ validateLoadOptions(const serve::LoadgenOptions &load_options,
     }
     if (load_options.openLoop && load_options.rateHz <= 0.0) {
         std::cerr << "--rate must be positive\n";
+        return 2;
+    }
+    if (load_options.openLoop && load_options.rateHz > serve::kMaxRateHz) {
+        std::cerr << "--rate must be at most "
+                  << util::fixedStr(serve::kMaxRateHz, 0) << "\n";
         return 2;
     }
     return -1;
@@ -1101,6 +1114,8 @@ cmdRoute(int argc, char **argv)
 
     net::RouterOptions options = cli.router;
     options.listen = parseListenSpec(cli.listen);
+    for (const std::string &backend : cli.backends)
+        endpointArg("--backends", backend);
     options.backends = cli.backends;
     net::Router router(options);
     if (!cli.csv) {
